@@ -19,13 +19,17 @@
 //                synchronization overhead honestly instead).
 //
 // Alongside throughput it reports the engine counters (events processed,
-// peak event-heap depth, payload-buffer reuse rate) so a perf regression can
-// be localized from the JSON artifact alone.  CI gates on events/sec via
-// scripts/check_bench_regression.py against bench/baselines/engine_baseline.json.
+// peak event-heap depth, payload-buffer reuse rate) and the structural
+// memory gauges (node table, link tables, receive slab, plus bytes per
+// offered client on mega_surge and giga_shards_1) so a perf or memory
+// regression can be localized from the JSON artifact alone.  CI gates on
+// events/sec and giga bytes per client via scripts/check_bench_regression.py
+// against bench/baselines/engine_baseline.json.
 #include <algorithm>
 #include <chrono>
 
 #include "bench_common.h"
+#include "game/bot_client.h"
 #include "net/event_queue.h"
 #include "util/rng.h"
 
@@ -147,6 +151,7 @@ struct RunResult {
   double sim_sec = 0.0;
   std::uint64_t messages = 0;
   std::size_t peak_clients = 0;
+  std::size_t bots = 0;
   Network::EngineStats engine;
 };
 
@@ -163,6 +168,7 @@ RunResult run_workload(DeploymentOptions options, SimTime duration,
   result.sim_sec = duration.sec();
   result.messages = deployment.network().total_messages();
   result.peak_clients = deployment.total_clients();
+  result.bots = deployment.bots().size();
   result.engine = deployment.network().engine_stats();
   return result;
 }
@@ -200,6 +206,32 @@ void report(JsonReport& json, const char* run, const RunResult& r) {
            "events");
   json.add(run, "buffer_reuse_fraction", reuse, "");
   json.add(run, "wall_seconds", r.wall_sec, "s");
+
+  std::printf("  %-26s %12zu\n", "node table bytes", r.engine.node_table_bytes);
+  std::printf("  %-26s %12zu\n", "link table bytes", r.engine.link_table_bytes);
+  std::printf("  %-26s %12zu\n", "receive slab bytes",
+              r.engine.receive_slab_bytes);
+  json.add(run, "node_table_bytes",
+           static_cast<double>(r.engine.node_table_bytes), "bytes");
+  json.add(run, "link_table_bytes",
+           static_cast<double>(r.engine.link_table_bytes), "bytes");
+  json.add(run, "receive_slab_bytes",
+           static_cast<double>(r.engine.receive_slab_bytes), "bytes");
+}
+
+/// Deterministic per-client footprint: the engine's structural bytes plus
+/// the bot objects themselves, over the clients the scenario offered.
+void report_bytes_per_client(JsonReport& json, const char* run,
+                             const RunResult& r, std::size_t offered) {
+  const double bytes =
+      static_cast<double>(r.engine.node_table_bytes +
+                          r.engine.link_table_bytes +
+                          r.engine.receive_slab_bytes +
+                          r.bots * sizeof(BotClient)) /
+      static_cast<double>(offered);
+  std::printf("  %-26s %12.0f (BotClient %zu B)\n", "bytes per offered client",
+              bytes, sizeof(BotClient));
+  json.add(run, "per_client_bytes", bytes, "bytes");
 }
 
 }  // namespace
@@ -231,8 +263,9 @@ int main(int argc, char** argv) {
                             schedule_mega_surge_scenario(d, scenario);
                           });
     report(json, "mega_surge", r);
-    std::printf("  offered clients            %12zu (>= 10k scale)\n",
-                mega_surge_offered_clients(scenario));
+    const std::size_t offered = mega_surge_offered_clients(scenario);
+    std::printf("  offered clients            %12zu (>= 10k scale)\n", offered);
+    report_bytes_per_client(json, "mega_surge", r, offered);
   }
   {
     // Shard-scaling curve on the 100k-client workload (trimmed to a 3 s sim
@@ -257,6 +290,8 @@ int main(int argc, char** argv) {
           static_cast<double>(r.engine.events_processed) / r.wall_sec;
       if (shards == 1) {
         base_events_per_sec = events_per_sec;
+        report_bytes_per_client(json, run, r,
+                                giga_surge_offered_clients(scenario));
       } else if (base_events_per_sec > 0.0) {
         const double speedup = events_per_sec / base_events_per_sec;
         std::printf("  %-26s %12.2fx vs serial\n", "shard speedup", speedup);

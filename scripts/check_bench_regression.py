@@ -8,7 +8,8 @@ Both files use the matrix_bench_json shape emitted by bench_common.h's
 JsonReport ({"benchmarks": [{"name", "value", "unit"}, ...]}).  Every metric
 present in the BASELINE is looked up in CURRENT; a higher-is-better metric
 (the default) fails when current < baseline * (1 - tolerance).  Metrics whose
-name ends in one of the LOWER_IS_BETTER suffixes fail in the other direction.
+name ends in one of the LOWER_IS_BETTER suffixes (times, and `_bytes` memory
+footprints) fail in the other direction: their baseline is a ceiling.
 
 A baseline entry may carry its own "tolerance" field, which overrides the
 command-line --tolerance for that metric alone — noisier metrics (wall-clock
@@ -23,7 +24,7 @@ import argparse
 import json
 import sys
 
-LOWER_IS_BETTER = ("wall_seconds", "_ms", "_seconds")
+LOWER_IS_BETTER = ("wall_seconds", "_ms", "_seconds", "_bytes")
 
 
 def load_metrics(path):

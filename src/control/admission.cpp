@@ -15,9 +15,11 @@ const char* admission_state_name(AdmissionState state) {
 }
 
 AdmissionController::AdmissionController(const AdmissionConfig& config,
-                                         std::uint32_t overload_clients)
+                                         std::uint32_t overload_clients,
+                                         bool skip_recover_min)
     : config_(config),
       overload_clients_(overload_clients),
+      skip_recover_min_(skip_recover_min),
       bucket_(config.token_rate_per_sec, config.token_burst) {}
 
 AdmissionState AdmissionController::target_for(
@@ -96,7 +98,7 @@ bool AdmissionController::observe(SimTime now,
   // ...and only step down (one level at a time) once that window reaches
   // recover_min and the dwell time since the last change has passed.
   const bool dwell_ok = !ever_transitioned_ || now - last_transition_ >= config_.dwell;
-  const bool recovered = config_.fault_skip_recover_min ||
+  const bool recovered = skip_recover_min_ ||
                          now - calm_since_ >= config_.recover_min;
   if (dwell_ok && recovered) {
     transition(now, static_cast<AdmissionState>(

@@ -96,8 +96,10 @@ struct AdmissionTransition {
 
 class AdmissionController {
  public:
+  /// `skip_recover_min` plants FaultConfig::skip_recover_min (tests only).
   AdmissionController(const AdmissionConfig& config,
-                      std::uint32_t overload_clients);
+                      std::uint32_t overload_clients,
+                      bool skip_recover_min = false);
 
   /// Feeds one observation and applies the transition rules.  Returns true
   /// when the admission state changed.
@@ -143,6 +145,7 @@ class AdmissionController {
 
   AdmissionConfig config_;
   std::uint32_t overload_clients_;
+  bool skip_recover_min_;
 
   AdmissionState state_ = AdmissionState::kNormal;
   SimTime last_transition_{};

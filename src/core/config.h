@@ -201,14 +201,6 @@ struct AdmissionConfig {
   /// exempt from both: a saturated server closes the valve immediately.
   SimTime recover_min = SimTime::from_sec(5.0);
 
-  /// TEST-ONLY fault injection (docs/TESTING.md): relax the valve as soon
-  /// as the dwell passes, ignoring recover_min — the hysteresis bug the
-  /// timeline invariant (admission_timeline_valid) exists to catch.  The
-  /// validator keeps judging against the REAL recover_min, so enabling
-  /// this makes lifetime_timeline_valid() report false.  Never set outside
-  /// tests/fuzz_test.cpp.
-  bool fault_skip_recover_min = false;
-
   // ---- client guidance ------------------------------------------------------
   /// Retry hint carried by JoinDefer (SOFT) and JoinDeny (HARD).
   SimTime defer_retry = SimTime::from_sec(2.0);
@@ -344,11 +336,17 @@ struct FaultConfig {
   /// twice, so the per-server control-applied stream stops strictly
   /// increasing.
   bool stale_directive_replay = false;
+  /// Relax the admission valve as soon as the dwell passes, ignoring
+  /// AdmissionConfig::recover_min — the hysteresis bug the timeline
+  /// invariant (admission_timeline_valid) exists to catch.  The validator
+  /// keeps judging against the REAL recover_min, so enabling this makes
+  /// lifetime_timeline_valid() report false.
+  bool skip_recover_min = false;
 
   [[nodiscard]] bool any() const {
     return swallow_gated_join_every != 0 || drop_queue_handoff ||
            reset_handoff_age || leak_session_on_shed ||
-           stale_directive_replay;
+           stale_directive_replay || skip_recover_min;
   }
 };
 

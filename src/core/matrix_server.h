@@ -313,7 +313,8 @@ class MatrixServer : public ProtocolNode {
   // the MC lookup seq; value = the game's original query.
   std::map<std::uint32_t, OwnerQuery> pending_owner_queries_;
 
-  AdmissionController admission_{config_.admission, config_.overload_clients};
+  AdmissionController admission_{config_.admission, config_.overload_clients,
+                                 config_.fault.skip_recover_min};
 
   /// Unified control-update ingestion + failsafe machine.  Replaces the
   /// old scattered directive_seq_seen_ / mc_generation_ counters; the MC

@@ -44,6 +44,16 @@ void BotClient::leave() {
   send(server_node_, ClientBye{id_});
 }
 
+void BotClient::pair_ack(std::uint32_t ack_seq) {
+  // 64-bit so the window test cannot wrap near the top of the seq space.
+  const std::uint64_t seq = ack_seq;
+  if (seq >= next_seq_ || next_seq_ > seq + kAckWindow) return;
+  SimTime& sent_at = sent_at_[seq % kAckWindow];
+  if (sent_at == kConsumed) return;
+  metrics_.self_latency_ms.add((now() - sent_at).ms());
+  sent_at = kConsumed;
+}
+
 bool BotClient::on_frame(const Envelope& envelope) {
   const std::vector<std::uint8_t>& frame = envelope.payload;
   if (frame.empty()) return false;
@@ -74,11 +84,7 @@ bool BotClient::on_frame(const Envelope& envelope) {
   if (!playing_) return true;
   ++metrics_.updates_received;
   if (view->ack_seq != 0) {
-    PendingAck& slot = outstanding_[view->ack_seq % kOutstandingWindow];
-    if (slot.seq == view->ack_seq) {
-      metrics_.self_latency_ms.add((now() - slot.sent_at).ms());
-      slot.seq = 0;  // consumed; a duplicate ack won't pair twice
-    }
+    pair_ack(view->ack_seq);
   } else if (view->origin_sent_at.us() > 0) {
     metrics_.observer_latency_ms.add((now() - view->origin_sent_at).ms());
   }
@@ -133,11 +139,7 @@ void BotClient::on_message(const Message& message, const Envelope& envelope) {
     if (!playing_) return;
     ++metrics_.updates_received;
     if (update->ack_seq != 0) {
-      PendingAck& slot = outstanding_[update->ack_seq % kOutstandingWindow];
-      if (slot.seq == update->ack_seq) {
-        metrics_.self_latency_ms.add((now() - slot.sent_at).ms());
-        slot.seq = 0;  // consumed; a duplicate ack won't pair twice
-      }
+      pair_ack(update->ack_seq);
     } else if (update->origin_sent_at.us() > 0) {
       metrics_.observer_latency_ms.add((now() - update->origin_sent_at).ms());
     }
@@ -201,7 +203,7 @@ void BotClient::schedule_next_action() {
   const std::uint64_t epoch = play_epoch_;
   // Jittered inter-action gap: exponential with the model's mean, clamped
   // so a bot neither bursts unrealistically nor goes silent.
-  const double mean_ms = spec_.action_interval.ms();
+  const double mean_ms = spec_->action_interval.ms();
   const double gap_ms = std::clamp(rng_.next_exponential(mean_ms),
                                    mean_ms * 0.25, mean_ms * 4.0);
   network()->events_for(node_id()).schedule_after(SimTime::from_ms(gap_ms), [this, epoch] {
@@ -213,13 +215,13 @@ void BotClient::schedule_next_action() {
 
 ActionKind BotClient::choose_kind() {
   const double roll = rng_.next_double();
-  double acc = spec_.non_proximal_fraction;
+  double acc = spec_->non_proximal_fraction;
   if (roll < acc) return ActionKind::kTeleport;
-  acc += spec_.fire_fraction;
+  acc += spec_->fire_fraction;
   if (roll < acc) return ActionKind::kFire;
-  acc += spec_.chat_fraction;
+  acc += spec_->chat_fraction;
   if (roll < acc) return ActionKind::kChat;
-  acc += spec_.interact_fraction;
+  acc += spec_->interact_fraction;
   if (roll < acc) return ActionKind::kInteract;
   return ActionKind::kMove;
 }
@@ -227,7 +229,7 @@ ActionKind BotClient::choose_kind() {
 void BotClient::move(double dt_sec) {
   // Waypoint wander, with the waypoint pinned near the attraction point
   // when a hotspot is active.
-  const double arrive = std::max(2.0, spec_.move_speed * 0.2);
+  const double arrive = std::max(2.0, spec_->move_speed * 0.2);
   if (Vec2::distance(position_, waypoint_) < arrive) {
     if (attraction_) {
       waypoint_ = world_.clamp(
@@ -239,7 +241,7 @@ void BotClient::move(double dt_sec) {
     }
   }
   const Vec2 direction = (waypoint_ - position_).normalized();
-  const double step = std::min(spec_.move_speed * dt_sec,
+  const double step = std::min(spec_->move_speed * dt_sec,
                                Vec2::distance(position_, waypoint_));
   position_ = world_.clamp(position_ + direction * step);
 }
@@ -262,15 +264,15 @@ void BotClient::act() {
     action.target = world_.clamp(
         position_ + Vec2{rng_.next_double_in(-1.0, 1.0),
                          rng_.next_double_in(-1.0, 1.0)} *
-                        (spec_.visibility_radius * 0.8));
+                        (spec_->visibility_radius * 0.8));
   } else if (kind == ActionKind::kTeleport) {
     // Non-proximal: anywhere in the world (town portal, map ping, ...).
     action.target = Vec2{rng_.next_double_in(world_.x0(), world_.x1()),
                          rng_.next_double_in(world_.y0(), world_.y1())};
   }
 
-  action.payload.assign(spec_.payload_size(kind), 0);
-  outstanding_[action.seq % kOutstandingWindow] = {action.seq, action.sent_at};
+  action.payload.assign(spec_->payload_size(kind), 0);
+  sent_at_[action.seq % kAckWindow] = action.sent_at;
   send(server_node_, action);
   ++metrics_.actions_sent;
 }

@@ -34,11 +34,11 @@ namespace matrix {
 
 class BotClient : public ProtocolNode {
  public:
-  BotClient(ClientId id, GameModelSpec spec, Rect world, Rng rng)
-      : id_(id),
-        spec_(std::move(spec)),
-        world_(world),
-        rng_(rng) {}
+  /// `spec` is referenced, not copied: it must outlive the bot (the owning
+  /// deployment's options hold it).
+  BotClient(ClientId id, const GameModelSpec& spec, Rect world, Rng rng)
+      : id_(id), spec_(&spec), world_(world), rng_(rng) {}
+  BotClient(ClientId, GameModelSpec&&, Rect, Rng) = delete;  // would dangle
 
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] ClientId client_id() const { return id_; }
@@ -122,7 +122,7 @@ class BotClient : public ProtocolNode {
   [[nodiscard]] ActionKind choose_kind();
 
   ClientId id_;
-  GameModelSpec spec_;
+  const GameModelSpec* spec_;
   Rect world_;
   Rng rng_;
 
@@ -143,19 +143,21 @@ class BotClient : public ProtocolNode {
   double attraction_spread_ = 15.0;
   SimTime last_move_at_{};
 
+  /// Samples self latency for an ack of `ack_seq` at most once.
+  void pair_ack(std::uint32_t ack_seq);
+
   std::uint32_t next_seq_ = 1;
-  // Outstanding action timestamps for self-latency pairing: a fixed ring
-  // keyed by seq, overwritten as newer actions arrive — zero per-action
-  // allocation (this is the bot hot path).  A sample is lost only when the
-  // ack trails its action by a full window of newer actions (≥12.8 s at
-  // 10 Hz) — wider coverage under ack delay than the old 64-entry bounded
-  // map, which also evicted its oldest unacked entries in that regime.
-  struct PendingAck {
-    std::uint32_t seq = 0;  ///< 0 = empty/consumed
-    SimTime sent_at{};
-  };
-  static constexpr std::size_t kOutstandingWindow = 128;
-  std::array<PendingAck, kOutstandingWindow> outstanding_{};
+  // Send times of the last kAckWindow actions for self-latency pairing: a
+  // fixed ring indexed by seq % kAckWindow, overwritten as newer actions go
+  // out — zero per-action allocation (this is the bot hot path).  Slot
+  // seq % kAckWindow holds action `seq` exactly while
+  //     seq < next_seq_ <= seq + kAckWindow
+  // and the slot is not kConsumed, so the ring needs no stored seq.  A
+  // sample is lost only when the ack trails its action by a full window of
+  // newer actions (>=12.8 s at 10 Hz); a duplicate ack pairs once.
+  static constexpr std::size_t kAckWindow = 128;
+  static constexpr SimTime kConsumed = SimTime::from_us(-1);
+  std::array<SimTime, kAckWindow> sent_at_{};
 
   // Switch measurement.
   bool switch_pending_ = false;

@@ -142,15 +142,10 @@ Network::LinkRecord& Network::link_record(NodeId src, NodeId dst) {
   // The record lives in the SOURCE owner's shard store: only that shard
   // (or the main thread while workers idle) ever touches it.
   std::vector<LinkRecord>& store = shards_[state.shard]->link_records;
-  const std::size_t d = dst.value();
-  if (state.out.size() <= d) {
-    reserve_for_index(state.out, d);
-    state.out.resize(d + 1, -1);
-  }
-  std::int32_t slot = state.out[d];
-  if (slot < 0) {
+  std::int32_t slot = state.out.find(dst);
+  if (slot == LinkTable::kAbsent) {
     slot = static_cast<std::int32_t>(store.size());
-    state.out[d] = slot;
+    state.out.insert(dst, static_cast<std::uint32_t>(slot));
     LinkRecord record;
     record.src = src;
     record.dst = dst;
@@ -163,10 +158,9 @@ const Network::LinkRecord* Network::find_link_record(NodeId src,
                                                      NodeId dst) const {
   const NodeState* state = find_state(src);
   if (state == nullptr) return nullptr;
-  const std::size_t d = dst.value();
-  if (d >= state->out.size() || state->out[d] < 0) return nullptr;
-  return &shards_[state->shard]
-              ->link_records[static_cast<std::size_t>(state->out[d])];
+  const std::int32_t slot = state->out.find(dst);
+  if (slot == LinkTable::kAbsent) return nullptr;
+  return &shards_[state->shard]->link_records[static_cast<std::size_t>(slot)];
 }
 
 NodeId Network::attach(Node* node, NodeConfig config, std::size_t shard) {
@@ -185,9 +179,10 @@ void Network::detach(NodeId id) {
   NodeState* state = find_state(id);
   if (state == nullptr) return;
   Shard& owner = *shards_[state->shard];
-  owner.total_dropped += state->queue.size();
-  for (Envelope& env : state->queue) owner.pool.release(std::move(env.payload));
-  state->queue.clear();
+  owner.total_dropped += state->queue.size;
+  while (!state->queue.empty()) {
+    owner.pool.release(owner.receive.pop(state->queue).payload);
+  }
   state->node = nullptr;
   state->serving = false;
   ++state->epoch;  // cancels any in-flight service completion
@@ -298,7 +293,7 @@ void Network::deliver(NodeId dst, Envelope envelope) {
     return;  // node detached while the message was in flight
   }
   if (state->config.queue_capacity &&
-      state->queue.size() >= *state->config.queue_capacity) {
+      state->queue.size >= *state->config.queue_capacity) {
     ++here.total_dropped;
     // Per-pair stats live on the SENDING shard's store; only touch them when
     // that is us, else aggregate (engine_stats().cross_tail_drops).
@@ -310,7 +305,7 @@ void Network::deliver(NodeId dst, Envelope envelope) {
     here.pool.release(std::move(envelope.payload));
     return;  // tail drop: the overloaded-static-server failure mode
   }
-  state->queue.push_back(std::move(envelope));
+  shards_[state->shard]->receive.push(state->queue, std::move(envelope));
   if (!state->serving) start_service(dst);
 }
 
@@ -322,8 +317,8 @@ void Network::start_service(NodeId dst) {
   }
   state->serving = true;
   const std::uint64_t epoch = state->epoch;
-  const SimTime service =
-      state->config.service_time(state->queue.front().wire_size());
+  const SimTime service = state->config.service_time(
+      shards_[state->shard]->receive.front(state->queue).wire_size());
   current_shard().events.schedule_after(service, dst.value(), [this, dst,
                                                                epoch] {
     NodeState* s = find_state(dst);
@@ -331,8 +326,7 @@ void Network::start_service(NodeId dst) {
         s->queue.empty()) {
       return;
     }
-    Envelope env = std::move(s->queue.front());
-    s->queue.pop_front();
+    Envelope env = shards_[s->shard]->receive.pop(s->queue);
     // Handle *before* scheduling the next service so handlers observe a
     // queue that no longer contains the message being processed.
     s->node->handle_message(env);
@@ -615,20 +609,27 @@ void Network::migrate_node(NodeId id, std::size_t to) {
   Shard& dest = *shards_[to];
 
   // 1. Re-home this node's source link records.  Record indices are shared
-  // with no one (each source's out[] table points only at its own records),
+  // with no one (each source's link table points only at its own records),
   // but sibling records in the old store ARE index-addressed by other
   // sources on that shard — so vacated slots are deadened in place, never
   // erased.
-  for (std::size_t d = 0; d < state->out.size(); ++d) {
-    const std::int32_t slot = state->out[d];
-    if (slot < 0) continue;
-    LinkRecord& old_record = from.link_records[static_cast<std::size_t>(slot)];
-    state->out[d] = static_cast<std::int32_t>(dest.link_records.size());
+  state->out.for_each([&](NodeId, std::uint32_t& slot) {
+    LinkRecord& old_record = from.link_records[slot];
+    slot = static_cast<std::uint32_t>(dest.link_records.size());
     dest.link_records.push_back(old_record);
     old_record = LinkRecord{};  // dead slot: zero stats, no override
-  }
+  });
 
-  // 2. Re-home pending events (deliveries, the in-flight service
+  // 2. Re-home the receive queue into the destination shard's slab, oldest
+  // first, so the queue's order and the pending service completion's head
+  // message are unchanged.
+  ReceiveSlab::Fifo moved;
+  while (!state->queue.empty()) {
+    dest.receive.push(moved, from.receive.pop(state->queue));
+  }
+  state->queue = moved;
+
+  // 3. Re-home pending events (deliveries, the in-flight service
   // completion, periodic self-ticks — everything stamped with this node's
   // tag).  Both queues sit at the barrier time, and extraction preserves
   // (when, seq) order, so the events replay on the new shard in the exact
@@ -642,7 +643,7 @@ void Network::migrate_node(NodeId id, std::size_t to) {
   }
   migrate_scratch_.clear();
 
-  // 3. Let the node re-acquire shard-affine bindings (deferred tracer).
+  // 4. Let the node re-acquire shard-affine bindings (deferred tracer).
   if (state->node != nullptr) state->node->on_shard_migrated();
 }
 
@@ -712,7 +713,7 @@ void Network::worker_loop(std::size_t index) {
 
 std::size_t Network::queue_length(NodeId id) const {
   const NodeState* state = find_state(id);
-  return state != nullptr ? state->queue.size() : 0;
+  return state != nullptr ? state->queue.size : 0;
 }
 
 const LinkStats& Network::stats(NodeId src, NodeId dst) const {
@@ -767,6 +768,15 @@ Network::EngineStats Network::engine_stats() const {
     active_us += shard->active_wall_us;
   }
   stats.events_processed += control_queue_.events_processed();
+  stats.node_table_bytes = nodes_.capacity() * sizeof(NodeState);
+  for (const NodeState& state : nodes_) {
+    stats.link_table_bytes += state.out.bytes();
+  }
+  for (const auto& shard : shards_) {
+    stats.link_table_bytes +=
+        shard->link_records.capacity() * sizeof(LinkRecord);
+    stats.receive_slab_bytes += shard->receive.bytes();
+  }
   stats.windows = windows_;
   stats.rebalances = rebalance_count_;
   // Stall = dispatch wall time summed over shards minus the time shards

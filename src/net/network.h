@@ -17,10 +17,12 @@
 //
 // Hot-path layout (docs/ARCHITECTURE.md, "Engine internals"): NodeIds are
 // dense (monotonic from 1), so the node table is a flat vector indexed by id
-// and every per-send lookup is O(1) array arithmetic.  Per-pair link state
-// (config override + traffic counters) lives in append-ordered record stores
-// reached through per-source dense jump tables.  Message payload storage is
-// recycled through per-shard BufferPools once the receiving handler returns.
+// and every per-send lookup is O(1).  Per-pair link state (config override +
+// traffic counters) lives in append-ordered record stores reached through
+// per-source hashed link tables (net/link_table.h).  Receive queues are
+// intrusive FIFOs threaded through one slab per shard (net/receive_slab.h).
+// Message payload storage is recycled through per-shard BufferPools once the
+// receiving handler returns.
 //
 // Parallel engine (docs/ARCHITECTURE.md, "Parallel engine"): nodes are
 // partitioned into K shards, each owning an EventQueue + BufferPool + RNG
@@ -35,17 +37,19 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "net/event_queue.h"
+#include "net/link_table.h"
 #include "net/message.h"
+#include "net/receive_slab.h"
 #include "obs/trace.h"
 #include "util/buffer_pool.h"
 #include "util/ids.h"
@@ -341,6 +345,11 @@ class Network {
     /// measure of shard imbalance that rebalancing exists to shrink.
     std::uint64_t window_stall_us = 0;
     std::vector<std::uint64_t> shard_events;  ///< per-shard events executed
+    /// Structural memory, in bytes of allocated capacity — a pure function
+    /// of seed, Config and shard count (payload buffers are not counted).
+    std::size_t node_table_bytes = 0;    ///< the dense NodeState table
+    std::size_t link_table_bytes = 0;    ///< per-node link tables + records
+    std::size_t receive_slab_bytes = 0;  ///< receive-queue slots, all shards
   };
   [[nodiscard]] EngineStats engine_stats() const;
 
@@ -394,16 +403,18 @@ class Network {
   struct NodeState {
     Node* node = nullptr;
     NodeConfig config;
-    std::deque<Envelope> queue;
-    bool serving = false;
+    ReceiveSlab::Fifo queue;  // threaded through the owner shard's slab
     std::uint32_t shard = 0;  // owning shard index
+    bool serving = false;
     std::uint64_t epoch = 0;  // bumped on detach to cancel stale service events
     std::uint64_t served = 0;  // messages handled — the rebalancer's per-node
                                // load proxy (written only by the owner shard)
-    /// Dense NodeId-indexed jump table: out[dst.value()] is this source's
-    /// record index in its owner shard's link store, or -1 before first use.
-    std::vector<std::int32_t> out;
+    /// Destination → this source's record index in its owner shard's link
+    /// store.  Holds only the destinations this node has sent to.
+    LinkTable out;
   };
+  // Node-table growth must move, never deep-copy, every NodeState.
+  static_assert(std::is_nothrow_move_constructible_v<NodeState>);
 
   /// One cross-shard message parked until the window barrier.
   struct Mail {
@@ -413,7 +424,7 @@ class Network {
   };
 
   /// Everything one shard owns.  All mutation of a node's state (receive
-  /// queue as destination, jump table and link records as source) happens on
+  /// queue as destination, link table and records as source) happens on
   /// its owner shard's thread — or on the main thread while workers idle —
   /// so shards share no mutable state inside a window.
   struct Shard {
@@ -427,6 +438,7 @@ class Network {
     obs::Tracer tracer;  // deferred to the master when sharded
     std::uint64_t trace_hash = 0xcbf29ce484222325ULL;
     std::vector<LinkRecord> link_records;
+    ReceiveSlab receive;  // receive queues of the nodes this shard owns
     std::uint64_t total_bytes = 0;
     std::uint64_t total_messages = 0;
     std::uint64_t total_dropped = 0;

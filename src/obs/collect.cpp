@@ -21,6 +21,12 @@ Registry collect_registry(Deployment& deployment) {
                  static_cast<double>(engine.buffers_idle));
   registry.counter("engine.rebalance_count", engine.rebalances);
   registry.counter("engine.window_stall_us", engine.window_stall_us, "us");
+  registry.gauge("engine.mem.node_table_bytes",
+                 static_cast<double>(engine.node_table_bytes), "bytes");
+  registry.gauge("engine.mem.link_table_bytes",
+                 static_cast<double>(engine.link_table_bytes), "bytes");
+  registry.gauge("engine.mem.receive_slab_bytes",
+                 static_cast<double>(engine.receive_slab_bytes), "bytes");
   for (std::size_t i = 0; i < engine.shard_events.size(); ++i) {
     registry.counter("engine.shard." + std::to_string(i) + ".events",
                      engine.shard_events[i]);

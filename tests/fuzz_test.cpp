@@ -463,7 +463,7 @@ TEST(FuzzMutationTest, SkippedRecoverMinIsCaughtAsAdmissionTimeline) {
     // invariant exists for.
     options.config.admission.dwell = SimTime::from_sec(1.0);
     options.config.admission.recover_min = SimTime::from_sec(10.0);
-    options.config.admission.fault_skip_recover_min = true;
+    options.config.fault.skip_recover_min = true;
   });
   note_fired(result.report);
   EXPECT_TRUE(result.report.fired(kInvAdmissionTimeline))

@@ -3,6 +3,10 @@
 // with a CaptureNode standing in for the Matrix server and for clients.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+
+#include "game/bot_client.h"
 #include "game/game_server.h"
 #include "test_helpers.h"
 
@@ -352,6 +356,95 @@ TEST_F(GameServerTest, AvatarIdsAreDisjointFromObjectIds) {
   hello(client_, ClientId(1), {10, 10});
   // Avatar ids have the top bit set; object ids use a different prefix.
   EXPECT_NE(avatar_entity_id(ClientId(1)).value() & (1ULL << 63), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Bot self-latency ack window
+// ---------------------------------------------------------------------------
+
+/// Stands in for a bot's game server: records every action's send time and,
+/// on the action with seq `trigger`, answers with one ServerUpdate per entry
+/// of `acks`.  The answers reach the bot ~1 ms later, long before its next
+/// action (≥25 ms at bzflag rates), so the bot's newest seq is `trigger`.
+class AckScript : public ProtocolNode {
+ public:
+  AckScript(std::uint32_t trigger, std::vector<std::uint32_t> acks)
+      : trigger_(trigger), acks_(std::move(acks)) {}
+  [[nodiscard]] std::string name() const override { return "ack-script"; }
+
+  std::map<std::uint32_t, SimTime> sent_at;
+  SimTime answered_at{};
+
+ protected:
+  void on_message(const Message& message, const Envelope& envelope) override {
+    const auto* action = std::get_if<ClientAction>(&message);
+    if (action == nullptr) return;
+    sent_at[action->seq] = action->sent_at;
+    if (action->seq != trigger_) return;
+    answered_at = now();
+    for (const std::uint32_t ack : acks_) {
+      ServerUpdate update;
+      update.ack_seq = ack;
+      send(envelope.src, update);
+    }
+  }
+
+ private:
+  std::uint32_t trigger_;
+  std::vector<std::uint32_t> acks_;
+};
+
+/// What a bot records when, right after sending action `kNewest`, it
+/// receives acks for `acks` in order.
+constexpr std::uint32_t kNewest = 300;
+struct AckRun {
+  Histogram samples;
+  std::map<std::uint32_t, SimTime> sent_at;
+  SimTime answered_at{};
+};
+AckRun run_acks(std::vector<std::uint32_t> acks) {
+  Network network(11);
+  const GameModelSpec spec = bzflag_like();
+  AckScript script(kNewest, std::move(acks));
+  BotClient bot(ClientId(1), spec, Config{}.world, Rng(5));
+  network.attach(&script);
+  network.attach(&bot);
+  bot.join(script.node_id(), {100, 100});
+  network.run_until(60_sec);  // ~600 actions at 10 Hz
+  EXPECT_GT(script.sent_at.size(), kNewest);
+  EXPECT_GT(script.answered_at.us(), 0);
+  return {bot.metrics().self_latency_ms, script.sent_at, script.answered_at};
+}
+
+TEST(BotAckWindowTest, AckTrailing127NewerActionsIsSampled) {
+  const AckRun run = run_acks({kNewest - 127});
+  ASSERT_EQ(run.samples.count(), 1u);
+  // The sample pairs with action kNewest-127's own send time: its round
+  // trip to the script plus the ~1 ms reply leg, nothing older or newer.
+  const double floor_ms =
+      (run.answered_at - run.sent_at.at(kNewest - 127)).ms();
+  EXPECT_GE(run.samples.min(), floor_ms);
+  EXPECT_LT(run.samples.min(), floor_ms + 5.0);
+}
+
+TEST(BotAckWindowTest, AckTrailing128NewerActionsIsNotSampled) {
+  EXPECT_EQ(run_acks({kNewest - 128}).samples.count(), 0u);
+  EXPECT_EQ(run_acks({kNewest - 200}).samples.count(), 0u);
+}
+
+TEST(BotAckWindowTest, NewestActionAckIsSampled) {
+  EXPECT_EQ(run_acks({kNewest}).samples.count(), 1u);
+}
+
+TEST(BotAckWindowTest, DuplicateAckIsSampledOnce) {
+  EXPECT_EQ(run_acks({kNewest - 127, kNewest - 127}).samples.count(), 1u);
+  EXPECT_EQ(run_acks({kNewest - 3, kNewest - 4, kNewest - 3}).samples.count(),
+            2u);
+}
+
+TEST(BotAckWindowTest, AckForUnsentSeqIsIgnored) {
+  EXPECT_EQ(run_acks({kNewest + 1}).samples.count(), 0u);
+  EXPECT_EQ(run_acks({kNewest + 128}).samples.count(), 0u);
 }
 
 }  // namespace

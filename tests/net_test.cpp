@@ -5,6 +5,7 @@
 #include <array>
 
 #include "net/event_queue.h"
+#include "net/link_table.h"
 #include "net/network.h"
 
 namespace matrix {
@@ -292,6 +293,153 @@ TEST(NetworkTest, NodeServiceTimeScalesWithSize) {
   EXPECT_EQ(cfg.service_time(0), 10_us);
   EXPECT_EQ(cfg.service_time(1024), 110_us);
   EXPECT_EQ(cfg.service_time(2048), 210_us);
+}
+
+// ---------------------------------------------------------------------------
+// Receive queues: intrusive FIFOs in one slab per shard
+// ---------------------------------------------------------------------------
+
+TEST(ReceiveQueueTest, InterleavedNodesKeepFifoOrderInOneSlab) {
+  // Eight receivers share shard 0's slab; their messages arrive round-robin
+  // so every queue's slots interleave with its siblings', and the second
+  // burst reuses the first burst's freed slots in a different order.
+  constexpr int kNodes = 8;
+  constexpr int kPerNode = 12;
+  Network net;
+  Recorder src;
+  std::array<Recorder, kNodes> dst;
+  net.attach(&src);
+  for (int n = 0; n < kNodes; ++n) {
+    net.attach(&dst[n], {SimTime::from_ms(1 + n), 0_us, std::nullopt});
+    net.set_link(src.node_id(), dst[n].node_id(), {0_us, 0.0, 0.0});
+  }
+  auto burst = [&](std::uint8_t round) {
+    for (int i = 0; i < kPerNode; ++i) {
+      for (int n = 0; n < kNodes; ++n) {
+        net.send(src.node_id(), dst[n].node_id(),
+                 {round, static_cast<std::uint8_t>(i)});
+      }
+    }
+  };
+  burst(0);
+  net.run_until(1_ms);  // everything arrived; node 0 served one message
+  EXPECT_EQ(net.queue_length(dst[0].node_id()), kPerNode - 1u);
+  EXPECT_EQ(net.queue_length(dst[kNodes - 1].node_id()),
+            static_cast<std::size_t>(kPerNode));
+  net.run_until(1_sec);
+  const std::size_t slab_after_first = net.engine_stats().receive_slab_bytes;
+  EXPECT_GT(slab_after_first, 0u);
+  burst(1);
+  net.run_until(2_sec);
+  // The slab is sized by the peak number queued at once, not by traffic.
+  EXPECT_EQ(net.engine_stats().receive_slab_bytes, slab_after_first);
+  for (int n = 0; n < kNodes; ++n) {
+    EXPECT_EQ(net.queue_length(dst[n].node_id()), 0u);
+    ASSERT_EQ(dst[n].received.size(), 2u * kPerNode) << "node " << n;
+    for (int k = 0; k < 2 * kPerNode; ++k) {
+      EXPECT_EQ(dst[n].received[k].payload[0], k / kPerNode);
+      EXPECT_EQ(dst[n].received[k].payload[1], k % kPerNode);
+    }
+  }
+}
+
+TEST(ReceiveQueueTest, TailDropsExactlyAtQueueCapacity) {
+  // The message in service still occupies its queue slot, so a capacity-3
+  // queue holds exactly three: the fourth and later arrivals are dropped
+  // and charged to the pair.
+  Network net;
+  Recorder a, b;
+  net.attach(&a);
+  net.attach(&b, {10_ms, 0_us, std::size_t{3}});
+  net.set_link(a.node_id(), b.node_id(), {0_us, 0.0, 0.0});
+  for (std::uint8_t i = 0; i < 10; ++i) net.send(a.node_id(), b.node_id(), {i});
+  net.run_until(5_ms);
+  EXPECT_EQ(net.queue_length(b.node_id()), 3u);
+  EXPECT_EQ(net.total_dropped(), 7u);
+  EXPECT_EQ(net.stats(a.node_id(), b.node_id()).dropped_messages, 7u);
+  net.run_until(1_sec);
+  ASSERT_EQ(b.received.size(), 3u);
+  for (std::uint8_t i = 0; i < 3; ++i) EXPECT_EQ(b.received[i].payload[0], i);
+  // Drained, the queue admits again.
+  net.send(a.node_id(), b.node_id(), {42});
+  net.run_until(2_sec);
+  ASSERT_EQ(b.received.size(), 4u);
+  EXPECT_EQ(b.received.back().payload[0], 42);
+}
+
+TEST(ReceiveQueueTest, DetachCountsQueuedAsDroppedAndRecyclesPayloads) {
+  Network net;
+  Recorder a, b, c;
+  net.attach(&a);
+  const NodeId ib = net.attach(&b, {50_ms, 0_us, std::nullopt});
+  const NodeId ic = net.attach(&c, {50_ms, 0_us, std::nullopt});
+  net.set_link(a.node_id(), ib, {0_us, 0.0, 0.0});
+  net.set_link(a.node_id(), ic, {0_us, 0.0, 0.0});
+  for (std::uint8_t i = 0; i < 5; ++i) {
+    std::vector<std::uint8_t> payload = net.rent_buffer();
+    payload.assign(32, i);
+    net.send(a.node_id(), ib, std::move(payload));
+    net.send(a.node_id(), ic, {i});  // interleaved in the same slab
+  }
+  net.run_until(1_ms);
+  ASSERT_EQ(net.queue_length(ib), 5u);
+  const std::size_t idle_before = net.engine_stats().buffers_idle;
+  net.detach(ib);
+  EXPECT_EQ(net.queue_length(ib), 0u);
+  EXPECT_EQ(net.total_dropped(), 5u);
+  EXPECT_EQ(net.engine_stats().buffers_idle, idle_before + 5);
+  net.run_until(1_sec);
+  EXPECT_TRUE(b.received.empty());
+  // The sibling queue threaded through the same slab is untouched.
+  ASSERT_EQ(c.received.size(), 5u);
+  for (std::uint8_t i = 0; i < 5; ++i) EXPECT_EQ(c.received[i].payload[0], i);
+}
+
+TEST(LinkTableTest, MapsManyDestinationsThroughGrowth) {
+  LinkTable table;
+  EXPECT_EQ(table.find(NodeId(1)), LinkTable::kAbsent);
+  EXPECT_EQ(table.bytes(), 0u);
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    table.insert(NodeId(7 + 3 * i), i);
+  }
+  EXPECT_EQ(table.size(), 1000u);
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    EXPECT_EQ(table.find(NodeId(7 + 3 * i)), static_cast<std::int32_t>(i));
+    EXPECT_EQ(table.find(NodeId(8 + 3 * i)), LinkTable::kAbsent);
+  }
+  // Load factor at most 3/4, capacity a power of four: 1,024 slots hold at
+  // most 768 entries, so 1,000 take 4,096 slots of 8 B.
+  EXPECT_EQ(table.bytes(), 4096u * 8u);
+  std::size_t visited = 0;
+  table.for_each([&](NodeId dst, std::uint32_t& record) {
+    EXPECT_EQ((dst.value() - 7) / 3, record);
+    record += 5000;
+    ++visited;
+  });
+  EXPECT_EQ(visited, 1000u);
+  EXPECT_EQ(table.find(NodeId(7)), 5000);
+}
+
+TEST(NetworkTest, PerPairStatsAcrossManyDestinations) {
+  // One source fanning out to hundreds of destinations (a game server's
+  // update fan-out) keeps one record per pair through link-table growth.
+  Network net;
+  Recorder src;
+  std::vector<Recorder> dst(300);
+  net.attach(&src);
+  for (Recorder& r : dst) net.attach(&r);
+  for (std::size_t i = 0; i < dst.size(); ++i) {
+    for (std::size_t k = 0; k <= i % 3; ++k) {
+      net.send(src.node_id(), dst[i].node_id(), {1, 2, 3});
+    }
+  }
+  for (std::size_t i = 0; i < dst.size(); ++i) {
+    const LinkStats& stats = net.stats(src.node_id(), dst[i].node_id());
+    EXPECT_EQ(stats.messages, i % 3 + 1) << i;
+    EXPECT_EQ(stats.bytes, (i % 3 + 1) * (3 + kWireHeaderBytes)) << i;
+  }
+  EXPECT_EQ(net.stats(dst[0].node_id(), src.node_id()).messages, 0u);
+  EXPECT_GT(net.engine_stats().link_table_bytes, 0u);
 }
 
 // ---------------------------------------------------------------------------

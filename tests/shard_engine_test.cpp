@@ -254,6 +254,63 @@ TEST(ShardEngineTest, ForcedMigrationPreservesDeliveryTiming) {
   EXPECT_EQ(stay, moved);
 }
 
+TEST(ShardEngineTest, MigrationCarriesNonEmptyReceiveQueueInOrder) {
+  // The migrating node has five messages queued (one in service) when the
+  // rebalancer moves it; the queue must move into the destination shard's
+  // slab intact — interleaving with a queue already living there — and
+  // every message must be handled at the same instant, in the same order,
+  // as in the run that never migrated.
+  class Clock : public Node {
+   public:
+    [[nodiscard]] std::string name() const override { return "clock"; }
+    void handle_message(const Envelope& env) override {
+      handled.emplace_back(network()->now().us(), env.payload[0]);
+    }
+    std::vector<std::pair<std::int64_t, int>> handled;
+  };
+  auto run = [](bool migrate) {
+    Network net;
+    net.configure_shards(2, /*use_threads=*/false);
+    Recorder src;
+    Clock mover;
+    Clock resident;
+    const NodeConfig slow{1_ms, 0_us, std::nullopt};
+    net.attach(&src, {}, 0);
+    net.attach(&resident, slow, 0);
+    net.attach(&mover, slow, 1);
+    net.set_default_link({3_ms, 0.0, 0.0});
+    net.define_colocated_group({mover.node_id()});
+    // Shard 1 runs one more delivery than shard 0, so it is the busiest
+    // and the rebalancer moves the mover's group to shard 0.
+    for (std::uint8_t i = 0; i < 5; ++i) {
+      net.send(src.node_id(), mover.node_id(), {i});
+      if (i < 4) {
+        net.send(src.node_id(), resident.node_id(),
+                 {static_cast<std::uint8_t>(100 + i)});
+      }
+    }
+    net.run_until(SimTime::from_us(3'500));  // all arrived, one in service
+    EXPECT_EQ(net.queue_length(mover.node_id()), 5u);
+    EXPECT_EQ(net.queue_length(resident.node_id()), 4u);
+    if (migrate) {
+      EXPECT_TRUE(net.force_rebalance());
+      EXPECT_EQ(net.shard_of(mover.node_id()), 0u);
+      EXPECT_EQ(net.queue_length(mover.node_id()), 5u);
+    }
+    net.run_until(1_sec);
+    EXPECT_EQ(net.queue_length(mover.node_id()), 0u);
+    return std::pair(mover.handled, resident.handled);
+  };
+  const auto stay = run(false);
+  const auto moved = run(true);
+  ASSERT_EQ(stay.first.size(), 5u);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(stay.first[i],
+              std::make_pair(std::int64_t{4'000 + 1'000 * i}, i));
+  }
+  EXPECT_EQ(stay, moved);
+}
+
 DeploymentOptions rebalancing_options(bool threads) {
   DeploymentOptions options = sharded_options(4, threads);
   options.config.engine.rebalance_threshold = 1.05;
