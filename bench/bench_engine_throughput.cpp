@@ -19,12 +19,13 @@
 //                synchronization overhead honestly instead).
 //
 // Alongside throughput it reports the engine counters (events processed,
-// peak event-heap depth, payload-buffer reuse rate) and the structural
-// memory gauges (node table, link tables, receive slab, plus bytes per
-// offered client on mega_surge and giga_shards_1) so a perf or memory
-// regression can be localized from the JSON artifact alone.  CI gates on
-// events/sec and giga bytes per client via scripts/check_bench_regression.py
-// against bench/baselines/engine_baseline.json.
+// peak event-heap depth, payload-buffer reuse rate) and the memory gauges
+// (the engine.mem.* and game.mem.* byte counts of docs/OBSERVABILITY.md,
+// plus bytes per offered client on mega_surge and giga_shards_1) so a perf
+// or memory regression can be localized from the JSON artifact alone.  CI
+// gates on events/sec and giga bytes per client via
+// scripts/check_bench_regression.py against
+// bench/baselines/engine_baseline.json.
 #include <algorithm>
 #include <chrono>
 
@@ -151,8 +152,8 @@ struct RunResult {
   double sim_sec = 0.0;
   std::uint64_t messages = 0;
   std::size_t peak_clients = 0;
-  std::size_t bots = 0;
   Network::EngineStats engine;
+  GameMemory game_memory;
 };
 
 template <typename Schedule>
@@ -168,8 +169,8 @@ RunResult run_workload(DeploymentOptions options, SimTime duration,
   result.sim_sec = duration.sec();
   result.messages = deployment.network().total_messages();
   result.peak_clients = deployment.total_clients();
-  result.bots = deployment.bots().size();
   result.engine = deployment.network().engine_stats();
+  result.game_memory = collect_game_memory(deployment);
   return result;
 }
 
@@ -207,27 +208,36 @@ void report(JsonReport& json, const char* run, const RunResult& r) {
   json.add(run, "buffer_reuse_fraction", reuse, "");
   json.add(run, "wall_seconds", r.wall_sec, "s");
 
-  std::printf("  %-26s %12zu\n", "node table bytes", r.engine.node_table_bytes);
-  std::printf("  %-26s %12zu\n", "link table bytes", r.engine.link_table_bytes);
-  std::printf("  %-26s %12zu\n", "receive slab bytes",
-              r.engine.receive_slab_bytes);
-  json.add(run, "node_table_bytes",
-           static_cast<double>(r.engine.node_table_bytes), "bytes");
-  json.add(run, "link_table_bytes",
-           static_cast<double>(r.engine.link_table_bytes), "bytes");
-  json.add(run, "receive_slab_bytes",
-           static_cast<double>(r.engine.receive_slab_bytes), "bytes");
+  const std::pair<const char*, std::size_t> memory[] = {
+      {"node_table_bytes", r.engine.node_table_bytes},
+      {"link_table_bytes", r.engine.link_table_bytes},
+      {"receive_slab_bytes", r.engine.receive_slab_bytes},
+      {"event_slab_bytes", r.engine.event_slab_bytes},
+      {"sched_tier_bytes", r.engine.sched_tier_bytes},
+      {"buffer_pool_idle_bytes", r.engine.buffer_pool_idle_bytes},
+      {"payload_inflight_bytes", r.engine.payload_inflight_bytes},
+      {"bot_bytes", r.game_memory.bot_bytes},
+      {"session_bytes", r.game_memory.session_bytes},
+      {"ghost_bytes", r.game_memory.ghost_bytes},
+      {"grid_bytes", r.game_memory.grid_bytes},
+      {"pending_event_bytes", r.game_memory.pending_event_bytes},
+  };
+  for (const auto& [name, bytes] : memory) {
+    std::printf("  %-26s %12zu\n", name, bytes);
+    json.add(run, name, static_cast<double>(bytes), "bytes");
+  }
 }
 
 /// Deterministic per-client footprint: the engine's structural bytes plus
-/// the bot objects themselves, over the clients the scenario offered.
+/// game.mem.bot_bytes (bot objects, the heap they own, the deployment's bot
+/// tables), over the clients the scenario offered.
 void report_bytes_per_client(JsonReport& json, const char* run,
                              const RunResult& r, std::size_t offered) {
   const double bytes =
       static_cast<double>(r.engine.node_table_bytes +
                           r.engine.link_table_bytes +
                           r.engine.receive_slab_bytes +
-                          r.bots * sizeof(BotClient)) /
+                          r.game_memory.bot_bytes) /
       static_cast<double>(offered);
   std::printf("  %-26s %12.0f (BotClient %zu B)\n", "bytes per offered client",
               bytes, sizeof(BotClient));

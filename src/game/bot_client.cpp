@@ -45,13 +45,9 @@ void BotClient::leave() {
 }
 
 void BotClient::pair_ack(std::uint32_t ack_seq) {
-  // 64-bit so the window test cannot wrap near the top of the seq space.
-  const std::uint64_t seq = ack_seq;
-  if (seq >= next_seq_ || next_seq_ > seq + kAckWindow) return;
-  SimTime& sent_at = sent_at_[seq % kAckWindow];
-  if (sent_at == kConsumed) return;
-  metrics_.self_latency_ms.add((now() - sent_at).ms());
-  sent_at = kConsumed;
+  if (const auto sent_at = ack_window_.take(ack_seq)) {
+    metrics_.self_latency_ms.add((now() - *sent_at).ms());
+  }
 }
 
 bool BotClient::on_frame(const Envelope& envelope) {
@@ -256,7 +252,7 @@ void BotClient::act() {
   const ActionKind kind = choose_kind();
   action.kind = static_cast<std::uint8_t>(kind);
   action.position = position_;
-  action.seq = next_seq_++;
+  action.seq = ack_window_.push(now());
   action.sent_at = now();
 
   if (kind == ActionKind::kFire) {
@@ -272,7 +268,6 @@ void BotClient::act() {
   }
 
   action.payload.assign(spec_->payload_size(kind), 0);
-  sent_at_[action.seq % kAckWindow] = action.sent_at;
   send(server_node_, action);
   ++metrics_.actions_sent;
 }

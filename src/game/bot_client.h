@@ -21,6 +21,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -31,6 +32,90 @@
 #include "util/stats.h"
 
 namespace matrix {
+
+/// Send times of a bot's recent actions, for self-latency pairing.  Actions
+/// carry consecutive seqs from 1; an ack of `seq` pairs with its action's
+/// send time exactly when
+///     seq < next_seq <= seq + kSpan
+/// and that action was not paired before, so a sample is lost only when the
+/// ack trails its action by a full window of newer actions (>=12.8 s at
+/// 10 Hz) and a duplicate ack pairs once.
+///
+/// Storage covers only the live range [base_, next_): base_ advances past
+/// paired entries and past the window edge.  Nearly every bot has at most
+/// one action awaiting its ack, so the ring lives in kInlineSlots inline
+/// slots and spills to a heap ring (doubling, power of two, at most kSpan
+/// slots) only while acks go missing or trail several newer actions.  No
+/// stored seq is needed: slot `seq & mask_` holds action `seq` for every
+/// seq in the live range.
+class AckWindow {
+ public:
+  static constexpr std::uint32_t kSpan = 128;
+  static constexpr std::uint32_t kInlineSlots = 4;
+
+  /// Records the send time of the next action; returns its seq.
+  std::uint32_t push(SimTime sent_at) {
+    const std::uint32_t seq = next_++;
+    if (next_ - base_ > kSpan) {
+      base_ = next_ - kSpan;  // the oldest entry left the window
+      skip_consumed(seq);
+    }
+    if (next_ - base_ > mask_ + 1) grow(seq);
+    slots()[seq & mask_] = sent_at;
+    return seq;
+  }
+
+  /// The send time of action `seq` if its ack pairs now (see the class
+  /// comment), marking it paired.
+  [[nodiscard]] std::optional<SimTime> take(std::uint32_t seq) {
+    if (seq < base_ || seq >= next_) return std::nullopt;
+    SimTime& slot = slots()[seq & mask_];
+    if (slot == kConsumed) return std::nullopt;
+    const SimTime sent_at = slot;
+    slot = kConsumed;
+    if (seq == base_) skip_consumed(next_);
+    return sent_at;
+  }
+
+  /// Ring slots currently allocated (kInlineSlots until the first spill).
+  [[nodiscard]] std::size_t capacity() const { return mask_ + 1; }
+  /// Heap bytes owned beyond the object itself (the spilled ring).
+  [[nodiscard]] std::size_t heap_bytes() const {
+    return spill_ ? capacity() * sizeof(SimTime) : 0;
+  }
+
+ private:
+  static constexpr SimTime kConsumed = SimTime::from_us(-1);
+
+  [[nodiscard]] SimTime* slots() {
+    return spill_ ? spill_.get() : inline_.data();
+  }
+
+  /// Advances base_ past paired entries, stopping at `end`.
+  void skip_consumed(std::uint32_t end) {
+    while (base_ < end && slots()[base_ & mask_] == kConsumed) ++base_;
+  }
+
+  /// Doubles the ring until the live range [base_, next_) fits, re-filing
+  /// the entries [base_, end) already held.
+  void grow(std::uint32_t end) {
+    std::uint32_t capacity = (mask_ + 1) * 2;
+    while (capacity < next_ - base_) capacity *= 2;
+    auto grown = std::make_unique<SimTime[]>(capacity);
+    const SimTime* old = slots();
+    for (std::uint32_t seq = base_; seq < end; ++seq) {
+      grown[seq & (capacity - 1)] = old[seq & mask_];
+    }
+    spill_ = std::move(grown);
+    mask_ = capacity - 1;
+  }
+
+  std::array<SimTime, kInlineSlots> inline_{};
+  std::unique_ptr<SimTime[]> spill_;  ///< replaces inline_ once spilled
+  std::uint32_t base_ = 1;  ///< oldest seq that may still pair
+  std::uint32_t next_ = 1;  ///< seq of the next action
+  std::uint32_t mask_ = kInlineSlots - 1;
+};
 
 class BotClient : public ProtocolNode {
  public:
@@ -108,6 +193,15 @@ class BotClient : public ProtocolNode {
   [[nodiscard]] const Metrics& metrics() const { return metrics_; }
   [[nodiscard]] Metrics& metrics() { return metrics_; }
 
+  /// Heap bytes the bot owns beyond sizeof(BotClient): the spilled ack
+  /// ring plus the sample capacity of the latency histograms.
+  [[nodiscard]] std::size_t heap_bytes() const {
+    return ack_window_.heap_bytes() +
+           metrics_.self_latency_ms.capacity_bytes() +
+           metrics_.observer_latency_ms.capacity_bytes() +
+           metrics_.switch_latency_ms.capacity_bytes();
+  }
+
  protected:
   void on_message(const Message& message, const Envelope& envelope) override;
   /// Frame fast path: ServerUpdates — the one message a bot receives at
@@ -146,18 +240,7 @@ class BotClient : public ProtocolNode {
   /// Samples self latency for an ack of `ack_seq` at most once.
   void pair_ack(std::uint32_t ack_seq);
 
-  std::uint32_t next_seq_ = 1;
-  // Send times of the last kAckWindow actions for self-latency pairing: a
-  // fixed ring indexed by seq % kAckWindow, overwritten as newer actions go
-  // out — zero per-action allocation (this is the bot hot path).  Slot
-  // seq % kAckWindow holds action `seq` exactly while
-  //     seq < next_seq_ <= seq + kAckWindow
-  // and the slot is not kConsumed, so the ring needs no stored seq.  A
-  // sample is lost only when the ack trails its action by a full window of
-  // newer actions (>=12.8 s at 10 Hz); a duplicate ack pairs once.
-  static constexpr std::size_t kAckWindow = 128;
-  static constexpr SimTime kConsumed = SimTime::from_us(-1);
-  std::array<SimTime, kAckWindow> sent_at_{};
+  AckWindow ack_window_;
 
   // Switch measurement.
   bool switch_pending_ = false;

@@ -21,7 +21,7 @@ std::int64_t bucket(double v, double cell) {
 
 void GameServer::grid_prepare(std::size_t entries) {
   std::size_t size = grid_keys_.size() < 64 ? 64 : grid_keys_.size();
-  while (size < entries * 4) size *= 2;  // load factor ≤ 25%
+  while (size < entries * 2) size *= 2;  // load factor ≤ 50%
   // Grow-only: shrinking on entity-count dips would re-allocate every tick
   // when the population straddles a power-of-two boundary.
   if (grid_keys_.size() != size) {

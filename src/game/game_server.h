@@ -96,6 +96,21 @@ class GameServer : public ProtocolNode {
     return map_objects_.size();
   }
   [[nodiscard]] std::size_t ghost_count() const { return ghosts_.size(); }
+  /// Allocated bytes of the per-client and per-tick tables (the game.mem.*
+  /// gauges): capacity, not occupancy, so they track what RSS pays for.
+  struct MemoryBytes {
+    std::size_t sessions = 0;
+    std::size_t ghosts = 0;
+    std::size_t grid = 0;
+    std::size_t pending_events = 0;
+  };
+  [[nodiscard]] MemoryBytes memory_bytes() const {
+    return {sessions_.bytes(), ghosts_.bytes(),
+            grid_keys_.capacity() * sizeof(std::uint64_t) +
+                (grid_counts_.capacity() + grid_stamps_.capacity()) *
+                    sizeof(std::uint32_t),
+            pending_events_.capacity() * sizeof(PendingEvent)};
+  }
   [[nodiscard]] const GameModelSpec& spec() const { return spec_; }
   /// Admission state last pushed by the co-located Matrix server.
   [[nodiscard]] AdmissionState admission_state() const {
@@ -287,7 +302,7 @@ class GameServer : public ProtocolNode {
   }
 
   /// Scratch bucket grid for the update tick's visible-entity estimate: an
-  /// epoch-stamped open-address table (linear probing, ≤25% load factor)
+  /// epoch-stamped open-address table (linear probing, ≤50% load factor)
   /// kept across ticks.  Epoch stamping makes "clear" a counter increment,
   /// so the tick performs no allocation and no table wipe in steady state.
   /// Count sums are order-independent, so determinism is unaffected.

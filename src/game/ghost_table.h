@@ -5,8 +5,9 @@
 // of touches per run, and a node-based std::unordered_map pays a heap
 // round-trip per insert and a cache miss per probe.  The ghost workload
 // needs only three operations — upsert, bulk prune, clear — so this table
-// stores Entity values inline with linear probing and handles removal by
-// rebuilding (pruning runs once per load report, far off the hot path).
+// stores Entity values inline with linear probing (load ≤ 3/4) and handles
+// removal by rebuilding (pruning runs once per load report, far off the
+// hot path).
 // No operation here is order-sensitive: iteration feeds order-independent
 // bucket-count sums and prune keeps/drops each entry independently, so
 // swapping table layouts cannot perturb traces.
@@ -25,7 +26,7 @@ class GhostTable {
   /// Returns the ghost for `id`, inserting a default Entity (with `id` set)
   /// when absent.  The reference is valid until the next upsert.
   Entity& upsert(EntityId id) {
-    if ((size_ + 1) * 2 > slots_.size()) grow();
+    if ((size_ + 1) * 4 > slots_.size() * 3) grow();  // load ≤ 3/4
     const std::size_t index = find_slot(id);
     Entity& slot = slots_[index];
     if (!slot.id.valid()) {
@@ -63,6 +64,10 @@ class GhostTable {
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
+  /// Bytes of slot storage allocated.
+  [[nodiscard]] std::size_t bytes() const {
+    return slots_.capacity() * sizeof(Entity);
+  }
 
  private:
   [[nodiscard]] std::size_t find_slot(EntityId id) const {

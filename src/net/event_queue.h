@@ -31,9 +31,12 @@
 // tests/scheduler_test.cpp pins this with a randomized differential test.
 //
 // Hot-path layout: tier entries are 16-byte PODs (when + a packed seq/slot
-// word) — sift and bucket moves are trivial copies.  The callbacks live in a
-// separate slab of small-buffer-optimized InlineAction slots (a deque, so
-// slots never move) recycled through a freelist: steady-state scheduling
+// word) — sift and bucket moves are trivial copies.  A bucket folds into the
+// near heap by swapping storage, and a drained bucket or heap gives back
+// any capacity above kRetainEntries, so tier memory tracks the events
+// pending now rather than the deepest burst of the run.  The callbacks live
+// in a separate slab of small-buffer-optimized InlineAction slots (a deque,
+// so slots never move) recycled through a freelist: steady-state scheduling
 // performs no allocation, and popping invokes the callback in place.  Each
 // slot also carries an optional owner tag (NodeId) so the sharded engine can
 // extract and re-home a migrating node's pending events (extract_tagged).
@@ -131,6 +134,26 @@ class EventQueue {
   }
   /// High-water mark of simultaneously pending events (all tiers).
   [[nodiscard]] std::size_t peak_pending() const { return peak_pending_; }
+
+  /// Bytes allocated for the tier entries: near heap, ring and sub-rung
+  /// buckets (vector headers plus capacity), and overflow.  Drained buckets
+  /// keep at most kRetainEntries, so this tracks pending events, not the
+  /// run's history.
+  [[nodiscard]] std::size_t tier_bytes() const {
+    std::size_t entries = heap_.capacity() + overflow_.capacity();
+    for (const auto& bucket : buckets_) entries += bucket.capacity();
+    for (const auto& bucket : sub_buckets_) entries += bucket.capacity();
+    return entries * sizeof(HeapEntry) +
+           (buckets_.capacity() + sub_buckets_.capacity()) *
+               sizeof(std::vector<HeapEntry>);
+  }
+  /// Bytes of the callback slab: one InlineAction and tag per slot ever
+  /// allocated (the slab grows to peak pending and recycles), plus the
+  /// freelist.
+  [[nodiscard]] std::size_t slab_bytes() const {
+    return slots_.size() * (sizeof(Action) + sizeof(Tag)) +
+           free_slots_.capacity() * sizeof(std::uint32_t);
+  }
 
   /// Runs the next event; returns false when the queue is empty.
   bool step() {
@@ -255,6 +278,13 @@ class EventQueue {
   static constexpr int kSubShift = 8;
   static constexpr std::size_t kSubBuckets = std::size_t{1} << kSubShift;
   static constexpr std::size_t kSplitThreshold = 64;
+  /// Entry capacity a drained tier vector may keep for reuse; above it the
+  /// storage is released.  A burst that once filled a bucket (or the near
+  /// heap) with 100k entries must not pin that capacity for the rest of the
+  /// run: kept by all 2,304 buckets, join-burst peaks add up to ~48 MB on
+  /// the 100k-client workload.  Ordinary folds stay under the bar (folds
+  /// above kSplitThreshold are split first), so steady state reuses storage.
+  static constexpr std::size_t kRetainEntries = 64;
   /// Width ceiling: keeps ring_end arithmetic far from SimTime overflow
   /// even for degenerate month-out timer sets.
   static constexpr std::int64_t kMaxWidthUs = 3'600'000'000;  // 1 hour
@@ -313,13 +343,13 @@ class EventQueue {
   /// Called whenever the near heap goes empty; amortized O(1) per event.
   void settle() {
     assert(heap_.empty());
+    trim(heap_);
     while (true) {
       if (sub_pending_ > 0) {
         while (sub_buckets_[sub_cur_].empty()) ++sub_cur_;
         std::vector<HeapEntry>& bucket = sub_buckets_[sub_cur_];
-        heap_.assign(bucket.begin(), bucket.end());
         sub_pending_ -= bucket.size();
-        bucket.clear();
+        fold(bucket);
         ++sub_cur_;
         near_end_ = sub_start_ + sub_width_ * static_cast<std::int64_t>(sub_cur_);
         heapify();
@@ -338,9 +368,8 @@ class EventQueue {
           split_bucket(bucket);
           continue;  // fold the first non-empty sub bucket
         }
-        heap_.assign(bucket.begin(), bucket.end());
         ring_pending_ -= bucket.size();
-        bucket.clear();
+        fold(bucket);
         ++cur_bucket_;
         near_end_ = ring_start_ + width_ * static_cast<std::int64_t>(cur_bucket_);
         heapify();
@@ -348,6 +377,28 @@ class EventQueue {
       }
       if (overflow_.empty()) return;  // truly empty
       reseed_ring();
+    }
+  }
+
+  /// Moves a bucket's entries into the (empty) near heap by swapping
+  /// storage — O(1), no copy; the bucket takes the heap's old (trimmed,
+  /// empty) buffer for reuse.
+  void fold(std::vector<HeapEntry>& bucket) {
+    heap_.swap(bucket);
+    assert(bucket.empty());
+  }
+
+  /// Releases a drained tier vector's storage above kRetainEntries, or an
+  /// oversized vector's slack once it holds under a quarter of it.
+  static void trim(std::vector<HeapEntry>& tier) {
+    if (tier.capacity() <= kRetainEntries ||
+        tier.capacity() <= 4 * tier.size()) {
+      return;
+    }
+    if (tier.empty()) {
+      std::vector<HeapEntry>().swap(tier);
+    } else {
+      tier.shrink_to_fit();
     }
   }
 
@@ -373,6 +424,7 @@ class EventQueue {
     sub_pending_ = bucket.size();
     ring_pending_ -= bucket.size();
     bucket.clear();
+    trim(bucket);
     ++cur_bucket_;
     sub_active_ = true;
   }
@@ -422,6 +474,7 @@ class EventQueue {
       }
     }
     overflow_.resize(kept);
+    trim(overflow_);
   }
 
   void heap_push(HeapEntry entry) {

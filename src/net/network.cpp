@@ -181,7 +181,7 @@ void Network::detach(NodeId id) {
   Shard& owner = *shards_[state->shard];
   owner.total_dropped += state->queue.size;
   while (!state->queue.empty()) {
-    owner.pool.release(owner.receive.pop(state->queue).payload);
+    release_payload(owner, owner.receive.pop(state->queue).payload);
   }
   state->node = nullptr;
   state->serving = false;
@@ -235,6 +235,8 @@ std::size_t Network::send(NodeId src, NodeId dst,
       !attached(dst) ||
       (cfg.drop_probability > 0.0 && sh.rng.next_bool(cfg.drop_probability));
   if (trace_hash_on_) trace_record(sh, src, dst, envelope.payload, dropped);
+  sh.payload_inflight_bytes +=
+      static_cast<std::int64_t>(envelope.payload.capacity());
   obs::Tracer& tr = tracer();
   if (tr.records_sends()) {
     tr.record(envelope.sent_at, obs::TraceKind::kSend, src.value(),
@@ -243,7 +245,7 @@ std::size_t Network::send(NodeId src, NodeId dst,
   if (dropped) {
     ++record.stats.dropped_messages;
     ++sh.total_dropped;
-    sh.pool.release(std::move(envelope.payload));
+    release_payload(sh, std::move(envelope.payload));
     return wire;
   }
 
@@ -289,7 +291,7 @@ void Network::deliver(NodeId dst, Envelope envelope) {
   NodeState* state = find_state(dst);
   if (state == nullptr || state->node == nullptr) {
     ++here.total_dropped;
-    here.pool.release(std::move(envelope.payload));
+    release_payload(here, std::move(envelope.payload));
     return;  // node detached while the message was in flight
   }
   if (state->config.queue_capacity &&
@@ -302,7 +304,7 @@ void Network::deliver(NodeId dst, Envelope envelope) {
     } else {
       ++here.cross_tail_drops;
     }
-    here.pool.release(std::move(envelope.payload));
+    release_payload(here, std::move(envelope.payload));
     return;  // tail drop: the overloaded-static-server failure mode
   }
   shards_[state->shard]->receive.push(state->queue, std::move(envelope));
@@ -331,7 +333,7 @@ void Network::start_service(NodeId dst) {
     // queue that no longer contains the message being processed.
     s->node->handle_message(env);
     ++s->served;  // the rebalancer's per-node load proxy
-    current_shard().pool.release(std::move(env.payload));
+    release_payload(current_shard(), std::move(env.payload));
     // The handler may have detached this node (e.g. reclamation) or attached
     // new ones (the node table may have grown) — re-resolve.
     s = find_state(dst);
@@ -772,10 +774,20 @@ Network::EngineStats Network::engine_stats() const {
   for (const NodeState& state : nodes_) {
     stats.link_table_bytes += state.out.bytes();
   }
+  std::int64_t inflight = 0;
   for (const auto& shard : shards_) {
     stats.link_table_bytes +=
         shard->link_records.capacity() * sizeof(LinkRecord);
     stats.receive_slab_bytes += shard->receive.bytes();
+    stats.event_slab_bytes += shard->events.slab_bytes();
+    stats.sched_tier_bytes += shard->events.tier_bytes();
+    stats.buffer_pool_idle_bytes += shard->pool.idle_bytes();
+    inflight += shard->payload_inflight_bytes;
+  }
+  stats.payload_inflight_bytes = static_cast<std::size_t>(inflight);
+  if (sharded()) {
+    stats.event_slab_bytes += control_queue_.slab_bytes();
+    stats.sched_tier_bytes += control_queue_.tier_bytes();
   }
   stats.windows = windows_;
   stats.rebalances = rebalance_count_;

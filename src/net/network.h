@@ -345,11 +345,17 @@ class Network {
     /// measure of shard imbalance that rebalancing exists to shrink.
     std::uint64_t window_stall_us = 0;
     std::vector<std::uint64_t> shard_events;  ///< per-shard events executed
-    /// Structural memory, in bytes of allocated capacity — a pure function
-    /// of seed, Config and shard count (payload buffers are not counted).
+    /// Memory, in bytes of allocated capacity — a pure function of seed,
+    /// Config and shard count.
     std::size_t node_table_bytes = 0;    ///< the dense NodeState table
     std::size_t link_table_bytes = 0;    ///< per-node link tables + records
     std::size_t receive_slab_bytes = 0;  ///< receive-queue slots, all shards
+    std::size_t event_slab_bytes = 0;    ///< event callback slabs + tags
+    std::size_t sched_tier_bytes = 0;    ///< scheduler heap/bucket entries
+    std::size_t buffer_pool_idle_bytes = 0;  ///< pooled idle payload buffers
+    /// Payloads of messages sent but not yet handled or dropped: in
+    /// delivery events, mailboxes and receive queues.
+    std::size_t payload_inflight_bytes = 0;
   };
   [[nodiscard]] EngineStats engine_stats() const;
 
@@ -446,6 +452,11 @@ class Network {
     /// sending shard and must not be written from here).
     std::uint64_t cross_tail_drops = 0;
     std::uint64_t cross_sends = 0;
+    /// Payload capacity this shard put in flight (send) minus what it
+    /// returned (release_payload).  Cross-shard messages leave one shard's
+    /// tally and return to another's, so only the sum over shards is the
+    /// in-flight total.
+    std::int64_t payload_inflight_bytes = 0;
     /// Wall-clock µs this shard spent actively running windows (threaded
     /// runs; written under work_mutex_, read at barriers).
     std::uint64_t active_wall_us = 0;
@@ -474,6 +485,14 @@ class Network {
   void fold_lookahead(SimTime latency);
 
   void deliver(NodeId dst, Envelope envelope);
+  /// A payload's last stop: back to `shard`'s pool, out of the in-flight
+  /// byte tally.
+  static void release_payload(Shard& shard,
+                              std::vector<std::uint8_t>&& payload) {
+    shard.payload_inflight_bytes -=
+        static_cast<std::int64_t>(payload.capacity());
+    shard.pool.release(std::move(payload));
+  }
   void start_service(NodeId dst);
   void trace_record(Shard& shard, NodeId src, NodeId dst,
                     const std::vector<std::uint8_t>& payload, bool dropped);

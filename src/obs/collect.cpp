@@ -27,6 +27,14 @@ Registry collect_registry(Deployment& deployment) {
                  static_cast<double>(engine.link_table_bytes), "bytes");
   registry.gauge("engine.mem.receive_slab_bytes",
                  static_cast<double>(engine.receive_slab_bytes), "bytes");
+  registry.gauge("engine.mem.event_slab_bytes",
+                 static_cast<double>(engine.event_slab_bytes), "bytes");
+  registry.gauge("engine.mem.sched_tier_bytes",
+                 static_cast<double>(engine.sched_tier_bytes), "bytes");
+  registry.gauge("engine.mem.buffer_pool_idle_bytes",
+                 static_cast<double>(engine.buffer_pool_idle_bytes), "bytes");
+  registry.gauge("engine.mem.payload_inflight_bytes",
+                 static_cast<double>(engine.payload_inflight_bytes), "bytes");
   for (std::size_t i = 0; i < engine.shard_events.size(); ++i) {
     registry.counter("engine.shard." + std::to_string(i) + ".events",
                      engine.shard_events[i]);
@@ -136,6 +144,19 @@ Registry collect_registry(Deployment& deployment) {
   registry.counter("clients.actions", actions);
   registry.counter("clients.redirected", redirected);
   registry.counter("clients.migrated", migrated);
+
+  // ---- game-side memory -----------------------------------------------------
+  const GameMemory memory = collect_game_memory(deployment);
+  registry.gauge("game.mem.bot_bytes", static_cast<double>(memory.bot_bytes),
+                 "bytes");
+  registry.gauge("game.mem.session_bytes",
+                 static_cast<double>(memory.session_bytes), "bytes");
+  registry.gauge("game.mem.ghost_bytes",
+                 static_cast<double>(memory.ghost_bytes), "bytes");
+  registry.gauge("game.mem.grid_bytes", static_cast<double>(memory.grid_bytes),
+                 "bytes");
+  registry.gauge("game.mem.pending_event_bytes",
+                 static_cast<double>(memory.pending_event_bytes), "bytes");
 
   // ---- bot-side latency -----------------------------------------------------
   const LatencySummary latency = collect_latency(deployment);

@@ -84,6 +84,12 @@ class Deployment {
   [[nodiscard]] const std::vector<BotClient*>& bots() const {
     return bot_ptrs_;
   }
+  /// Bytes of the deployment's own per-bot bookkeeping (the owning and
+  /// the exposed pointer tables), for the game.mem.bot_bytes gauge.
+  [[nodiscard]] std::size_t bot_table_bytes() const {
+    return bots_.capacity() * sizeof(bots_[0]) +
+           bot_ptrs_.capacity() * sizeof(bot_ptrs_[0]);
+  }
 
   /// Number of Matrix servers currently owning a partition.
   [[nodiscard]] std::size_t active_server_count() const;

@@ -68,6 +68,18 @@ double MetricsSampler::max_active_servers() const {
 
 LatencySummary collect_latency(const Deployment& deployment) {
   LatencySummary summary;
+  // Exact-size the merged histograms first: at 100k bots, doubling growth
+  // would briefly hold both the old and new buffers at run end.
+  std::size_t self = 0, observer = 0, switches = 0;
+  for (const BotClient* bot : deployment.bots()) {
+    const auto& m = bot->metrics();
+    self += m.self_latency_ms.count();
+    observer += m.observer_latency_ms.count();
+    switches += m.switch_latency_ms.count();
+  }
+  summary.self_ms.reserve(self);
+  summary.observer_ms.reserve(observer);
+  summary.switch_ms.reserve(switches);
   for (const BotClient* bot : deployment.bots()) {
     const auto& m = bot->metrics();
     summary.actions += m.actions_sent;
@@ -77,6 +89,22 @@ LatencySummary collect_latency(const Deployment& deployment) {
     summary.switch_ms.merge(m.switch_latency_ms);
   }
   return summary;
+}
+
+GameMemory collect_game_memory(const Deployment& deployment) {
+  GameMemory memory;
+  memory.bot_bytes = deployment.bot_table_bytes();
+  for (const BotClient* bot : deployment.bots()) {
+    memory.bot_bytes += sizeof(BotClient) + bot->heap_bytes();
+  }
+  for (const GameServer* game : deployment.game_servers()) {
+    const GameServer::MemoryBytes bytes = game->memory_bytes();
+    memory.session_bytes += bytes.sessions;
+    memory.ghost_bytes += bytes.ghosts;
+    memory.grid_bytes += bytes.grid;
+    memory.pending_event_bytes += bytes.pending_events;
+  }
+  return memory;
 }
 
 TrafficBreakdown collect_traffic(Deployment& deployment) {

@@ -74,6 +74,20 @@ struct LatencySummary {
 
 [[nodiscard]] LatencySummary collect_latency(const Deployment& deployment);
 
+/// Allocated bytes of the game-side state that scales with clients (the
+/// game.mem.* registry gauges).  Deterministic for a seed and Config.
+struct GameMemory {
+  /// sizeof(BotClient) plus each bot's heap (spilled ack ring, latency
+  /// histogram capacity) plus the deployment's per-bot pointer tables.
+  std::size_t bot_bytes = 0;
+  std::size_t session_bytes = 0;        ///< game-server session tables
+  std::size_t ghost_bytes = 0;          ///< game-server ghost tables
+  std::size_t grid_bytes = 0;           ///< update-tick visibility grids
+  std::size_t pending_event_bytes = 0;  ///< per-tick digest batches
+};
+
+[[nodiscard]] GameMemory collect_game_memory(const Deployment& deployment);
+
 /// Traffic split by component category, derived from link stats.
 struct TrafficBreakdown {
   std::uint64_t client_to_server = 0;  ///< bot↔game bytes (both directions)

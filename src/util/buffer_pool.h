@@ -54,6 +54,12 @@ class BufferPool {
 
   [[nodiscard]] const Counters& counters() const { return counters_; }
   [[nodiscard]] std::size_t idle() const { return free_.size(); }
+  /// Bytes held by the freelist: idle buffer capacity plus its headers.
+  [[nodiscard]] std::size_t idle_bytes() const {
+    std::size_t bytes = free_.capacity() * sizeof(std::vector<std::uint8_t>);
+    for (const auto& buf : free_) bytes += buf.capacity();
+    return bytes;
+  }
 
  private:
   std::vector<std::vector<std::uint8_t>> free_;

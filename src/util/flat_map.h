@@ -37,6 +37,10 @@ class FlatMap {
   [[nodiscard]] bool empty() const { return data_.empty(); }
   void clear() { data_.clear(); }
   void reserve(std::size_t n) { data_.reserve(n); }
+  /// Bytes of element storage allocated.
+  [[nodiscard]] std::size_t bytes() const {
+    return data_.capacity() * sizeof(value_type);
+  }
 
   [[nodiscard]] iterator find(const Key& key) {
     auto it = lower(key);

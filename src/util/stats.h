@@ -83,6 +83,14 @@ class Histogram {
 
   [[nodiscard]] std::size_t count() const { return samples_.size(); }
 
+  /// Pre-sizes sample storage (e.g. to a known merge total), so growth by
+  /// doubling never holds old and new buffers at once.
+  void reserve(std::size_t n) { samples_.reserve(n); }
+  /// Bytes of sample storage allocated (capacity, not count).
+  [[nodiscard]] std::size_t capacity_bytes() const {
+    return samples_.capacity() * sizeof(double);
+  }
+
   /// Linear-interpolated percentile, p in [0,100].  Empty histogram -> 0.
   [[nodiscard]] double percentile(double p) const {
     if (samples_.empty()) return 0.0;

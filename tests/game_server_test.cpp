@@ -3,8 +3,12 @@
 // with a CaptureNode standing in for the Matrix server and for clients.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <memory>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "game/bot_client.h"
 #include "game/game_server.h"
@@ -445,6 +449,143 @@ TEST(BotAckWindowTest, DuplicateAckIsSampledOnce) {
 TEST(BotAckWindowTest, AckForUnsentSeqIsIgnored) {
   EXPECT_EQ(run_acks({kNewest + 1}).samples.count(), 0u);
   EXPECT_EQ(run_acks({kNewest + 128}).samples.count(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// AckWindow vs the fixed 128-slot ring it replaced
+// ---------------------------------------------------------------------------
+
+/// The bot's previous ack ring, kept as the reference: slot seq % 128
+/// holds action `seq` while seq < next_seq <= seq + 128 and the slot is not
+/// consumed.
+class ReferenceAckRing {
+ public:
+  std::uint32_t push(SimTime sent_at) {
+    const std::uint32_t seq = next_seq_++;
+    sent_at_[seq % kWindow] = sent_at;
+    return seq;
+  }
+  std::optional<SimTime> take(std::uint32_t ack_seq) {
+    const std::uint64_t seq = ack_seq;
+    if (seq >= next_seq_ || next_seq_ > seq + kWindow) return std::nullopt;
+    SimTime& sent_at = sent_at_[seq % kWindow];
+    if (sent_at == kConsumed) return std::nullopt;
+    const SimTime result = sent_at;
+    sent_at = kConsumed;
+    return result;
+  }
+
+ private:
+  static constexpr std::size_t kWindow = 128;
+  static constexpr SimTime kConsumed = SimTime::from_us(-1);
+  std::uint32_t next_seq_ = 1;
+  std::array<SimTime, kWindow> sent_at_{};
+};
+
+/// Drives both windows with one random op stream: sends, prompt acks,
+/// late acks, duplicates, lost acks (never sent), acks past the window
+/// edge and acks for unsent seqs.  Returns each window's (seq, send time)
+/// samples in pairing order.
+using AckSamples = std::vector<std::pair<std::uint32_t, std::int64_t>>;
+std::pair<AckSamples, AckSamples> run_ack_windows(std::uint64_t seed) {
+  Rng rng(seed);
+  AckWindow window;
+  ReferenceAckRing reference;
+  AckSamples got, want;
+  std::uint32_t newest = 0;
+  std::int64_t clock_us = 0;
+  auto ack = [&](std::uint32_t seq) {
+    if (const auto at = window.take(seq)) got.emplace_back(seq, at->us());
+    if (const auto at = reference.take(seq)) want.emplace_back(seq, at->us());
+  };
+  // Phases of "bad network": stretches where most acks go missing.
+  for (int op = 0; op < 20'000; ++op) {
+    const bool lossy = (op / 2'000) % 3 == 1;
+    clock_us += static_cast<std::int64_t>(rng.next_below(50'000));
+    newest = window.push(SimTime::from_us(clock_us));
+    EXPECT_EQ(reference.push(SimTime::from_us(clock_us)), newest);
+    EXPECT_LE(window.capacity(), AckWindow::kSpan);
+    if (lossy && rng.next_below(10) < 8) continue;  // lost ack
+    const std::uint64_t roll = rng.next_below(100);
+    std::uint32_t lag = 0;
+    if (roll < 60) {
+      lag = 0;  // prompt
+    } else if (roll < 80) {
+      lag = static_cast<std::uint32_t>(rng.next_below(8));
+    } else if (roll < 95) {
+      lag = static_cast<std::uint32_t>(rng.next_below(200));  // near the edge
+    } else {
+      // Unsent seq, ahead of the newest.  (ack_seq 0 marks a digest, not
+      // an ack; the bot never pairs it.)
+      ack(newest + 1 + static_cast<std::uint32_t>(rng.next_below(200)));
+      continue;
+    }
+    if (lag >= newest) continue;
+    ack(newest - lag);
+    if (rng.next_below(10) == 0) ack(newest - lag);  // duplicate
+  }
+  return {got, want};
+}
+
+TEST(BotAckWindowTest, MatchesReferenceRingOnRandomAckStreams) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    const auto [got, want] = run_ack_windows(seed);
+    ASSERT_EQ(got, want) << "seed " << seed;
+    EXPECT_GT(got.size(), 1'000u) << "seed " << seed;
+  }
+}
+
+/// Pins a window open: prompt acks first (no spill), then one action whose
+/// ack is lost while every newer one is acked, until the ring spans the
+/// full window.  Returns the lost action's seq (sent at t = 1,000 us).
+std::uint32_t pin_open(AckWindow& window, ReferenceAckRing& reference) {
+  auto push_acked = [&](std::int64_t us) {
+    const std::uint32_t seq = window.push(SimTime::from_us(us));
+    EXPECT_EQ(reference.push(SimTime::from_us(us)), seq);
+    EXPECT_TRUE(window.take(seq).has_value());
+    EXPECT_TRUE(reference.take(seq).has_value());
+  };
+  for (std::int64_t t = 1; t <= 50; ++t) push_acked(t);
+  EXPECT_EQ(window.capacity(), AckWindow::kInlineSlots);
+  EXPECT_EQ(window.heap_bytes(), 0u);
+
+  const std::uint32_t lost = window.push(SimTime::from_us(1'000));
+  EXPECT_EQ(reference.push(SimTime::from_us(1'000)), lost);
+  for (std::uint32_t i = 1; i < AckWindow::kSpan; ++i) push_acked(1'000 + i);
+  EXPECT_EQ(window.capacity(), AckWindow::kSpan);
+  EXPECT_EQ(window.heap_bytes(), AckWindow::kSpan * sizeof(SimTime));
+  return lost;
+}
+
+TEST(BotAckWindowTest, LostAckPinsWindowOpenToFullSpan) {
+  // 127 newer actions later the lost ack is still inside the window: a
+  // late ack pairs in both windows, exactly once.
+  AckWindow window;
+  ReferenceAckRing reference;
+  const std::uint32_t lost = pin_open(window, reference);
+  const auto at = window.take(lost);
+  ASSERT_TRUE(at.has_value());
+  EXPECT_EQ(at->us(), 1'000);
+  EXPECT_EQ(reference.take(lost), at);
+  EXPECT_FALSE(window.take(lost).has_value());
+  EXPECT_FALSE(reference.take(lost).has_value());
+}
+
+TEST(BotAckWindowTest, PinnedAckExpiresAtWindowEdge) {
+  // One more action pushes the lost one past the window edge: it expires
+  // in both windows, and newer actions keep pairing.
+  AckWindow window;
+  ReferenceAckRing reference;
+  const std::uint32_t lost = pin_open(window, reference);
+  const std::uint32_t newest = window.push(SimTime::from_us(5'000));
+  EXPECT_EQ(reference.push(SimTime::from_us(5'000)), newest);
+  EXPECT_FALSE(window.take(lost).has_value());
+  EXPECT_FALSE(reference.take(lost).has_value());
+  const auto at = window.take(newest);
+  ASSERT_TRUE(at.has_value());
+  EXPECT_EQ(at->us(), 5'000);
+  EXPECT_EQ(reference.take(newest), at);
+  EXPECT_LE(window.capacity(), AckWindow::kSpan);
 }
 
 }  // namespace

@@ -218,5 +218,37 @@ TEST(SchedulerTest, ReentrantGrowthKeepsSlabStable) {
   }
 }
 
+TEST(SchedulerTest, DrainedBurstReleasesTierStorage) {
+  // A 100k-event burst into one ring bucket grows that bucket, then the
+  // sub-rung bucket it splits into, then the near heap it folds into, to
+  // 1.6 MB of entries each time.  Once the burst drains, retained tier
+  // storage must fall back to the bucket vectors' headers (2,304 x 24 B =
+  // 54 KB) plus a few small reusable buffers — not the burst's peak.
+  constexpr std::size_t kBurst = 100'000;
+  constexpr std::size_t kRetainedBound = 64 * 1024;
+  for (const bool same_instant : {true, false}) {
+    EventQueue queue;
+    std::size_t executed = 0;
+    // The anchor folds bucket 0 into the near heap, so the burst below
+    // lands in a ring bucket instead of the near heap.
+    queue.schedule_at(1_us, [&executed] { ++executed; });
+    for (std::size_t i = 0; i < 3; ++i) {  // three waves: no accumulation
+      const SimTime base = queue.now() + 5_ms;
+      for (std::size_t j = 0; j < kBurst; ++j) {
+        const SimTime when =
+            same_instant ? base
+                         : base + SimTime::from_us(
+                                      static_cast<std::int64_t>(j % 64));
+        queue.schedule_at(when, [&executed] { ++executed; });
+      }
+      EXPECT_GE(queue.tier_bytes(), kBurst * 16);
+      queue.run_all();
+      EXPECT_LT(queue.tier_bytes(), kRetainedBound)
+          << "same_instant " << same_instant << " wave " << i;
+    }
+    EXPECT_EQ(executed, 1 + 3 * kBurst);
+  }
+}
+
 }  // namespace
 }  // namespace matrix
