@@ -164,29 +164,23 @@ void MatrixServer::on_message(const Message& message, const Envelope& env) {
 bool MatrixServer::on_frame(const Envelope& env) {
   if (env.payload.empty()) return false;
   switch (env.payload[0]) {
-    case kTaggedPacketWireType: {
+    case wire_type<TaggedPacket>: {
       const auto view = parse_tagged_packet_frame(env.payload);
       if (!view) return false;  // malformed: the generic path counts it
       route_tagged_frame(*view, env);
       return true;
     }
-    case kLoadReportWireType: {
+    case wire_type<LoadReport>: {
       // Per-interval report from every game server: all fixed-width fields,
       // so skip the Message variant on the floor's steadiest control stream.
-      const auto view = parse_load_report_frame(env.payload);
-      if (!view) return false;
-      LoadReport report;
-      report.client_count = view->client_count;
-      report.queue_length = view->queue_length;
-      report.msgs_per_sec = view->msgs_per_sec;
-      report.median_position = view->median_position;
-      report.waiting_count = view->waiting_count;
-      handle_load_report(report);
+      const auto report = parse_load_report_frame(env.payload);
+      if (!report) return false;
+      handle_load_report(*report);
       return true;
     }
-    case kStateTransferWireType:
-    case kClientStateTransferWireType:
-    case kQueueHandoffWireType: {
+    case wire_type<StateTransfer>:
+    case wire_type<ClientStateTransfer>:
+    case wire_type<QueueHandoff>: {
       // Relay legs (paper §3.2.2: state is forwarded "via Matrix"): only the
       // destination field is read; the frame — shed blobs included — is
       // forwarded verbatim, never decoded or copied through a struct.

@@ -1,727 +1,272 @@
 #include "core/protocol.h"
 
-#include <type_traits>
+#include <algorithm>
+#include <array>
+#include <utility>
 
 namespace matrix {
 
 namespace {
 
-// Type tags on the wire.  Order is part of the protocol; append only.
-enum class MsgType : std::uint8_t {
-  kTaggedPacket = 1,
-  kClientHello,
-  kWelcome,
-  kClientAction,
-  kServerUpdate,
-  kRedirect,
-  kClientBye,
-  kLoadReport,
-  kMapRange,
-  kShedDone,
-  kOwnerQuery,
-  kOwnerReply,
-  kAdopt,
-  kPeerLoad,
-  kReclaimRequest,
-  kReclaimDecline,
-  kReclaimDone,
-  kStateTransfer,
-  kClientStateTransfer,
-  kServerRegister,
-  kServerUnregister,
-  kOverlapTableMsg,
-  kPointLookup,
-  kPointOwner,
-  kPoolAcquire,
-  kPoolGrant,
-  kPoolDeny,
-  kPoolRelease,
-  kMcAnnounce,
-  kJoinDeny,
-  kJoinDefer,
-  kAdmissionUpdate,
-  kPoolStatus,
-  kPoolPressure,
-  kQueueUpdate,
-  kLoadDigest,
-  kAdmissionDirective,
-  kQueueHandoff,
-  kMcHeartbeat,
+// ---- schema ----------------------------------------------------------------
+//
+// One field list per wire struct, in wire order: fields(m, f) calls f with
+// the members of `m`.  A frame view shares its message's list (the members
+// have the same names; only the payload is a span), so the two can never
+// drift apart.  Everything below is generic over these lists.
+
+template <typename M, typename... Ts>
+concept Of = (std::is_same_v<std::remove_const_t<M>, Ts> || ...);
+
+auto fields(Of<Vec2> auto& m, auto&& f) { return f(m.x, m.y); }
+auto fields(Of<QueueHandoffEntry> auto& m, auto&& f) {
+  return f(m.client, m.client_node, m.position, m.cls, m.enqueued_at);
+}
+
+auto fields(Of<TaggedPacket, TaggedPacketView> auto& m, auto&& f) {
+  return f(m.client, m.entity, m.origin, m.target, m.radius_class, m.kind,
+           m.seq, m.client_sent_at, m.peer_forwarded, m.payload);
+}
+auto fields(Of<ClientHello> auto& m, auto&& f) {
+  return f(m.client, m.position, m.resume, m.redirect_seq, m.priority);
+}
+auto fields(Of<Welcome> auto& m, auto&& f) {
+  return f(m.client, m.avatar, m.authority, m.redirect_seq);
+}
+auto fields(Of<ClientAction, ClientActionView> auto& m, auto&& f) {
+  return f(m.client, m.kind, m.position, m.target, m.seq, m.sent_at,
+           m.payload);
+}
+auto fields(Of<ServerUpdate, ServerUpdateView> auto& m, auto&& f) {
+  return f(m.kind, m.position, m.ack_seq, m.origin_sent_at, m.payload);
+}
+auto fields(Of<Redirect> auto& m, auto&& f) {
+  return f(m.new_game_node, m.new_server, m.redirect_seq);
+}
+auto fields(Of<ClientBye> auto& m, auto&& f) { return f(m.client); }
+auto fields(Of<LoadReport> auto& m, auto&& f) {
+  return f(m.client_count, m.queue_length, m.msgs_per_sec, m.median_position,
+           m.waiting_count);
+}
+auto fields(Of<MapRange> auto& m, auto&& f) {
+  return f(m.new_range, m.shed_range, m.shed_to_game, m.shed_to_server,
+           m.reclaim, m.topology_epoch);
+}
+auto fields(Of<ShedDone> auto& m, auto&& f) {
+  return f(m.topology_epoch, m.clients_redirected);
+}
+auto fields(Of<OwnerQuery> auto& m, auto&& f) {
+  return f(m.point, m.client, m.seq);
+}
+auto fields(Of<OwnerReply> auto& m, auto&& f) {
+  return f(m.client, m.seq, m.found, m.server, m.game_node);
+}
+auto fields(Of<Adopt> auto& m, auto&& f) {
+  return f(m.parent, m.parent_matrix, m.parent_game, m.range,
+           m.visibility_radius, m.extra_radii, m.content_keys,
+           m.topology_epoch);
+}
+auto fields(Of<PeerLoad> auto& m, auto&& f) {
+  return f(m.server, m.client_count, m.child_count);
+}
+auto fields(Of<ReclaimRequest> auto& m, auto&& f) {
+  return f(m.topology_epoch);
+}
+auto fields(Of<ReclaimDecline> auto& m, auto&& f) {
+  return f(m.child, m.topology_epoch);
+}
+auto fields(Of<ReclaimDone> auto& m, auto&& f) {
+  return f(m.child, m.range, m.topology_epoch);
+}
+auto fields(Of<StateTransfer> auto& m, auto&& f) {
+  return f(m.from_server, m.to_game, m.range, m.object_count, m.blob);
+}
+auto fields(Of<ClientStateTransfer> auto& m, auto&& f) {
+  return f(m.client, m.entity, m.to_game, m.blob);
+}
+auto fields(Of<ServerRegister> auto& m, auto&& f) {
+  return f(m.server, m.matrix_node, m.game_node, m.range, m.radii);
+}
+auto fields(Of<ServerUnregister> auto& m, auto&& f) { return f(m.server); }
+auto fields(Of<OverlapTableMsg> auto& m, auto&& f) {
+  return f(m.server, m.partition, m.radius_class, m.radius, m.version,
+           m.regions);
+}
+auto fields(Of<PointLookup> auto& m, auto&& f) {
+  return f(m.point, m.lookup_seq);
+}
+auto fields(Of<PointOwner> auto& m, auto&& f) {
+  return f(m.lookup_seq, m.found, m.server, m.matrix_node, m.game_node);
+}
+auto fields(Of<PoolAcquire> auto& m, auto&& f) {
+  return f(m.requester, m.need);
+}
+auto fields(Of<PoolGrant, PoolRelease> auto& m, auto&& f) {
+  return f(m.server, m.matrix_node, m.game_node);
+}
+auto fields(Of<PoolDeny> auto&, auto&& f) { return f(); }
+auto fields(Of<McAnnounce> auto& m, auto&& f) {
+  return f(m.mc_node, m.generation);
+}
+auto fields(Of<JoinDeny, JoinDefer> auto& m, auto&& f) {
+  return f(m.client, m.retry_after);
+}
+auto fields(Of<AdmissionUpdate> auto& m, auto&& f) {
+  return f(m.state, m.seq);
+}
+auto fields(Of<PoolStatus, PoolPressure> auto& m, auto&& f) {
+  return f(m.idle, m.total);
+}
+auto fields(Of<QueueUpdate> auto& m, auto&& f) {
+  return f(m.client, m.position, m.depth, m.eta);
+}
+auto fields(Of<LoadDigest> auto& m, auto&& f) {
+  return f(m.server, m.client_count, m.queue_length, m.waiting_count,
+           m.admission_state);
+}
+auto fields(Of<AdmissionDirective> auto& m, auto&& f) {
+  return f(m.seq, m.floor, m.active, m.token_rate, m.pressure,
+           m.waiting_total);
+}
+auto fields(Of<QueueHandoff> auto& m, auto&& f) {
+  return f(m.from_server, m.to_game, m.entries);
+}
+auto fields(Of<McHeartbeat> auto& m, auto&& f) {
+  return f(m.mc_node, m.generation, m.seq);
+}
+
+template <typename M>
+concept HasFields = requires(M& m) { fields(m, [](auto&...) {}); };
+
+// ---- generic codec ---------------------------------------------------------
+//
+// Field types map onto util/codec.h primitives.  `put` runs twice per
+// frame: into a ByteCounter for the exact size, then into a ByteCursor over
+// storage of that size.  `get` is its canonical inverse.  They are static
+// members so the overloads can recurse into each other regardless of
+// declaration order.
+
+struct Wire {
+  static void put(auto& w, bool v) { w.u8(v ? 1 : 0); }
+  static void put(auto& w, std::uint8_t v) { w.u8(v); }
+  static void put(auto& w, std::uint32_t v) { w.u32(v); }
+  static void put(auto& w, std::uint64_t v) { w.u64(v); }
+  static void put(auto& w, double v) { w.f64(v); }
+  static void put(auto& w, SimTime v) { w.i64(v.us()); }
+  template <typename Tag>
+  static void put(auto& w, Id<Tag> v) {
+    w.id(v);
+  }
+  static void put(auto& w, const Rect& v) {
+    put(w, v.lo());
+    put(w, v.hi());
+  }
+  static void put(auto& w, const std::optional<Vec2>& v) {
+    put(w, v.has_value());
+    if (v) put(w, *v);
+  }
+  static void put(auto& w, const PayloadBytes& v) { w.raw(v); }
+  static void put(auto& w, const std::vector<std::uint8_t>& v) { w.raw(v); }
+  static void put(auto& w, const std::string& v) { w.str(v); }
+  template <typename T>
+  static void put(auto& w, const std::vector<T>& v) {
+    w.varint(v.size());
+    for (const T& element : v) put(w, element);
+  }
+  static void put(auto& w, const HasFields auto& m) {
+    fields(m, [&w](const auto&... f) { (put(w, f), ...); });
+  }
+
+  static void get(ByteReader& r, bool& v) { v = r.flag(); }
+  static void get(ByteReader& r, std::uint8_t& v) { v = r.u8(); }
+  static void get(ByteReader& r, std::uint32_t& v) { v = r.u32(); }
+  static void get(ByteReader& r, std::uint64_t& v) { v = r.u64(); }
+  static void get(ByteReader& r, double& v) { v = r.f64(); }
+  static void get(ByteReader& r, SimTime& v) { v = SimTime::from_us(r.i64()); }
+  template <typename Tag>
+  static void get(ByteReader& r, Id<Tag>& v) {
+    v = r.id<Id<Tag>>();
+  }
+  static void get(ByteReader& r, Rect& v) {
+    Vec2 lo;
+    Vec2 hi;
+    get(r, lo);
+    get(r, hi);
+    v = Rect::from_corners(lo, hi);
+  }
+  static void get(ByteReader& r, std::optional<Vec2>& v) {
+    if (r.flag()) get(r, v.emplace());
+  }
+  static void get(ByteReader& r, PayloadBytes& v) { v = r.raw_payload(); }
+  static void get(ByteReader& r, std::span<const std::uint8_t>& v) {
+    v = r.raw_span();
+  }
+  static void get(ByteReader& r, std::vector<std::uint8_t>& v) { v = r.raw(); }
+  static void get(ByteReader& r, std::string& v) { v = r.str(); }
+  template <typename T>
+  static void get(ByteReader& r, std::vector<T>& v) {
+    v.resize(r.count());
+    for (T& element : v) get(r, element);
+  }
+  static void get(ByteReader& r, HasFields auto& m) {
+    fields(m, [&r](auto&... f) { (get(r, f), ...); });
+  }
+
+  // An overlap region ships one count and then interleaved (server, matrix
+  // node) pairs, not two lists, so it keeps a hand-written codec.
+  static void put(auto& w, const OverlapRegionWire& v) {
+    put(w, v.rect);
+    w.varint(v.peer_servers.size());
+    for (std::size_t i = 0; i < v.peer_servers.size(); ++i) {
+      put(w, v.peer_servers[i]);
+      put(w, v.peer_matrix_nodes[i]);
+    }
+  }
+  static void get(ByteReader& r, OverlapRegionWire& v) {
+    get(r, v.rect);
+    const std::size_t peers = r.count();
+    v.peer_servers.resize(peers);
+    v.peer_matrix_nodes.resize(peers);
+    for (std::size_t i = 0; i < peers; ++i) {
+      get(r, v.peer_servers[i]);
+      get(r, v.peer_matrix_nodes[i]);
+    }
+  }
 };
 
-void put(ByteWriter& w, Vec2 v) {
-  w.f64(v.x);
-  w.f64(v.y);
-}
-Vec2 get_vec2(ByteReader& r) {
-  Vec2 v;
-  v.x = r.f64();
-  v.y = r.f64();
-  return v;
+/// Reads into `out` the body of a frame whose type byte `r` has consumed:
+/// true when it is well-formed and ends exactly at the frame's end.
+bool read_body(ByteReader& r, auto& out) {
+  Wire::get(r, out);
+  return r.ok() && r.at_end();
 }
 
-void put(ByteWriter& w, const Rect& rect) {
-  w.f64(rect.x0());
-  w.f64(rect.y0());
-  w.f64(rect.x1());
-  w.f64(rect.y1());
-}
-Rect get_rect(ByteReader& r) {
-  const double x0 = r.f64();
-  const double y0 = r.f64();
-  const double x1 = r.f64();
-  const double y1 = r.f64();
-  return Rect(x0, y0, x1, y1);
-}
-
-void put(ByteWriter& w, const std::optional<Vec2>& v) {
-  w.u8(v.has_value() ? 1 : 0);
-  if (v) put(w, *v);
-}
-std::optional<Vec2> get_opt_vec2(ByteReader& r) {
-  if (r.u8() == 0) return std::nullopt;
-  return get_vec2(r);
-}
-
-void put(ByteWriter& w, SimTime t) { w.i64(t.us()); }
-SimTime get_time(ByteReader& r) { return SimTime::from_us(r.i64()); }
-
-// ---- per-struct bodies ----------------------------------------------------
-
-void encode_body(ByteWriter& w, const TaggedPacket& m) {
-  w.id(m.client);
-  w.id(m.entity);
-  put(w, m.origin);
-  put(w, m.target);
-  w.u8(m.radius_class);
-  w.u8(m.kind);
-  w.u32(m.seq);
-  put(w, m.client_sent_at);
-  w.u8(m.peer_forwarded ? 1 : 0);
-  w.raw(m.payload);
-}
-TaggedPacket decode_tagged_packet(ByteReader& r) {
-  TaggedPacket m;
-  m.client = r.id<ClientId>();
-  m.entity = r.id<EntityId>();
-  m.origin = get_vec2(r);
-  m.target = get_opt_vec2(r);
-  m.radius_class = r.u8();
-  m.kind = r.u8();
-  m.seq = r.u32();
-  m.client_sent_at = get_time(r);
-  m.peer_forwarded = r.u8() != 0;
-  m.payload = r.raw_payload();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const ClientHello& m) {
-  w.id(m.client);
-  put(w, m.position);
-  w.u8(m.resume ? 1 : 0);
-  w.u32(m.redirect_seq);
-  w.u8(m.priority);
-}
-ClientHello decode_client_hello(ByteReader& r) {
-  ClientHello m;
-  m.client = r.id<ClientId>();
-  m.position = get_vec2(r);
-  m.resume = r.u8() != 0;
-  m.redirect_seq = r.u32();
-  m.priority = r.u8();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const Welcome& m) {
-  w.id(m.client);
-  w.id(m.avatar);
-  put(w, m.authority);
-  w.u32(m.redirect_seq);
-}
-Welcome decode_welcome(ByteReader& r) {
-  Welcome m;
-  m.client = r.id<ClientId>();
-  m.avatar = r.id<EntityId>();
-  m.authority = get_rect(r);
-  m.redirect_seq = r.u32();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const ClientAction& m) {
-  w.id(m.client);
-  w.u8(m.kind);
-  put(w, m.position);
-  put(w, m.target);
-  w.u32(m.seq);
-  put(w, m.sent_at);
-  w.raw(m.payload);
-}
-ClientAction decode_client_action(ByteReader& r) {
-  ClientAction m;
-  m.client = r.id<ClientId>();
-  m.kind = r.u8();
-  m.position = get_vec2(r);
-  m.target = get_opt_vec2(r);
-  m.seq = r.u32();
-  m.sent_at = get_time(r);
-  m.payload = r.raw_payload();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const ServerUpdate& m) {
-  w.u8(m.kind);
-  put(w, m.position);
-  w.u32(m.ack_seq);
-  put(w, m.origin_sent_at);
-  w.raw(m.payload);
-}
-ServerUpdate decode_server_update(ByteReader& r) {
-  ServerUpdate m;
-  m.kind = r.u8();
-  m.position = get_vec2(r);
-  m.ack_seq = r.u32();
-  m.origin_sent_at = get_time(r);
-  m.payload = r.raw_payload();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const Redirect& m) {
-  w.id(m.new_game_node);
-  w.id(m.new_server);
-  w.u32(m.redirect_seq);
-}
-Redirect decode_redirect(ByteReader& r) {
-  Redirect m;
-  m.new_game_node = r.id<NodeId>();
-  m.new_server = r.id<ServerId>();
-  m.redirect_seq = r.u32();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const ClientBye& m) { w.id(m.client); }
-ClientBye decode_client_bye(ByteReader& r) {
-  ClientBye m;
-  m.client = r.id<ClientId>();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const LoadReport& m) {
-  w.u32(m.client_count);
-  w.u32(m.queue_length);
-  w.f64(m.msgs_per_sec);
-  put(w, m.median_position);
-  w.u32(m.waiting_count);
-}
-LoadReport decode_load_report(ByteReader& r) {
-  LoadReport m;
-  m.client_count = r.u32();
-  m.queue_length = r.u32();
-  m.msgs_per_sec = r.f64();
-  m.median_position = get_vec2(r);
-  m.waiting_count = r.u32();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const MapRange& m) {
-  put(w, m.new_range);
-  put(w, m.shed_range);
-  w.id(m.shed_to_game);
-  w.id(m.shed_to_server);
-  w.u8(m.reclaim ? 1 : 0);
-  w.u64(m.topology_epoch);
-}
-MapRange decode_map_range(ByteReader& r) {
-  MapRange m;
-  m.new_range = get_rect(r);
-  m.shed_range = get_rect(r);
-  m.shed_to_game = r.id<NodeId>();
-  m.shed_to_server = r.id<ServerId>();
-  m.reclaim = r.u8() != 0;
-  m.topology_epoch = r.u64();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const ShedDone& m) {
-  w.u64(m.topology_epoch);
-  w.u32(m.clients_redirected);
-}
-ShedDone decode_shed_done(ByteReader& r) {
-  ShedDone m;
-  m.topology_epoch = r.u64();
-  m.clients_redirected = r.u32();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const OwnerQuery& m) {
-  put(w, m.point);
-  w.id(m.client);
-  w.u32(m.seq);
-}
-OwnerQuery decode_owner_query(ByteReader& r) {
-  OwnerQuery m;
-  m.point = get_vec2(r);
-  m.client = r.id<ClientId>();
-  m.seq = r.u32();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const OwnerReply& m) {
-  w.id(m.client);
-  w.u32(m.seq);
-  w.u8(m.found ? 1 : 0);
-  w.id(m.server);
-  w.id(m.game_node);
-}
-OwnerReply decode_owner_reply(ByteReader& r) {
-  OwnerReply m;
-  m.client = r.id<ClientId>();
-  m.seq = r.u32();
-  m.found = r.u8() != 0;
-  m.server = r.id<ServerId>();
-  m.game_node = r.id<NodeId>();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const Adopt& m) {
-  w.id(m.parent);
-  w.id(m.parent_matrix);
-  w.id(m.parent_game);
-  put(w, m.range);
-  w.f64(m.visibility_radius);
-  w.varint(m.extra_radii.size());
-  for (double radius : m.extra_radii) w.f64(radius);
-  w.varint(m.content_keys.size());
-  for (const auto& key : m.content_keys) w.str(key);
-  w.u64(m.topology_epoch);
-}
-Adopt decode_adopt(ByteReader& r) {
-  Adopt m;
-  m.parent = r.id<ServerId>();
-  m.parent_matrix = r.id<NodeId>();
-  m.parent_game = r.id<NodeId>();
-  m.range = get_rect(r);
-  m.visibility_radius = r.f64();
-  const std::uint64_t nr = r.varint();
-  for (std::uint64_t i = 0; i < nr && r.ok(); ++i) {
-    m.extra_radii.push_back(r.f64());
-  }
-  const std::uint64_t n = r.varint();
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    m.content_keys.push_back(r.str());
-  }
-  m.topology_epoch = r.u64();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const PeerLoad& m) {
-  w.id(m.server);
-  w.u32(m.client_count);
-  w.u32(m.child_count);
-}
-PeerLoad decode_peer_load(ByteReader& r) {
-  PeerLoad m;
-  m.server = r.id<ServerId>();
-  m.client_count = r.u32();
-  m.child_count = r.u32();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const ReclaimRequest& m) {
-  w.u64(m.topology_epoch);
-}
-ReclaimRequest decode_reclaim_request(ByteReader& r) {
-  ReclaimRequest m;
-  m.topology_epoch = r.u64();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const ReclaimDecline& m) {
-  w.id(m.child);
-  w.u64(m.topology_epoch);
-}
-ReclaimDecline decode_reclaim_decline(ByteReader& r) {
-  ReclaimDecline m;
-  m.child = r.id<ServerId>();
-  m.topology_epoch = r.u64();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const ReclaimDone& m) {
-  w.id(m.child);
-  put(w, m.range);
-  w.u64(m.topology_epoch);
-}
-ReclaimDone decode_reclaim_done(ByteReader& r) {
-  ReclaimDone m;
-  m.child = r.id<ServerId>();
-  m.range = get_rect(r);
-  m.topology_epoch = r.u64();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const StateTransfer& m) {
-  w.id(m.from_server);
-  w.id(m.to_game);
-  put(w, m.range);
-  w.u32(m.object_count);
-  w.raw(m.blob);
-}
-StateTransfer decode_state_transfer(ByteReader& r) {
-  StateTransfer m;
-  m.from_server = r.id<ServerId>();
-  m.to_game = r.id<NodeId>();
-  m.range = get_rect(r);
-  m.object_count = r.u32();
-  m.blob = r.raw();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const ClientStateTransfer& m) {
-  w.id(m.client);
-  w.id(m.entity);
-  w.id(m.to_game);
-  w.raw(m.blob);
-}
-ClientStateTransfer decode_client_state_transfer(ByteReader& r) {
-  ClientStateTransfer m;
-  m.client = r.id<ClientId>();
-  m.entity = r.id<EntityId>();
-  m.to_game = r.id<NodeId>();
-  m.blob = r.raw();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const ServerRegister& m) {
-  w.id(m.server);
-  w.id(m.matrix_node);
-  w.id(m.game_node);
-  put(w, m.range);
-  w.varint(m.radii.size());
-  for (double radius : m.radii) w.f64(radius);
-}
-ServerRegister decode_server_register(ByteReader& r) {
-  ServerRegister m;
-  m.server = r.id<ServerId>();
-  m.matrix_node = r.id<NodeId>();
-  m.game_node = r.id<NodeId>();
-  m.range = get_rect(r);
-  const std::uint64_t n = r.varint();
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) m.radii.push_back(r.f64());
-  return m;
-}
-
-void encode_body(ByteWriter& w, const ServerUnregister& m) { w.id(m.server); }
-ServerUnregister decode_server_unregister(ByteReader& r) {
-  ServerUnregister m;
-  m.server = r.id<ServerId>();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const OverlapTableMsg& m) {
-  w.id(m.server);
-  put(w, m.partition);
-  w.u8(m.radius_class);
-  w.f64(m.radius);
-  w.u64(m.version);
-  w.varint(m.regions.size());
-  for (const auto& region : m.regions) {
-    put(w, region.rect);
-    w.varint(region.peer_servers.size());
-    for (std::size_t i = 0; i < region.peer_servers.size(); ++i) {
-      w.id(region.peer_servers[i]);
-      w.id(region.peer_matrix_nodes[i]);
-    }
-  }
-}
-OverlapTableMsg decode_overlap_table(ByteReader& r) {
-  OverlapTableMsg m;
-  m.server = r.id<ServerId>();
-  m.partition = get_rect(r);
-  m.radius_class = r.u8();
-  m.radius = r.f64();
-  m.version = r.u64();
-  const std::uint64_t n = r.varint();
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    OverlapRegionWire region;
-    region.rect = get_rect(r);
-    const std::uint64_t peers = r.varint();
-    for (std::uint64_t j = 0; j < peers && r.ok(); ++j) {
-      region.peer_servers.push_back(r.id<ServerId>());
-      region.peer_matrix_nodes.push_back(r.id<NodeId>());
-    }
-    m.regions.push_back(std::move(region));
-  }
-  return m;
-}
-
-void encode_body(ByteWriter& w, const PointLookup& m) {
-  put(w, m.point);
-  w.u32(m.lookup_seq);
-}
-PointLookup decode_point_lookup(ByteReader& r) {
-  PointLookup m;
-  m.point = get_vec2(r);
-  m.lookup_seq = r.u32();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const PointOwner& m) {
-  w.u32(m.lookup_seq);
-  w.u8(m.found ? 1 : 0);
-  w.id(m.server);
-  w.id(m.matrix_node);
-  w.id(m.game_node);
-}
-PointOwner decode_point_owner(ByteReader& r) {
-  PointOwner m;
-  m.lookup_seq = r.u32();
-  m.found = r.u8() != 0;
-  m.server = r.id<ServerId>();
-  m.matrix_node = r.id<NodeId>();
-  m.game_node = r.id<NodeId>();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const PoolAcquire& m) {
-  w.id(m.requester);
-  w.f64(m.need);
-}
-PoolAcquire decode_pool_acquire(ByteReader& r) {
-  PoolAcquire m;
-  m.requester = r.id<ServerId>();
-  m.need = r.f64();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const PoolGrant& m) {
-  w.id(m.server);
-  w.id(m.matrix_node);
-  w.id(m.game_node);
-}
-PoolGrant decode_pool_grant(ByteReader& r) {
-  PoolGrant m;
-  m.server = r.id<ServerId>();
-  m.matrix_node = r.id<NodeId>();
-  m.game_node = r.id<NodeId>();
-  return m;
-}
-
-void encode_body(ByteWriter&, const PoolDeny&) {}
-
-void encode_body(ByteWriter& w, const PoolRelease& m) {
-  w.id(m.server);
-  w.id(m.matrix_node);
-  w.id(m.game_node);
-}
-PoolRelease decode_pool_release(ByteReader& r) {
-  PoolRelease m;
-  m.server = r.id<ServerId>();
-  m.matrix_node = r.id<NodeId>();
-  m.game_node = r.id<NodeId>();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const McAnnounce& m) {
-  w.id(m.mc_node);
-  w.u64(m.generation);
-}
-McAnnounce decode_mc_announce(ByteReader& r) {
-  McAnnounce m;
-  m.mc_node = r.id<NodeId>();
-  m.generation = r.u64();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const McHeartbeat& m) {
-  w.id(m.mc_node);
-  w.u64(m.generation);
-  w.u64(m.seq);
-}
-McHeartbeat decode_mc_heartbeat(ByteReader& r) {
-  McHeartbeat m;
-  m.mc_node = r.id<NodeId>();
-  m.generation = r.u64();
-  m.seq = r.u64();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const JoinDeny& m) {
-  w.id(m.client);
-  put(w, m.retry_after);
-}
-JoinDeny decode_join_deny(ByteReader& r) {
-  JoinDeny m;
-  m.client = r.id<ClientId>();
-  m.retry_after = get_time(r);
-  return m;
-}
-
-void encode_body(ByteWriter& w, const JoinDefer& m) {
-  w.id(m.client);
-  put(w, m.retry_after);
-}
-JoinDefer decode_join_defer(ByteReader& r) {
-  JoinDefer m;
-  m.client = r.id<ClientId>();
-  m.retry_after = get_time(r);
-  return m;
-}
-
-void encode_body(ByteWriter& w, const AdmissionUpdate& m) {
-  w.u8(m.state);
-  w.u64(m.seq);
-}
-AdmissionUpdate decode_admission_update(ByteReader& r) {
-  AdmissionUpdate m;
-  m.state = r.u8();
-  m.seq = r.u64();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const PoolStatus& m) {
-  w.u32(m.idle);
-  w.u32(m.total);
-}
-PoolStatus decode_pool_status(ByteReader& r) {
-  PoolStatus m;
-  m.idle = r.u32();
-  m.total = r.u32();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const PoolPressure& m) {
-  w.u32(m.idle);
-  w.u32(m.total);
-}
-PoolPressure decode_pool_pressure(ByteReader& r) {
-  PoolPressure m;
-  m.idle = r.u32();
-  m.total = r.u32();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const QueueUpdate& m) {
-  w.id(m.client);
-  w.u32(m.position);
-  w.u32(m.depth);
-  put(w, m.eta);
-}
-QueueUpdate decode_queue_update(ByteReader& r) {
-  QueueUpdate m;
-  m.client = r.id<ClientId>();
-  m.position = r.u32();
-  m.depth = r.u32();
-  m.eta = get_time(r);
-  return m;
-}
-
-void encode_body(ByteWriter& w, const LoadDigest& m) {
-  w.id(m.server);
-  w.u32(m.client_count);
-  w.u32(m.queue_length);
-  w.u32(m.waiting_count);
-  w.u8(m.admission_state);
-}
-LoadDigest decode_load_digest(ByteReader& r) {
-  LoadDigest m;
-  m.server = r.id<ServerId>();
-  m.client_count = r.u32();
-  m.queue_length = r.u32();
-  m.waiting_count = r.u32();
-  m.admission_state = r.u8();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const AdmissionDirective& m) {
-  w.u64(m.seq);
-  w.u8(m.floor);
-  w.u8(m.active ? 1 : 0);
-  w.f64(m.token_rate);
-  w.f64(m.pressure);
-  w.u32(m.waiting_total);
-}
-AdmissionDirective decode_admission_directive(ByteReader& r) {
-  AdmissionDirective m;
-  m.seq = r.u64();
-  m.floor = r.u8();
-  m.active = r.u8() != 0;
-  m.token_rate = r.f64();
-  m.pressure = r.f64();
-  m.waiting_total = r.u32();
-  return m;
-}
-
-void encode_body(ByteWriter& w, const QueueHandoff& m) {
-  w.id(m.from_server);
-  w.id(m.to_game);
-  w.varint(m.entries.size());
-  for (const QueueHandoffEntry& entry : m.entries) {
-    w.id(entry.client);
-    w.id(entry.client_node);
-    put(w, entry.position);
-    w.u8(entry.cls);
-    put(w, entry.enqueued_at);
-  }
-}
-QueueHandoff decode_queue_handoff(ByteReader& r) {
-  QueueHandoff m;
-  m.from_server = r.id<ServerId>();
-  m.to_game = r.id<NodeId>();
-  const std::uint64_t n = r.varint();
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    QueueHandoffEntry entry;
-    entry.client = r.id<ClientId>();
-    entry.client_node = r.id<NodeId>();
-    entry.position = get_vec2(r);
-    entry.cls = r.u8();
-    entry.enqueued_at = get_time(r);
-    m.entries.push_back(entry);
-  }
-  return m;
+/// The frame parsers: `View` is read with the field list of message `Body`.
+template <typename View, typename Body = View>
+std::optional<View> parse_frame(std::span<const std::uint8_t> frame) {
+  ByteReader r(frame);
+  std::optional<View> view(std::in_place);
+  if (r.u8() != wire_type<Body> || !read_body(r, *view)) view.reset();
+  return view;
 }
 
 template <typename T>
-constexpr MsgType type_tag() {
-  if constexpr (std::is_same_v<T, TaggedPacket>) return MsgType::kTaggedPacket;
-  else if constexpr (std::is_same_v<T, ClientHello>) return MsgType::kClientHello;
-  else if constexpr (std::is_same_v<T, Welcome>) return MsgType::kWelcome;
-  else if constexpr (std::is_same_v<T, ClientAction>) return MsgType::kClientAction;
-  else if constexpr (std::is_same_v<T, ServerUpdate>) return MsgType::kServerUpdate;
-  else if constexpr (std::is_same_v<T, Redirect>) return MsgType::kRedirect;
-  else if constexpr (std::is_same_v<T, ClientBye>) return MsgType::kClientBye;
-  else if constexpr (std::is_same_v<T, LoadReport>) return MsgType::kLoadReport;
-  else if constexpr (std::is_same_v<T, MapRange>) return MsgType::kMapRange;
-  else if constexpr (std::is_same_v<T, ShedDone>) return MsgType::kShedDone;
-  else if constexpr (std::is_same_v<T, OwnerQuery>) return MsgType::kOwnerQuery;
-  else if constexpr (std::is_same_v<T, OwnerReply>) return MsgType::kOwnerReply;
-  else if constexpr (std::is_same_v<T, Adopt>) return MsgType::kAdopt;
-  else if constexpr (std::is_same_v<T, PeerLoad>) return MsgType::kPeerLoad;
-  else if constexpr (std::is_same_v<T, ReclaimRequest>) return MsgType::kReclaimRequest;
-  else if constexpr (std::is_same_v<T, ReclaimDecline>) return MsgType::kReclaimDecline;
-  else if constexpr (std::is_same_v<T, ReclaimDone>) return MsgType::kReclaimDone;
-  else if constexpr (std::is_same_v<T, StateTransfer>) return MsgType::kStateTransfer;
-  else if constexpr (std::is_same_v<T, ClientStateTransfer>) return MsgType::kClientStateTransfer;
-  else if constexpr (std::is_same_v<T, ServerRegister>) return MsgType::kServerRegister;
-  else if constexpr (std::is_same_v<T, ServerUnregister>) return MsgType::kServerUnregister;
-  else if constexpr (std::is_same_v<T, OverlapTableMsg>) return MsgType::kOverlapTableMsg;
-  else if constexpr (std::is_same_v<T, PointLookup>) return MsgType::kPointLookup;
-  else if constexpr (std::is_same_v<T, PointOwner>) return MsgType::kPointOwner;
-  else if constexpr (std::is_same_v<T, PoolAcquire>) return MsgType::kPoolAcquire;
-  else if constexpr (std::is_same_v<T, PoolGrant>) return MsgType::kPoolGrant;
-  else if constexpr (std::is_same_v<T, PoolDeny>) return MsgType::kPoolDeny;
-  else if constexpr (std::is_same_v<T, PoolRelease>) return MsgType::kPoolRelease;
-  else if constexpr (std::is_same_v<T, McAnnounce>) return MsgType::kMcAnnounce;
-  else if constexpr (std::is_same_v<T, JoinDeny>) return MsgType::kJoinDeny;
-  else if constexpr (std::is_same_v<T, JoinDefer>) return MsgType::kJoinDefer;
-  else if constexpr (std::is_same_v<T, AdmissionUpdate>) return MsgType::kAdmissionUpdate;
-  else if constexpr (std::is_same_v<T, PoolStatus>) return MsgType::kPoolStatus;
-  else if constexpr (std::is_same_v<T, PoolPressure>) return MsgType::kPoolPressure;
-  else if constexpr (std::is_same_v<T, QueueUpdate>) return MsgType::kQueueUpdate;
-  else if constexpr (std::is_same_v<T, LoadDigest>) return MsgType::kLoadDigest;
-  else if constexpr (std::is_same_v<T, AdmissionDirective>) return MsgType::kAdmissionDirective;
-  else if constexpr (std::is_same_v<T, QueueHandoff>) return MsgType::kQueueHandoff;
-  else if constexpr (std::is_same_v<T, McHeartbeat>) return MsgType::kMcHeartbeat;
+std::optional<Message> decode_as(ByteReader& r) {
+  std::optional<Message> message(std::in_place, std::in_place_type<T>);
+  if (!read_body(r, std::get<T>(*message))) message.reset();
+  return message;
 }
+
+/// A view's field copied into its message (payload spans are copied out).
+void copy_field(auto& out, const auto& in) { out = in; }
+void copy_field(PayloadBytes& out, std::span<const std::uint8_t> in) {
+  out.assign(in.data(), in.size());
+}
+
+// byte2msg: type byte b decodes as Message alternative b - 1.
+constexpr auto kDecoders = []<std::size_t... I>(std::index_sequence<I...>) {
+  return std::array{&decode_as<std::variant_alternative_t<I, Message>>...};
+}(std::make_index_sequence<std::variant_size_v<Message>>());
 
 }  // namespace
 
@@ -732,75 +277,92 @@ std::vector<std::uint8_t> encode_message(const Message& message) {
 }
 
 void encode_message_into(ByteWriter& w, const Message& message) {
-  std::visit(
-      [&w](const auto& body) {
-        using T = std::decay_t<decltype(body)>;
-        encode_one_into<T>(w, body);
-      },
-      message);
+  std::visit([&w](const auto& body) { encode_one_into(w, body); }, message);
 }
-
-namespace {
-
-// Sized from the encode_body layouts above: fixed fields at their worst
-// varint width, plus the payload/blob for the carrying messages.  Being a
-// few bytes generous is fine (capacity, not wire size); being short costs
-// one realloc, so the high-rate messages are counted carefully.
-template <typename T>
-std::size_t body_size_hint(const T& body) {
-  (void)body;
-  if constexpr (std::is_same_v<T, TaggedPacket>) {
-          return 64 + body.payload.size();
-        } else if constexpr (std::is_same_v<T, ClientAction>) {
-          return 56 + body.payload.size();
-        } else if constexpr (std::is_same_v<T, ServerUpdate>) {
-          return 40 + body.payload.size();
-        } else if constexpr (std::is_same_v<T, LoadReport>) {
-          return 48;
-        } else if constexpr (std::is_same_v<T, QueueUpdate>) {
-          return 32;
-        } else if constexpr (std::is_same_v<T, ClientHello> ||
-                             std::is_same_v<T, LoadDigest> ||
-                             std::is_same_v<T, PeerLoad>) {
-          return 32;
-        } else if constexpr (std::is_same_v<T, Welcome> ||
-                             std::is_same_v<T, AdmissionDirective>) {
-          return 56;
-        } else if constexpr (std::is_same_v<T, StateTransfer>) {
-          return 64 + body.blob.size();
-        } else if constexpr (std::is_same_v<T, ClientStateTransfer>) {
-          return 40 + body.blob.size();
-        } else if constexpr (std::is_same_v<T, QueueHandoff>) {
-          return 24 + 48 * body.entries.size();
-        } else if constexpr (std::is_same_v<T, OverlapTableMsg>) {
-          std::size_t hint = 72;
-          for (const OverlapRegionWire& region : body.regions) {
-            hint += 48 + 20 * region.peer_servers.size();
-          }
-          return hint;
-        } else if constexpr (std::is_same_v<T, Adopt>) {
-          std::size_t hint = 80 + 10 * body.extra_radii.size();
-          for (const std::string& key : body.content_keys) {
-            hint += 10 + key.size();
-          }
-          return hint;
-        } else {
-          return 64;
-        }
-}
-
-}  // namespace
 
 template <typename Body>
 void encode_one_into(ByteWriter& writer, const Body& body) {
-  writer.reserve(writer.size() + body_size_hint(body));
-  writer.u8(static_cast<std::uint8_t>(type_tag<Body>()));
-  encode_body(writer, body);
+  ByteCounter size;
+  Wire::put(size, body);
+  ByteCursor out = writer.extend(1 + size.size());
+  out.u8(wire_type<Body>);
+  Wire::put(out, body);
+}
+
+std::optional<Message> decode_message(std::span<const std::uint8_t> bytes) {
+  ByteReader r(bytes);
+  const std::uint8_t type = r.u8();
+  if (type == 0 || type > kDecoders.size()) return std::nullopt;
+  return kDecoders[type - 1](r);
+}
+
+// ---- zero-copy frame fast paths --------------------------------------------
+
+TaggedPacket TaggedPacketView::materialize() const {
+  TaggedPacket packet;
+  fields(packet, [this](auto&... out) {
+    fields(*this, [&](const auto&... in) { (copy_field(out, in), ...); });
+  });
+  return packet;
+}
+
+std::optional<TaggedPacketView> parse_tagged_packet_frame(
+    std::span<const std::uint8_t> frame) {
+  auto view = parse_frame<TaggedPacketView, TaggedPacket>(frame);
+  // The flag is the last byte before the payload's length prefix.
+  if (view) {
+    view->peer_flag_offset = frame.size() - view->payload.size() -
+                             varint_size(view->payload.size()) - 1;
+  }
+  return view;
+}
+
+std::optional<ClientActionView> parse_client_action_frame(
+    std::span<const std::uint8_t> frame) {
+  return parse_frame<ClientActionView, ClientAction>(frame);
+}
+
+std::optional<ServerUpdateView> parse_server_update_frame(
+    std::span<const std::uint8_t> frame) {
+  return parse_frame<ServerUpdateView, ServerUpdate>(frame);
+}
+
+std::optional<LoadReport> parse_load_report_frame(
+    std::span<const std::uint8_t> frame) {
+  return parse_frame<LoadReport>(frame);
+}
+
+std::optional<QueueUpdate> parse_queue_update_frame(
+    std::span<const std::uint8_t> frame) {
+  return parse_frame<QueueUpdate>(frame);
+}
+
+std::optional<RelayFrameView> parse_relay_frame(
+    std::span<const std::uint8_t> frame) {
+  ByteReader r(frame);
+  RelayFrameView view;
+  view.wire_type = r.u8();
+  // `to_game` sits behind 1-2 leading ids; nothing after it is read, so the
+  // relay never walks the (possibly huge) blob/entry tail.
+  switch (view.wire_type) {
+    case wire_type<StateTransfer>:
+    case wire_type<QueueHandoff>:
+      r.id<ServerId>();  // from_server
+      break;
+    case wire_type<ClientStateTransfer>:
+      r.id<ClientId>();  // client
+      r.id<EntityId>();  // entity
+      break;
+    default:
+      return std::nullopt;
+  }
+  view.to_game = r.id<NodeId>();
+  if (!r.ok()) return std::nullopt;
+  return view;
 }
 
 // One instantiation per Message alternative, so the typed fast path is
-// available to every sender without pulling the encoder bodies into the
-// header.  The static_assert keeps the list in lock-step with the variant.
+// available to every sender without pulling the codec into the header.
 #define MATRIX_MESSAGE_TYPES(X)                                              \
   X(TaggedPacket) X(ClientHello) X(Welcome) X(ClientAction) X(ServerUpdate)  \
   X(Redirect) X(ClientBye) X(LoadReport) X(MapRange) X(ShedDone)             \
@@ -818,251 +380,23 @@ MATRIX_MESSAGE_TYPES(MATRIX_INSTANTIATE_ENCODE)
 #undef MATRIX_INSTANTIATE_ENCODE
 
 namespace {
-#define MATRIX_COUNT_ONE(T) +1
-static_assert(std::variant_size_v<Message> ==
-                  MATRIX_MESSAGE_TYPES(MATRIX_COUNT_ONE),
-              "encode_one_into instantiations out of sync with Message");
-#undef MATRIX_COUNT_ONE
+// Indexed by wire type, so the list's order does not matter; a type missing
+// from it leaves a null name and fails the assert.
+constexpr auto kMessageNames = [] {
+  std::array<const char*, std::variant_size_v<Message>> names{};
+#define MATRIX_NAME(T) names[wire_type<T> - 1] = #T;
+  MATRIX_MESSAGE_TYPES(MATRIX_NAME)
+#undef MATRIX_NAME
+  return names;
+}();
+static_assert(std::ranges::none_of(kMessageNames,
+                                   [](const char* n) { return n == nullptr; }),
+              "MATRIX_MESSAGE_TYPES out of sync with Message");
 }  // namespace
 #undef MATRIX_MESSAGE_TYPES
 
-// ---- zero-copy frame fast paths -------------------------------------------
-
-static_assert(kTaggedPacketWireType ==
-              static_cast<std::uint8_t>(MsgType::kTaggedPacket));
-static_assert(kClientActionWireType ==
-              static_cast<std::uint8_t>(MsgType::kClientAction));
-static_assert(kServerUpdateWireType ==
-              static_cast<std::uint8_t>(MsgType::kServerUpdate));
-static_assert(kLoadReportWireType ==
-              static_cast<std::uint8_t>(MsgType::kLoadReport));
-static_assert(kStateTransferWireType ==
-              static_cast<std::uint8_t>(MsgType::kStateTransfer));
-static_assert(kClientStateTransferWireType ==
-              static_cast<std::uint8_t>(MsgType::kClientStateTransfer));
-static_assert(kQueueUpdateWireType ==
-              static_cast<std::uint8_t>(MsgType::kQueueUpdate));
-static_assert(kQueueHandoffWireType ==
-              static_cast<std::uint8_t>(MsgType::kQueueHandoff));
-
-TaggedPacket TaggedPacketView::materialize() const {
-  TaggedPacket packet;
-  packet.client = client;
-  packet.entity = entity;
-  packet.origin = origin;
-  packet.target = target;
-  packet.radius_class = radius_class;
-  packet.kind = kind;
-  packet.seq = seq;
-  packet.client_sent_at = client_sent_at;
-  packet.peer_forwarded = peer_forwarded;
-  packet.payload.assign(payload.data(), payload.size());
-  return packet;
-}
-
-std::optional<TaggedPacketView> parse_tagged_packet_frame(
-    std::span<const std::uint8_t> frame) {
-  ByteReader r(frame);
-  if (r.u8() != kTaggedPacketWireType || !r.ok()) return std::nullopt;
-  TaggedPacketView view;
-  view.client = r.id<ClientId>();
-  view.entity = r.id<EntityId>();
-  view.origin = get_vec2(r);
-  view.target = get_opt_vec2(r);
-  view.radius_class = r.u8();
-  view.kind = r.u8();
-  view.seq = r.u32();
-  view.client_sent_at = get_time(r);
-  view.peer_flag_offset = r.pos();
-  view.peer_forwarded = r.u8() != 0;
-  view.payload = r.raw_span();
-  if (!r.ok()) return std::nullopt;
-  return view;
-}
-
-std::optional<ClientActionView> parse_client_action_frame(
-    std::span<const std::uint8_t> frame) {
-  ByteReader r(frame);
-  if (r.u8() != kClientActionWireType || !r.ok()) return std::nullopt;
-  ClientActionView view;
-  view.client = r.id<ClientId>();
-  view.kind = r.u8();
-  view.position = get_vec2(r);
-  view.target = get_opt_vec2(r);
-  view.seq = r.u32();
-  view.sent_at = get_time(r);
-  view.payload = r.raw_span();
-  if (!r.ok()) return std::nullopt;
-  return view;
-}
-
-std::optional<ServerUpdateView> parse_server_update_frame(
-    std::span<const std::uint8_t> frame) {
-  ByteReader r(frame);
-  if (r.u8() != kServerUpdateWireType || !r.ok()) return std::nullopt;
-  ServerUpdateView view;
-  view.kind = r.u8();
-  view.position = get_vec2(r);
-  view.ack_seq = r.u32();
-  view.origin_sent_at = get_time(r);
-  view.payload = r.raw_span();
-  if (!r.ok()) return std::nullopt;
-  return view;
-}
-
-std::optional<LoadReportView> parse_load_report_frame(
-    std::span<const std::uint8_t> frame) {
-  ByteReader r(frame);
-  if (r.u8() != kLoadReportWireType || !r.ok()) return std::nullopt;
-  LoadReportView view;
-  view.client_count = r.u32();
-  view.queue_length = r.u32();
-  view.msgs_per_sec = r.f64();
-  view.median_position = get_vec2(r);
-  view.waiting_count = r.u32();
-  if (!r.ok()) return std::nullopt;
-  return view;
-}
-
-std::optional<QueueUpdateView> parse_queue_update_frame(
-    std::span<const std::uint8_t> frame) {
-  ByteReader r(frame);
-  if (r.u8() != kQueueUpdateWireType || !r.ok()) return std::nullopt;
-  QueueUpdateView view;
-  view.client = r.id<ClientId>();
-  view.position = r.u32();
-  view.depth = r.u32();
-  view.eta = get_time(r);
-  if (!r.ok()) return std::nullopt;
-  return view;
-}
-
-std::optional<RelayFrameView> parse_relay_frame(
-    std::span<const std::uint8_t> frame) {
-  ByteReader r(frame);
-  RelayFrameView view;
-  view.wire_type = r.u8();
-  if (!r.ok()) return std::nullopt;
-  // `to_game` sits behind 1-2 leading ids; nothing after it is read, so the
-  // relay never walks the (possibly huge) blob/entry tail.
-  switch (view.wire_type) {
-    case kStateTransferWireType:
-      r.id<ServerId>();  // from_server
-      view.to_game = r.id<NodeId>();
-      break;
-    case kClientStateTransferWireType:
-      r.id<ClientId>();  // client
-      r.id<EntityId>();  // entity
-      view.to_game = r.id<NodeId>();
-      break;
-    case kQueueHandoffWireType:
-      r.id<ServerId>();  // from_server
-      view.to_game = r.id<NodeId>();
-      break;
-    default:
-      return std::nullopt;
-  }
-  if (!r.ok()) return std::nullopt;
-  return view;
-}
-
-std::optional<Message> decode_message(std::span<const std::uint8_t> bytes) {
-  ByteReader r(bytes);
-  const auto type = static_cast<MsgType>(r.u8());
-  if (!r.ok()) return std::nullopt;
-  Message m;
-  switch (type) {
-    case MsgType::kTaggedPacket: m = decode_tagged_packet(r); break;
-    case MsgType::kClientHello: m = decode_client_hello(r); break;
-    case MsgType::kWelcome: m = decode_welcome(r); break;
-    case MsgType::kClientAction: m = decode_client_action(r); break;
-    case MsgType::kServerUpdate: m = decode_server_update(r); break;
-    case MsgType::kRedirect: m = decode_redirect(r); break;
-    case MsgType::kClientBye: m = decode_client_bye(r); break;
-    case MsgType::kLoadReport: m = decode_load_report(r); break;
-    case MsgType::kMapRange: m = decode_map_range(r); break;
-    case MsgType::kShedDone: m = decode_shed_done(r); break;
-    case MsgType::kOwnerQuery: m = decode_owner_query(r); break;
-    case MsgType::kOwnerReply: m = decode_owner_reply(r); break;
-    case MsgType::kAdopt: m = decode_adopt(r); break;
-    case MsgType::kPeerLoad: m = decode_peer_load(r); break;
-    case MsgType::kReclaimRequest: m = decode_reclaim_request(r); break;
-    case MsgType::kReclaimDecline: m = decode_reclaim_decline(r); break;
-    case MsgType::kReclaimDone: m = decode_reclaim_done(r); break;
-    case MsgType::kStateTransfer: m = decode_state_transfer(r); break;
-    case MsgType::kClientStateTransfer: m = decode_client_state_transfer(r); break;
-    case MsgType::kServerRegister: m = decode_server_register(r); break;
-    case MsgType::kServerUnregister: m = decode_server_unregister(r); break;
-    case MsgType::kOverlapTableMsg: m = decode_overlap_table(r); break;
-    case MsgType::kPointLookup: m = decode_point_lookup(r); break;
-    case MsgType::kPointOwner: m = decode_point_owner(r); break;
-    case MsgType::kPoolAcquire: m = decode_pool_acquire(r); break;
-    case MsgType::kPoolGrant: m = decode_pool_grant(r); break;
-    case MsgType::kPoolDeny: m = PoolDeny{}; break;
-    case MsgType::kPoolRelease: m = decode_pool_release(r); break;
-    case MsgType::kMcAnnounce: m = decode_mc_announce(r); break;
-    case MsgType::kJoinDeny: m = decode_join_deny(r); break;
-    case MsgType::kJoinDefer: m = decode_join_defer(r); break;
-    case MsgType::kAdmissionUpdate: m = decode_admission_update(r); break;
-    case MsgType::kPoolStatus: m = decode_pool_status(r); break;
-    case MsgType::kPoolPressure: m = decode_pool_pressure(r); break;
-    case MsgType::kQueueUpdate: m = decode_queue_update(r); break;
-    case MsgType::kLoadDigest: m = decode_load_digest(r); break;
-    case MsgType::kAdmissionDirective: m = decode_admission_directive(r); break;
-    case MsgType::kQueueHandoff: m = decode_queue_handoff(r); break;
-    case MsgType::kMcHeartbeat: m = decode_mc_heartbeat(r); break;
-    default: return std::nullopt;
-  }
-  if (!r.ok()) return std::nullopt;
-  return m;
-}
-
 const char* message_name(const Message& message) {
-  return std::visit(
-      [](const auto& body) -> const char* {
-        using T = std::decay_t<decltype(body)>;
-        if constexpr (std::is_same_v<T, TaggedPacket>) return "TaggedPacket";
-        else if constexpr (std::is_same_v<T, ClientHello>) return "ClientHello";
-        else if constexpr (std::is_same_v<T, Welcome>) return "Welcome";
-        else if constexpr (std::is_same_v<T, ClientAction>) return "ClientAction";
-        else if constexpr (std::is_same_v<T, ServerUpdate>) return "ServerUpdate";
-        else if constexpr (std::is_same_v<T, Redirect>) return "Redirect";
-        else if constexpr (std::is_same_v<T, ClientBye>) return "ClientBye";
-        else if constexpr (std::is_same_v<T, LoadReport>) return "LoadReport";
-        else if constexpr (std::is_same_v<T, MapRange>) return "MapRange";
-        else if constexpr (std::is_same_v<T, ShedDone>) return "ShedDone";
-        else if constexpr (std::is_same_v<T, OwnerQuery>) return "OwnerQuery";
-        else if constexpr (std::is_same_v<T, OwnerReply>) return "OwnerReply";
-        else if constexpr (std::is_same_v<T, Adopt>) return "Adopt";
-        else if constexpr (std::is_same_v<T, PeerLoad>) return "PeerLoad";
-        else if constexpr (std::is_same_v<T, ReclaimRequest>) return "ReclaimRequest";
-        else if constexpr (std::is_same_v<T, ReclaimDecline>) return "ReclaimDecline";
-        else if constexpr (std::is_same_v<T, ReclaimDone>) return "ReclaimDone";
-        else if constexpr (std::is_same_v<T, StateTransfer>) return "StateTransfer";
-        else if constexpr (std::is_same_v<T, ClientStateTransfer>) return "ClientStateTransfer";
-        else if constexpr (std::is_same_v<T, ServerRegister>) return "ServerRegister";
-        else if constexpr (std::is_same_v<T, ServerUnregister>) return "ServerUnregister";
-        else if constexpr (std::is_same_v<T, OverlapTableMsg>) return "OverlapTableMsg";
-        else if constexpr (std::is_same_v<T, PointLookup>) return "PointLookup";
-        else if constexpr (std::is_same_v<T, PointOwner>) return "PointOwner";
-        else if constexpr (std::is_same_v<T, PoolAcquire>) return "PoolAcquire";
-        else if constexpr (std::is_same_v<T, PoolGrant>) return "PoolGrant";
-        else if constexpr (std::is_same_v<T, PoolDeny>) return "PoolDeny";
-        else if constexpr (std::is_same_v<T, PoolRelease>) return "PoolRelease";
-        else if constexpr (std::is_same_v<T, McAnnounce>) return "McAnnounce";
-        else if constexpr (std::is_same_v<T, JoinDeny>) return "JoinDeny";
-        else if constexpr (std::is_same_v<T, JoinDefer>) return "JoinDefer";
-        else if constexpr (std::is_same_v<T, AdmissionUpdate>) return "AdmissionUpdate";
-        else if constexpr (std::is_same_v<T, PoolStatus>) return "PoolStatus";
-        else if constexpr (std::is_same_v<T, PoolPressure>) return "PoolPressure";
-        else if constexpr (std::is_same_v<T, QueueUpdate>) return "QueueUpdate";
-        else if constexpr (std::is_same_v<T, LoadDigest>) return "LoadDigest";
-        else if constexpr (std::is_same_v<T, AdmissionDirective>) return "AdmissionDirective";
-        else if constexpr (std::is_same_v<T, QueueHandoff>) return "QueueHandoff";
-        else if constexpr (std::is_same_v<T, McHeartbeat>) return "McHeartbeat";
-        else return "Unknown";
-      },
-      message);
+  return kMessageNames[message.index()];
 }
 
 }  // namespace matrix

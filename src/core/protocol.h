@@ -21,11 +21,20 @@
 //   matrix  ↔ pool    : PoolAcquire, PoolGrant, PoolDeny, PoolRelease
 //   pool    → MC      : PoolStatus;  MC → matrix : PoolPressure,
 //                       AdmissionDirective
+//
+// The wire layout of each message is declared once, as its field list in
+// protocol.cpp; one generic codec derives the encoder, the canonical
+// decoder, the exact size reservation and the frame views from it.  The
+// type byte is the message's index in the Message variant plus one.
+// Adding a message: define its struct here (with a defaulted operator==),
+// append it to Message, and add its field-list line to protocol.cpp.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -57,6 +66,7 @@ struct TaggedPacket {
   SimTime client_sent_at{};       ///< stamped by client; for latency metrics
   bool peer_forwarded = false;    ///< set on matrix→matrix relay (no re-fwd)
   PayloadBytes payload;           ///< game-specific body (opaque)
+  bool operator==(const TaggedPacket&) const = default;
 };
 
 // ---------------------------------------------------------------------------
@@ -75,6 +85,7 @@ struct ClientHello {
   /// 0 = NORMAL, 1 = VIP.  Resumes outrank both and are flagged by `resume`,
   /// not here.  Ignored entirely while the waiting room is disabled.
   std::uint8_t priority = 0;
+  bool operator==(const ClientHello&) const = default;
 };
 
 struct Welcome {
@@ -82,6 +93,7 @@ struct Welcome {
   EntityId avatar;
   Rect authority;                  ///< the server's current map range
   std::uint32_t redirect_seq = 0;
+  bool operator==(const Welcome&) const = default;
 };
 
 /// A player input: move / fire / interact, stamped for latency measurement.
@@ -93,6 +105,7 @@ struct ClientAction {
   std::uint32_t seq = 0;
   SimTime sent_at{};
   PayloadBytes payload;
+  bool operator==(const ClientAction&) const = default;
 };
 
 /// Game server → client state delta.  `ack_seq` is nonzero when this update
@@ -104,6 +117,7 @@ struct ServerUpdate {
   std::uint32_t ack_seq = 0;
   SimTime origin_sent_at{};
   PayloadBytes payload;
+  bool operator==(const ServerUpdate&) const = default;
 };
 
 /// Orders a client to reconnect to a different game server (paper §3.2.1:
@@ -112,10 +126,12 @@ struct Redirect {
   NodeId new_game_node;
   ServerId new_server;
   std::uint32_t redirect_seq = 0;
+  bool operator==(const Redirect&) const = default;
 };
 
 struct ClientBye {
   ClientId client;
+  bool operator==(const ClientBye&) const = default;
 };
 
 // ---------------------------------------------------------------------------
@@ -133,6 +149,7 @@ struct LoadReport {
   /// Joins parked in the surge queue (src/control/surge_queue.h); 0 while
   /// the waiting room is disabled.  Surfaced in MatrixServer::Stats.
   std::uint32_t waiting_count = 0;
+  bool operator==(const LoadReport&) const = default;
 };
 
 /// Matrix server → game server: your authoritative range changed.  When
@@ -145,6 +162,7 @@ struct MapRange {
   ServerId shed_to_server;
   bool reclaim = false;             ///< true ⇒ shedding everything to parent
   std::uint64_t topology_epoch = 0;
+  bool operator==(const MapRange&) const = default;
 };
 
 /// Game server → Matrix server: the shed ordered by MapRange has finished
@@ -152,6 +170,7 @@ struct MapRange {
 struct ShedDone {
   std::uint64_t topology_epoch = 0;
   std::uint32_t clients_redirected = 0;
+  bool operator==(const ShedDone&) const = default;
 };
 
 /// Game server → Matrix server: "which game server owns this point?"
@@ -162,6 +181,7 @@ struct OwnerQuery {
   Vec2 point;
   ClientId client;
   std::uint32_t seq = 0;
+  bool operator==(const OwnerQuery&) const = default;
 };
 
 /// Matrix server → game server: answer to OwnerQuery.
@@ -171,6 +191,7 @@ struct OwnerReply {
   bool found = false;
   ServerId server;
   NodeId game_node;
+  bool operator==(const OwnerReply&) const = default;
 };
 
 // ---------------------------------------------------------------------------
@@ -189,6 +210,7 @@ struct Adopt {
   std::vector<double> extra_radii;  ///< exceptional radius classes, in order
   std::vector<std::string> content_keys;
   std::uint64_t topology_epoch = 0;
+  bool operator==(const Adopt&) const = default;
 };
 
 /// Child → parent heartbeat enabling the parent's reclaim decision.  A
@@ -198,6 +220,7 @@ struct PeerLoad {
   ServerId server;
   std::uint32_t client_count = 0;
   std::uint32_t child_count = 0;
+  bool operator==(const PeerLoad&) const = default;
 };
 
 /// Parent → child: begin reclamation (paper §3.2.3).  `topology_epoch` is
@@ -206,6 +229,7 @@ struct PeerLoad {
 /// never reclaim a server that has since been re-granted to someone else.
 struct ReclaimRequest {
   std::uint64_t topology_epoch = 0;
+  bool operator==(const ReclaimRequest&) const = default;
 };
 
 /// Child → parent: reclamation refused (the child is mid-split, already
@@ -216,6 +240,7 @@ struct ReclaimRequest {
 struct ReclaimDecline {
   ServerId child;
   std::uint64_t topology_epoch = 0;
+  bool operator==(const ReclaimDecline&) const = default;
 };
 
 /// Child → parent: reclamation finished; `range` returns to the parent.
@@ -223,6 +248,7 @@ struct ReclaimDone {
   ServerId child;
   Rect range;
   std::uint64_t topology_epoch = 0;
+  bool operator==(const ReclaimDone&) const = default;
 };
 
 /// Bulk game state (map objects) relayed game→matrix→matrix→game during
@@ -233,6 +259,7 @@ struct StateTransfer {
   Rect range;
   std::uint32_t object_count = 0;
   std::vector<std::uint8_t> blob;
+  bool operator==(const StateTransfer&) const = default;
 };
 
 /// One switching client's avatar state, relayed server→server ahead of the
@@ -242,6 +269,7 @@ struct ClientStateTransfer {
   EntityId entity;
   NodeId to_game;
   std::vector<std::uint8_t> blob;
+  bool operator==(const ClientStateTransfer&) const = default;
 };
 
 // ---------------------------------------------------------------------------
@@ -256,10 +284,12 @@ struct ServerRegister {
   NodeId game_node;
   Rect range;
   std::vector<double> radii;  ///< game default first, then exceptional radii
+  bool operator==(const ServerRegister&) const = default;
 };
 
 struct ServerUnregister {
   ServerId server;
+  bool operator==(const ServerUnregister&) const = default;
 };
 
 /// One overlap region as shipped to a Matrix server: every point in `rect`
@@ -268,6 +298,7 @@ struct OverlapRegionWire {
   Rect rect;
   std::vector<ServerId> peer_servers;
   std::vector<NodeId> peer_matrix_nodes;  ///< parallel to peer_servers
+  bool operator==(const OverlapRegionWire&) const = default;
 };
 
 /// MC → Matrix server: your overlap table for one radius class.
@@ -278,6 +309,7 @@ struct OverlapTableMsg {
   double radius = 0.0;
   std::uint64_t version = 0;  ///< MC recompute generation
   std::vector<OverlapRegionWire> regions;
+  bool operator==(const OverlapTableMsg&) const = default;
 };
 
 /// Matrix server → MC: who owns this point?  Used only for the rare
@@ -285,6 +317,7 @@ struct OverlapTableMsg {
 struct PointLookup {
   Vec2 point;
   std::uint32_t lookup_seq = 0;
+  bool operator==(const PointLookup&) const = default;
 };
 
 struct PointOwner {
@@ -293,6 +326,7 @@ struct PointOwner {
   ServerId server;
   NodeId matrix_node;
   NodeId game_node;
+  bool operator==(const PointOwner&) const = default;
 };
 
 // ---------------------------------------------------------------------------
@@ -309,20 +343,25 @@ struct PointOwner {
 struct PoolAcquire {
   ServerId requester;
   double need = 0.0;
+  bool operator==(const PoolAcquire&) const = default;
 };
 
 struct PoolGrant {
   ServerId server;
   NodeId matrix_node;
   NodeId game_node;
+  bool operator==(const PoolGrant&) const = default;
 };
 
-struct PoolDeny {};
+struct PoolDeny {
+  bool operator==(const PoolDeny&) const = default;
+};
 
 struct PoolRelease {
   ServerId server;
   NodeId matrix_node;
   NodeId game_node;
+  bool operator==(const PoolRelease&) const = default;
 };
 
 // ---------------------------------------------------------------------------
@@ -334,6 +373,7 @@ struct PoolRelease {
 struct JoinDeny {
   ClientId client;
   SimTime retry_after{};
+  bool operator==(const JoinDeny&) const = default;
 };
 
 /// Game server → client: join not admitted right now (admission SOFT and
@@ -342,6 +382,7 @@ struct JoinDeny {
 struct JoinDefer {
   ClientId client;
   SimTime retry_after{};
+  bool operator==(const JoinDefer&) const = default;
 };
 
 /// Matrix server → its game server: the admission state changed.  `state`
@@ -351,6 +392,7 @@ struct JoinDefer {
 struct AdmissionUpdate {
   std::uint8_t state = 0;
   std::uint64_t seq = 0;
+  bool operator==(const AdmissionUpdate&) const = default;
 };
 
 /// Game server → waiting client: you are parked in the surge queue
@@ -365,12 +407,14 @@ struct QueueUpdate {
   std::uint32_t position = 0;
   std::uint32_t depth = 0;
   SimTime eta{};
+  bool operator==(const QueueUpdate&) const = default;
 };
 
 /// Resource pool → MC: occupancy changed (grant/release/seed).
 struct PoolStatus {
   std::uint32_t idle = 0;
   std::uint32_t total = 0;
+  bool operator==(const PoolStatus&) const = default;
 };
 
 /// Matrix server → MC: per-server load digest feeding coordinator-led
@@ -384,6 +428,7 @@ struct LoadDigest {
   std::uint32_t queue_length = 0;
   std::uint32_t waiting_count = 0;  ///< surge-queue depth
   std::uint8_t admission_state = 0; ///< local AdmissionState
+  bool operator==(const LoadDigest&) const = default;
 };
 
 /// MC → Matrix server (relayed matrix → game): coordinator-led global
@@ -401,6 +446,7 @@ struct AdmissionDirective {
   double token_rate = 0.0;          ///< joins/s granted to this server
   double pressure = 0.0;            ///< deployment pressure score (observability)
   std::uint32_t waiting_total = 0;  ///< deployment-wide parked joins
+  bool operator==(const AdmissionDirective&) const = default;
 };
 
 /// One parked join handed across servers (split/merge): enough to re-park
@@ -411,6 +457,7 @@ struct QueueHandoffEntry {
   Vec2 position;
   std::uint8_t cls = 0;   ///< original PriorityClass
   SimTime enqueued_at{};  ///< original park time (age keeps accruing)
+  bool operator==(const QueueHandoffEntry&) const = default;
 };
 
 /// Game server → Matrix (relay) → game server: surge-queue entries whose
@@ -421,6 +468,7 @@ struct QueueHandoff {
   ServerId from_server;
   NodeId to_game;
   std::vector<QueueHandoffEntry> entries;
+  bool operator==(const QueueHandoff&) const = default;
 };
 
 /// MC → every Matrix server: deployment-wide pool pressure, rebroadcast
@@ -429,6 +477,7 @@ struct QueueHandoff {
 struct PoolPressure {
   std::uint32_t idle = 0;
   std::uint32_t total = 0;
+  bool operator==(const PoolPressure&) const = default;
 };
 
 // ---------------------------------------------------------------------------
@@ -444,6 +493,7 @@ struct PoolPressure {
 struct McAnnounce {
   NodeId mc_node;
   std::uint64_t generation = 0;  ///< monotonically increasing MC incarnation
+  bool operator==(const McAnnounce&) const = default;
 };
 
 /// Periodic coordinator liveness beacon (control-plane failsafe,
@@ -458,12 +508,15 @@ struct McHeartbeat {
   NodeId mc_node;
   std::uint64_t generation = 0;
   std::uint64_t seq = 0;
+  bool operator==(const McHeartbeat&) const = default;
 };
 
 // ---------------------------------------------------------------------------
 // Envelope-level message
 // ---------------------------------------------------------------------------
 
+/// Every message type.  The order is the wire format: alternative i travels
+/// with type byte i + 1 (wire_type below).  Append new alternatives only.
 using Message =
     std::variant<TaggedPacket, ClientHello, Welcome, ClientAction,
                  ServerUpdate, Redirect, ClientBye, LoadReport, MapRange,
@@ -476,15 +529,25 @@ using Message =
                  QueueUpdate, LoadDigest, AdmissionDirective, QueueHandoff,
                  McHeartbeat>;
 
+/// The first byte of every encoded `T`: its Message index plus one, so 0 is
+/// never a valid type byte.  Frame handlers switch on it.
+template <typename T>
+inline constexpr std::uint8_t wire_type =
+    []<typename... Ts>(std::variant<Ts...>*) {
+      const std::variant<std::type_identity<Ts>...> probe{
+          std::type_identity<T>{}};
+      return static_cast<std::uint8_t>(probe.index() + 1);
+    }(static_cast<Message*>(nullptr));
+
 /// Serializes `message` (1 type byte + body).
 [[nodiscard]] std::vector<std::uint8_t> encode_message(const Message& message);
 
-/// Serializes into `writer`, reserving a per-type size hint up front.  Pair
+/// Serializes into `writer`, reserving the exact frame size up front.  Pair
 /// the writer with a recycled buffer (Network::rent_buffer) and steady-state
 /// encoding performs no allocation at all.
 void encode_message_into(ByteWriter& writer, const Message& message);
 
-/// Serializes a single message body (type byte + body, hint-reserved)
+/// Serializes a single message body (type byte + body, size-reserved)
 /// without ever constructing the Message variant — the typed fast path
 /// behind ProtocolNode's and MatrixPort's sends, which otherwise would copy
 /// the body (payload included) into a temporary variant per send.
@@ -496,24 +559,13 @@ void encode_one_into(ByteWriter& writer, const Body& body);
 // Zero-copy frame fast paths (the engine hot path)
 // ---------------------------------------------------------------------------
 //
-// The three messages that dominate steady-state traffic — TaggedPacket,
-// ClientAction, ServerUpdate — can be routed/applied from a partial decode
-// that never copies the opaque payload and never materializes the Message
-// variant.  `ProtocolNode::on_frame` overrides use these views; parse_*
-// returns nullopt for any other frame type or a malformed body, sending the
-// message down the ordinary decode path.  Each view's decoded fields are
-// bit-identical to what decode_message would produce.
-
-/// Wire type bytes of the fast-path frames.  Values are pinned against the
-/// private MsgType enum by static_asserts in protocol.cpp.
-inline constexpr std::uint8_t kTaggedPacketWireType = 1;
-inline constexpr std::uint8_t kClientActionWireType = 4;
-inline constexpr std::uint8_t kServerUpdateWireType = 5;
-inline constexpr std::uint8_t kLoadReportWireType = 8;
-inline constexpr std::uint8_t kStateTransferWireType = 18;
-inline constexpr std::uint8_t kClientStateTransferWireType = 19;
-inline constexpr std::uint8_t kQueueUpdateWireType = 35;
-inline constexpr std::uint8_t kQueueHandoffWireType = 38;
+// The messages that dominate steady-state traffic can be routed/applied
+// without materializing the Message variant.  `ProtocolNode::on_frame`
+// overrides use these parsers; each returns nullopt for any other frame type
+// and for exactly the frames decode_message rejects, sending the message
+// down the ordinary decode path.  A view is the message's own field list
+// read with the opaque payload left in the frame as a span, so its fields
+// are bit-identical to what decode_message would produce.
 
 struct TaggedPacketView {
   ClientId client;
@@ -554,34 +606,13 @@ struct ServerUpdateView {
   std::span<const std::uint8_t> payload;  ///< view into the frame
 };
 
-/// LoadReport decoded without touching the Message variant.  Every game
-/// server emits one per report interval, so at 100k-client scale the matrix
-/// tier decodes thousands per sim-second — all fixed-width fields, no reason
-/// to pay the 39-alternative variant construction for any of them.
-struct LoadReportView {
-  std::uint32_t client_count = 0;
-  std::uint32_t queue_length = 0;
-  double msgs_per_sec = 0.0;
-  Vec2 median_position;
-  std::uint32_t waiting_count = 0;
-};
-
-/// QueueUpdate decoded without the Message variant.  Surge scenarios park
-/// tens of thousands of clients, each pinged on every drain tick — the
-/// second-hottest client-bound frame after ServerUpdate.
-struct QueueUpdateView {
-  ClientId client;
-  std::uint32_t position = 0;
-  std::uint32_t depth = 0;
-  SimTime eta{};
-};
-
 /// The matrix leg of a game→matrix→game relay (StateTransfer,
 /// ClientStateTransfer, QueueHandoff) needs exactly one field: where to
 /// forward.  The relay re-sends the arriving frame bytes untouched
 /// (encode∘decode is the identity, so the raw forward is byte-identical to
 /// decode-then-re-encode) and the blob — unbounded during big sheds — is
-/// never copied through a decoded struct.
+/// never copied through a decoded struct.  Only the leading ids are read;
+/// the destination game server's full decode validates the rest.
 struct RelayFrameView {
   std::uint8_t wire_type = 0;
   NodeId to_game;
@@ -593,14 +624,21 @@ struct RelayFrameView {
     std::span<const std::uint8_t> frame);
 [[nodiscard]] std::optional<ServerUpdateView> parse_server_update_frame(
     std::span<const std::uint8_t> frame);
-[[nodiscard]] std::optional<LoadReportView> parse_load_report_frame(
+/// LoadReport and QueueUpdate carry no payload, so their "view" is the
+/// message itself, decoded without the 39-alternative variant: every game
+/// server reports per interval and surge queues ping every parked client
+/// per drain tick.
+[[nodiscard]] std::optional<LoadReport> parse_load_report_frame(
     std::span<const std::uint8_t> frame);
-[[nodiscard]] std::optional<QueueUpdateView> parse_queue_update_frame(
+[[nodiscard]] std::optional<QueueUpdate> parse_queue_update_frame(
     std::span<const std::uint8_t> frame);
 [[nodiscard]] std::optional<RelayFrameView> parse_relay_frame(
     std::span<const std::uint8_t> frame);
 
 /// Parses bytes back into a Message; std::nullopt on malformed input.
+/// Decoding is canonical: trailing bytes, flag bytes other than 0/1 and
+/// non-minimal varints are rejected, so every accepted frame re-encodes to
+/// exactly its own bytes (the property raw relays depend on).
 [[nodiscard]] std::optional<Message> decode_message(
     std::span<const std::uint8_t> bytes);
 

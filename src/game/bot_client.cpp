@@ -53,7 +53,7 @@ void BotClient::pair_ack(std::uint32_t ack_seq) {
 bool BotClient::on_frame(const Envelope& envelope) {
   const std::vector<std::uint8_t>& frame = envelope.payload;
   if (frame.empty()) return false;
-  if (frame[0] == kQueueUpdateWireType) {
+  if (frame[0] == wire_type<QueueUpdate>) {
     // Waiting-room ping: sent to every parked client on every drain tick, so
     // a deep surge queue makes this the second-hottest client-bound frame.
     // Mirrors the QueueUpdate branch of on_message exactly.
@@ -74,7 +74,7 @@ bool BotClient::on_frame(const Envelope& envelope) {
     }
     return true;
   }
-  if (frame[0] != kServerUpdateWireType) return false;
+  if (frame[0] != wire_type<ServerUpdate>) return false;
   const auto view = parse_server_update_frame(frame);
   if (!view) return false;  // malformed: the generic path counts it
   if (!playing_) return true;

@@ -534,7 +534,7 @@ void GameServer::spawn_map_objects(std::size_t count, const Rect& area,
 bool GameServer::on_frame(const Envelope& envelope) {
   const std::vector<std::uint8_t>& frame = envelope.payload;
   if (frame.empty()) return false;
-  if (frame[0] == kTaggedPacketWireType) {
+  if (frame[0] == wire_type<TaggedPacket>) {
     // Mirrors on_message → try_dispatch → handle_remote_packet: an unwired
     // server has no port to consume the packet, so the generic path (which
     // drops it) must handle the frame instead.
@@ -546,7 +546,7 @@ bool GameServer::on_frame(const Envelope& envelope) {
                        view->radius_class, view->client_sent_at, view->kind);
     return true;
   }
-  if (frame[0] == kClientActionWireType) {
+  if (frame[0] == wire_type<ClientAction>) {
     const auto view = parse_client_action_frame(frame);
     if (!view) return false;
     ++msgs_since_report_;

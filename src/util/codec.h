@@ -7,8 +7,12 @@
 //
 // Encoding: little-endian fixed-width integers, IEEE-754 doubles, LEB128
 // varints for counts, length-prefixed strings.  No alignment padding.
+// Decoding is canonical: ByteReader accepts only the one encoding ByteWriter
+// produces for a value (minimal varints, 0/1 flags), so re-encoding any
+// accepted input reproduces its bytes.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -21,6 +25,62 @@
 #include "util/payload_bytes.h"
 
 namespace matrix {
+
+/// Bytes ByteWriter::varint spends on `v`: one per started 7-bit group.
+[[nodiscard]] constexpr std::size_t varint_size(std::uint64_t v) {
+  return (static_cast<std::size_t>(std::bit_width(v | 1)) + 6) / 7;
+}
+
+/// Writes primitives through a cursor into storage already sized for them
+/// (ByteWriter::extend).  Nothing is bounds-checked: the caller sizes the
+/// storage first, e.g. with a ByteCounter run over the same calls.
+class ByteCursor {
+ public:
+  explicit ByteCursor(std::uint8_t* at) : at_(at) {}
+
+  void u8(std::uint8_t v) { *at_++ = v; }
+  void u16(std::uint16_t v) { append_le(v); }
+  void u32(std::uint32_t v) { append_le(v); }
+  void u64(std::uint64_t v) { append_le(v); }
+  void i64(std::int64_t v) { append_le(static_cast<std::uint64_t>(v)); }
+  void f64(double v) { append_le(std::bit_cast<std::uint64_t>(v)); }
+
+  /// LEB128 unsigned varint — compact for small counts.
+  void varint(std::uint64_t v) {
+    while (v >= 0x80) {
+      *at_++ = static_cast<std::uint8_t>(v) | 0x80;
+      v >>= 7;
+    }
+    *at_++ = static_cast<std::uint8_t>(v);
+  }
+
+  void str(std::string_view s) {
+    raw({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
+  }
+
+  void raw(std::span<const std::uint8_t> bytes) {
+    varint(bytes.size());
+    // memcpy's pointers must be non-null even for zero sizes.
+    if (!bytes.empty()) std::memcpy(at_, bytes.data(), bytes.size());
+    at_ += bytes.size();
+  }
+
+  template <typename Tag>
+  void id(Id<Tag> v) {
+    varint(v.value());
+  }
+
+ private:
+  template <typename T>
+  void append_le(T v) {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      at_[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+    at_ += sizeof(T);
+  }
+
+  std::uint8_t* at_;
+};
 
 /// Appends primitive values to a growing byte buffer.
 class ByteWriter {
@@ -35,45 +95,31 @@ class ByteWriter {
     buf_.clear();
   }
 
-  /// Pre-sizes the buffer (the size-hinted encode paths in core/protocol
-  /// use this so common messages encode without reallocation even on a
-  /// fresh buffer).
-  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
-
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return buf_; }
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
 
-  void u8(std::uint8_t v) { buf_.push_back(v); }
-
-  void u16(std::uint16_t v) { append_le(v); }
-  void u32(std::uint32_t v) { append_le(v); }
-  void u64(std::uint64_t v) { append_le(v); }
-  void i64(std::int64_t v) { append_le(static_cast<std::uint64_t>(v)); }
-
-  void f64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    append_le(bits);
+  /// Grows the buffer by `n` bytes and returns a cursor over them — one
+  /// size check for a whole run of writes.  The cursor is invalidated by
+  /// the next call that grows the buffer.
+  [[nodiscard]] ByteCursor extend(std::size_t n) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    return ByteCursor(buf_.data() + at);
   }
 
-  /// LEB128 unsigned varint — compact for small counts.
-  void varint(std::uint64_t v) {
-    while (v >= 0x80) {
-      buf_.push_back(static_cast<std::uint8_t>(v) | 0x80);
-      v >>= 7;
-    }
-    buf_.push_back(static_cast<std::uint8_t>(v));
-  }
-
+  void u8(std::uint8_t v) { extend(1).u8(v); }
+  void u16(std::uint16_t v) { extend(2).u16(v); }
+  void u32(std::uint32_t v) { extend(4).u32(v); }
+  void u64(std::uint64_t v) { extend(8).u64(v); }
+  void i64(std::int64_t v) { extend(8).i64(v); }
+  void f64(double v) { extend(8).f64(v); }
+  void varint(std::uint64_t v) { extend(varint_size(v)).varint(v); }
   void str(std::string_view s) {
-    varint(s.size());
-    buf_.insert(buf_.end(), s.begin(), s.end());
+    extend(varint_size(s.size()) + s.size()).str(s);
   }
-
   void raw(std::span<const std::uint8_t> bytes) {
-    varint(bytes.size());
-    buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+    extend(varint_size(bytes.size()) + bytes.size()).raw(bytes);
   }
 
   template <typename Tag>
@@ -82,24 +128,38 @@ class ByteWriter {
   }
 
  private:
-  template <typename T>
-  void append_le(T v) {
-    // Bulk write (one resize + one wide store after optimization) instead of
-    // per-byte push_back — encoding is f64/u64-heavy on the hot path.
-    const std::size_t n = buf_.size();
-    buf_.resize(n + sizeof(T));
-    std::uint8_t* out = buf_.data() + n;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      out[i] = static_cast<std::uint8_t>(v >> (8 * i));
-    }
-  }
-
   std::vector<std::uint8_t> buf_;
 };
 
+/// Counts the bytes a ByteCursor would write for the same calls, so a
+/// generic encoder can size its frame exactly before writing it.
+class ByteCounter {
+ public:
+  [[nodiscard]] std::size_t size() const { return n_; }
+
+  void u8(std::uint8_t) { n_ += 1; }
+  void u32(std::uint32_t) { n_ += 4; }
+  void u64(std::uint64_t) { n_ += 8; }
+  void i64(std::int64_t) { n_ += 8; }
+  void f64(double) { n_ += 8; }
+  void varint(std::uint64_t v) { n_ += varint_size(v); }
+  void str(std::string_view s) { n_ += varint_size(s.size()) + s.size(); }
+  void raw(std::span<const std::uint8_t> b) {
+    n_ += varint_size(b.size()) + b.size();
+  }
+
+  template <typename Tag>
+  void id(Id<Tag> v) {
+    varint(v.value());
+  }
+
+ private:
+  std::size_t n_ = 0;
+};
+
 /// Reads primitives back out of a byte buffer.  All reads are bounds-checked;
-/// a malformed buffer flips `ok()` to false and subsequent reads return
-/// zero values instead of touching out-of-range memory.
+/// a malformed or non-canonical buffer flips `ok()` to false and subsequent
+/// reads return zero values instead of touching out-of-range memory.
 class ByteReader {
  public:
   explicit ByteReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
@@ -138,20 +198,34 @@ class ByteReader {
     return v;
   }
 
+  /// A 0/1 byte (bools, optional presence).  Any other value fails: it
+  /// would decode to a value that re-encodes differently.
+  bool flag() {
+    const std::uint8_t v = u8();
+    if (v > 1) ok_ = false;
+    return v == 1;
+  }
+
+  /// Minimal LEB128 only: a zero final group after the first, or bits past
+  /// the 64th, fail rather than alias a shorter encoding.
   std::uint64_t varint() {
     std::uint64_t v = 0;
-    int shift = 0;
-    while (true) {
-      if (!check(1) || shift > 63) {
-        ok_ = false;
-        return 0;
-      }
+    for (int shift = 0; shift < 64 && check(1); shift += 7) {
       const std::uint8_t byte = bytes_[pos_++];
       v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-      if ((byte & 0x80) == 0) break;
-      shift += 7;
+      if ((byte & 0x80) != 0) continue;
+      if ((byte == 0 && shift > 0) || (shift == 63 && byte > 1)) break;
+      return v;
     }
-    return v;
+    ok_ = false;
+    return 0;
+  }
+
+  /// A varint element count, bounded by the bytes left (every element takes
+  /// at least one), so a hostile count fails before anything is allocated.
+  std::size_t count() {
+    const std::uint64_t n = varint();
+    return check(n) ? static_cast<std::size_t>(n) : 0;
   }
 
   std::string str() {
@@ -198,15 +272,21 @@ class ByteReader {
   template <typename T>
   T read_le() {
     if (!check(sizeof(T))) return T{};
-    // Accumulate in u64 with the canonical little-endian idiom, which
-    // optimizers collapse into a single wide load.
     const std::uint8_t* in = bytes_.data() + pos_;
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v |= static_cast<std::uint64_t>(in[i]) << (8 * i);
-    }
     pos_ += sizeof(T);
-    return static_cast<T>(v);
+    T v;
+    if constexpr (std::endian::native == std::endian::little) {
+      // One wide load.  Optimizers do not reliably merge the portable byte
+      // loop below once it is inlined into a long field sequence.
+      std::memcpy(&v, in, sizeof v);
+    } else {
+      std::uint64_t acc = 0;
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        acc |= static_cast<std::uint64_t>(in[i]) << (8 * i);
+      }
+      v = static_cast<T>(acc);
+    }
+    return v;
   }
 
   std::span<const std::uint8_t> bytes_;

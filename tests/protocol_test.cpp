@@ -1,9 +1,11 @@
 // Wire-protocol tests (core/protocol.h): one randomized round-trip PROPERTY
 // over every Message alternative (replacing the old hand-written
-// per-message cases), decoder robustness against malformed input, and the
-// ServerSet consistency-set container.
+// per-message cases), canonical decoding of mutated frames, agreement of
+// the zero-copy frame views with the full decode, decoder robustness
+// against malformed input, and the ServerSet consistency-set container.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <variant>
 
@@ -70,16 +72,16 @@ TEST(ServerSetTest, EqualityIsOrderIndependent) {
 // ---------------------------------------------------------------------------
 //
 // For any message m with randomized fields:
-//   * decode(encode(m)) succeeds and lands on the same variant alternative;
+//   * decode(encode(m)) succeeds and equals m, so a member left out of its
+//     field list in protocol.cpp is caught (it would come back defaulted);
 //   * re-encoding the decoded message reproduces the original bytes
-//     byte-for-byte (the codec is a bijection on its value space — field
-//     equality without needing operator== on 38 structs);
+//     byte-for-byte (the codec is a bijection on its value space);
 //   * message_name covers the alternative.
 //
-// One parameterized test instead of a hand-written case per message: adding
-// a field to any struct is caught as soon as its encoder/decoder disagree,
-// and adding a NEW message breaks the static_assert below until the
-// generator covers it.
+// One parameterized test instead of a hand-written case per message, and
+// adding a NEW message breaks the static_assert below until the generator
+// covers it.  The generator is written out by hand on purpose: deriving it
+// from the schema would make the test agree with any schema mistake.
 
 static_assert(std::variant_size_v<Message> == 39,
               "New Message alternative: extend random_message() below");
@@ -414,6 +416,9 @@ TEST_P(ProtocolRoundTripProperty, EveryMessageSurvivesTheCodec) {
           << message_name(in) << " failed to decode (seed " << GetParam()
           << ", rep " << rep << ")";
       EXPECT_EQ(out->index(), index) << message_name(in);
+      EXPECT_TRUE(*out == in)
+          << message_name(in) << " decoded to a different value (seed "
+          << GetParam() << ", rep " << rep << ")";
       EXPECT_EQ(encode_message(*out), bytes)
           << message_name(in) << " re-encode mismatch (seed " << GetParam()
           << ", rep " << rep << ")";
@@ -424,10 +429,8 @@ TEST_P(ProtocolRoundTripProperty, EveryMessageSurvivesTheCodec) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ProtocolRoundTripProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
-// The byte-equality property has one blind spot: a field omitted from BOTH
-// encoder and decoder round-trips perfectly and is silently lost on the
-// wire.  Pin decoded field VALUES for the fields most recently added to
-// the protocol, so exactly that regression class stays covered.
+// Pins decoded field VALUES for the fields most recently added to the
+// protocol, from hand-picked inputs rather than the generator.
 TEST(ProtocolTest, RecentFieldsSurviveDecoding) {
   const auto acquire =
       decode_message(encode_message(Message{PoolAcquire{ServerId(7), 3.25}}));
@@ -472,51 +475,251 @@ TEST(ProtocolTest, RecentFieldsSurviveDecoding) {
 }
 
 // ---------------------------------------------------------------------------
-// Zero-copy frame fast paths
+// Mutated frames
 // ---------------------------------------------------------------------------
-// Each parse_*_frame view must agree field-for-field with the full decode of
-// the same bytes — the on_frame overrides that use them promise behavioral
-// identity with their on_message twins.
 
-TEST(ProtocolTest, LoadReportViewMatchesFullDecode) {
-  LoadReport report;
-  report.client_count = 312;
-  report.queue_length = 17;
-  report.msgs_per_sec = 1234.5;
-  report.median_position = {40.0, 60.5};
-  report.waiting_count = 41;
-  const auto bytes = encode_message(Message{report});
-  const auto view = parse_load_report_frame(bytes);
-  ASSERT_TRUE(view.has_value());
-  EXPECT_EQ(view->client_count, report.client_count);
-  EXPECT_EQ(view->queue_length, report.queue_length);
-  EXPECT_DOUBLE_EQ(view->msgs_per_sec, report.msgs_per_sec);
-  EXPECT_EQ(view->median_position, report.median_position);
-  EXPECT_EQ(view->waiting_count, report.waiting_count);
-  // Non-LoadReport and truncated frames fall back to the generic path.
-  EXPECT_FALSE(parse_load_report_frame(encode_message(Message{PoolDeny{}})));
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_FALSE(parse_load_report_frame({bytes.data(), len}));
+using Frame = std::vector<std::uint8_t>;
+
+/// Every strict prefix of `frame`, the frame with one byte appended, and
+/// the frame with each byte in turn replaced by three random other values.
+std::vector<Frame> mutations(const Frame& frame, Rng& rng) {
+  std::vector<Frame> out;
+  for (std::size_t len = 0; len < frame.size(); ++len) {
+    out.emplace_back(frame.begin(), frame.begin() + len);
+  }
+  out.push_back(frame);
+  out.back().push_back(rnd_u8(rng));
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    for (int k = 0; k < 3; ++k) {
+      out.push_back(frame);
+      out.back()[i] ^= static_cast<std::uint8_t>(1 + rng.next_below(255));
+    }
+  }
+  return out;
+}
+
+// Decoding is canonical: no frame is accepted unless it is exactly the
+// encoding of the message it decodes to.  That is what makes a raw relay
+// (send_raw, the peer-flag flip) byte-identical to decode-then-re-encode.
+TEST(ProtocolTest, MutatedFramesDecodeOnlyToTheirOwnEncoding) {
+  Rng rng(4711);
+  for (std::size_t index = 0; index < std::variant_size_v<Message>; ++index) {
+    for (int rep = 0; rep < 4; ++rep) {
+      const Message in = random_message(index, rng);
+      const Frame frame = encode_message(in);
+      const std::size_t prefixes = frame.size();
+      const std::vector<Frame> mutated = mutations(frame, rng);
+      for (std::size_t i = 0; i < mutated.size(); ++i) {
+        const auto out = decode_message(mutated[i]);
+        if (i <= prefixes) {
+          EXPECT_FALSE(out.has_value())
+              << message_name(in) << " accepted "
+              << (i < prefixes ? "a strict prefix" : "an appended byte");
+        } else if (out.has_value()) {
+          EXPECT_EQ(encode_message(*out), mutated[i])
+              << message_name(*out) << " accepted a non-canonical flip of "
+              << "byte " << (i - prefixes - 1) / 3;
+        }
+      }
+      constexpr int kLastType = std::variant_size_v<Message>;
+      Frame retyped = frame;
+      for (int type = 0; type < 256; ++type) {
+        if (type >= 1 && type <= kLastType) continue;
+        retyped[0] = static_cast<std::uint8_t>(type);
+        EXPECT_FALSE(decode_message(retyped).has_value()) << "type " << type;
+      }
+    }
   }
 }
 
-TEST(ProtocolTest, QueueUpdateViewMatchesFullDecode) {
-  QueueUpdate update;
-  update.client = ClientId(77);
-  update.position = 5;
-  update.depth = 230;
-  update.eta = SimTime::from_ms(1500);
-  const auto bytes = encode_message(Message{update});
-  const auto view = parse_queue_update_frame(bytes);
-  ASSERT_TRUE(view.has_value());
-  EXPECT_EQ(view->client, update.client);
-  EXPECT_EQ(view->position, update.position);
-  EXPECT_EQ(view->depth, update.depth);
-  EXPECT_EQ(view->eta, update.eta);
-  EXPECT_FALSE(parse_queue_update_frame(encode_message(Message{PoolDeny{}})));
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_FALSE(parse_queue_update_frame({bytes.data(), len}));
+// A count or length prefix of 2^62 must fail on the bytes left, never
+// reach an allocation sized by the count (which would throw, or abort
+// under ASan).
+TEST(ProtocolTest, HugeCountsFailWithoutAllocating) {
+  constexpr std::uint64_t kHuge = 1ULL << 62;
+  ByteWriter handoff;  // QueueHandoff.entries
+  handoff.u8(wire_type<QueueHandoff>);
+  handoff.id(ServerId(1));
+  handoff.id(NodeId(2));
+  handoff.varint(kHuge);
+  ByteWriter reg;  // ServerRegister.radii
+  reg.u8(wire_type<ServerRegister>);
+  for (int i = 0; i < 3; ++i) reg.varint(i + 1);
+  for (int i = 0; i < 4; ++i) reg.f64(0.0);
+  reg.varint(kHuge);
+  ByteWriter table;  // OverlapTableMsg.regions[0].peer_servers
+  table.u8(wire_type<OverlapTableMsg>);
+  table.varint(1);
+  for (int i = 0; i < 4; ++i) table.f64(0.0);
+  table.u8(0);
+  table.f64(1.0);
+  table.u64(1);
+  table.varint(1);
+  for (int i = 0; i < 4; ++i) table.f64(0.0);
+  table.varint(kHuge);
+  ByteWriter transfer;  // StateTransfer.blob
+  transfer.u8(wire_type<StateTransfer>);
+  transfer.varint(1);
+  transfer.varint(2);
+  for (int i = 0; i < 4; ++i) transfer.f64(0.0);
+  transfer.u32(0);
+  transfer.varint(kHuge);
+  for (const ByteWriter* w : {&handoff, &reg, &table, &transfer}) {
+    EXPECT_FALSE(decode_message(w->bytes()).has_value());
   }
+}
+
+// Non-canonical frames: a trailing byte, a flag byte other than 0/1, and a
+// varint with a redundant zero group.
+TEST(ProtocolTest, NonCanonicalFramesAreRejected) {
+  LoadReport report;
+  report.client_count = 3;
+  Frame trailing = encode_message(Message{report});
+  trailing.push_back(0);
+  EXPECT_FALSE(decode_message(trailing).has_value());
+  EXPECT_FALSE(parse_load_report_frame(trailing).has_value());
+
+  ClientHello hello;
+  hello.resume = true;
+  Frame flag = encode_message(Message{hello});
+  const std::size_t resume_at = 1 + 1 + 16;  // type, client varint, position
+  ASSERT_EQ(flag[resume_at], 1);
+  flag[resume_at] = 7;
+  EXPECT_FALSE(decode_message(flag).has_value());
+
+  // ClientBye{client = 5} with the id as a two-byte varint.
+  const Frame overlong{wire_type<ClientBye>, 0x85, 0x00};
+  EXPECT_FALSE(decode_message(overlong).has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Zero-copy frame fast paths
+// ---------------------------------------------------------------------------
+// Each parse_*_frame view must agree field-for-field with the full decode of
+// the same bytes and accept exactly the frames the full decode accepts as
+// its type — the on_frame overrides that use them promise behavioral
+// identity with their on_message twins.
+
+template <typename T>
+constexpr std::size_t index_of() {
+  return wire_type<T> - 1u;
+}
+
+bool same_payload(std::span<const std::uint8_t> view, const PayloadBytes& m) {
+  return std::ranges::equal(view, std::span<const std::uint8_t>(m));
+}
+
+void expect_same(const TaggedPacketView& v, const TaggedPacket& m) {
+  EXPECT_EQ(v.client, m.client);
+  EXPECT_EQ(v.entity, m.entity);
+  EXPECT_EQ(v.origin, m.origin);
+  EXPECT_EQ(v.target, m.target);
+  EXPECT_EQ(v.radius_class, m.radius_class);
+  EXPECT_EQ(v.kind, m.kind);
+  EXPECT_EQ(v.seq, m.seq);
+  EXPECT_EQ(v.client_sent_at, m.client_sent_at);
+  EXPECT_EQ(v.peer_forwarded, m.peer_forwarded);
+  EXPECT_TRUE(same_payload(v.payload, m.payload));
+  EXPECT_TRUE(v.materialize() == m);
+}
+
+void expect_same(const ClientActionView& v, const ClientAction& m) {
+  EXPECT_EQ(v.client, m.client);
+  EXPECT_EQ(v.kind, m.kind);
+  EXPECT_EQ(v.position, m.position);
+  EXPECT_EQ(v.target, m.target);
+  EXPECT_EQ(v.seq, m.seq);
+  EXPECT_EQ(v.sent_at, m.sent_at);
+  EXPECT_TRUE(same_payload(v.payload, m.payload));
+}
+
+void expect_same(const ServerUpdateView& v, const ServerUpdate& m) {
+  EXPECT_EQ(v.kind, m.kind);
+  EXPECT_EQ(v.position, m.position);
+  EXPECT_EQ(v.ack_seq, m.ack_seq);
+  EXPECT_EQ(v.origin_sent_at, m.origin_sent_at);
+  EXPECT_TRUE(same_payload(v.payload, m.payload));
+}
+
+/// LoadReport and QueueUpdate parse to the message itself.
+template <typename T>
+void expect_same(const T& v, const T& m) {
+  EXPECT_TRUE(v == m);
+}
+
+/// Runs `parse` over valid and mutated random `T` frames against
+/// decode_message; returns how many frames both accepted.
+template <typename T, typename Parse>
+std::size_t check_fast_path(Parse parse, Rng& rng) {
+  std::size_t accepted = 0;
+  for (int rep = 0; rep < 16; ++rep) {
+    const Frame frame = encode_message(random_message(index_of<T>(), rng));
+    std::vector<Frame> frames = mutations(frame, rng);
+    frames.push_back(frame);
+    frames.push_back(encode_message(Message{PoolDeny{}}));
+    for (const Frame& f : frames) {
+      const auto full = decode_message(f);
+      const auto view = parse(f);
+      const bool is_t = full.has_value() && std::holds_alternative<T>(*full);
+      EXPECT_EQ(view.has_value(), is_t) << ::testing::PrintToString(f);
+      if (!view || !is_t) continue;
+      ++accepted;
+      expect_same(*view, std::get<T>(*full));
+    }
+  }
+  return accepted;
+}
+
+TEST(ProtocolTest, TaggedPacketViewMatchesFullDecode) {
+  Rng rng(31);
+  EXPECT_GT(check_fast_path<TaggedPacket>(
+                [](const Frame& f) { return parse_tagged_packet_frame(f); },
+                rng),
+            16u);
+  // A relay that flips the flag in place sends exactly the re-encoding of
+  // the packet with peer_forwarded set.
+  for (int rep = 0; rep < 32; ++rep) {
+    const Message in = random_message(index_of<TaggedPacket>(), rng);
+    Frame frame = encode_message(in);
+    const auto view = parse_tagged_packet_frame(frame);
+    ASSERT_TRUE(view.has_value());
+    frame[view->peer_flag_offset] = 1;
+    TaggedPacket forwarded = std::get<TaggedPacket>(in);
+    forwarded.peer_forwarded = true;
+    EXPECT_EQ(frame, encode_message(Message{forwarded}));
+  }
+}
+
+TEST(ProtocolTest, ClientActionViewMatchesFullDecode) {
+  Rng rng(32);
+  EXPECT_GT(check_fast_path<ClientAction>(
+                [](const Frame& f) { return parse_client_action_frame(f); },
+                rng),
+            16u);
+}
+
+TEST(ProtocolTest, ServerUpdateViewMatchesFullDecode) {
+  Rng rng(33);
+  EXPECT_GT(check_fast_path<ServerUpdate>(
+                [](const Frame& f) { return parse_server_update_frame(f); },
+                rng),
+            16u);
+}
+
+TEST(ProtocolTest, LoadReportViewMatchesFullDecode) {
+  Rng rng(34);
+  EXPECT_GT(check_fast_path<LoadReport>(
+                [](const Frame& f) { return parse_load_report_frame(f); },
+                rng),
+            16u);
+}
+
+TEST(ProtocolTest, QueueUpdateViewMatchesFullDecode) {
+  Rng rng(35);
+  EXPECT_GT(check_fast_path<QueueUpdate>(
+                [](const Frame& f) { return parse_queue_update_frame(f); },
+                rng),
+            16u);
 }
 
 TEST(ProtocolTest, RelayViewExtractsDestinationForAllRelayLegs) {
@@ -544,9 +747,9 @@ TEST(ProtocolTest, RelayViewExtractsDestinationForAllRelayLegs) {
     std::uint8_t wire_type;
     NodeId to_game;
   } cases[] = {
-      {Message{st}, kStateTransferWireType, st.to_game},
-      {Message{cst}, kClientStateTransferWireType, cst.to_game},
-      {Message{handoff}, kQueueHandoffWireType, handoff.to_game},
+      {Message{st}, wire_type<StateTransfer>, st.to_game},
+      {Message{cst}, wire_type<ClientStateTransfer>, cst.to_game},
+      {Message{handoff}, wire_type<QueueHandoff>, handoff.to_game},
   };
   for (const auto& c : cases) {
     const auto bytes = encode_message(c.message);

@@ -399,6 +399,22 @@ TEST(Codec, OverlongVarintFails) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST(Codec, NonCanonicalEncodingsFail) {
+  // 0 spelled in two bytes, and a tenth byte with bits past the 64th.
+  const std::vector<std::uint8_t> padded{0x80, 0x00};
+  const std::vector<std::uint8_t> wide{0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                                       0xFF, 0xFF, 0xFF, 0xFF, 0x02};
+  for (const auto* bytes : {&padded, &wide}) {
+    ByteReader r(*bytes);
+    (void)r.varint();
+    EXPECT_FALSE(r.ok());
+  }
+  const std::vector<std::uint8_t> flag{2};
+  ByteReader r(flag);
+  (void)r.flag();
+  EXPECT_FALSE(r.ok());
+}
+
 // ---------------------------------------------------------------------------
 // Logger
 // ---------------------------------------------------------------------------
