@@ -18,6 +18,9 @@
 //                K>1 requires free cores (a single-core runner reports the
 //                synchronization overhead honestly instead).
 //
+// A second hold model replays the pending-event mix of the 100k-client
+// workload at its peak depth, as typed records and as closures.
+//
 // Alongside throughput it reports the engine counters (events processed,
 // peak event-heap depth, payload-buffer reuse rate) and the memory gauges
 // (the engine.mem.* and game.mem.* byte counts of docs/OBSERVABILITY.md,
@@ -31,6 +34,7 @@
 
 #include "bench_common.h"
 #include "game/bot_client.h"
+#include "net/envelope_slab.h"
 #include "net/event_queue.h"
 #include "util/rng.h"
 
@@ -85,6 +89,91 @@ void run_scheduler_microbench(JsonReport& json) {
     json.add(run, "ladder_ops_per_sec", ladder, "ops/s");
     json.add(run, "ladder_speedup", ladder / heap, "x");
   }
+}
+
+// ---- realistic hold model ---------------------------------------------------
+// The churn above holds empty closures with horizons uniform over 10 s.  The
+// engine's real pending set at the 100k-client workload's peak (~111k events
+// per shard at K=2) is 55% message deliveries, each carrying a 56-B
+// Envelope, and 45% node timers, landing ~50 ms out.  This model holds that
+// mix at that depth twice: as the engine schedules it — 16-B typed records,
+// envelopes parked in an EnvelopeSlab — and as closures of the same captures
+// ([sink, dst, Envelope] and [sink, node, epoch]).  A 72-B delivery capture
+// exceeds InlineAction's inline budget, so the closure run's deliveries take
+// the heap fallback.
+constexpr std::size_t kGigaMixDepth = 111'000;
+volatile std::uint64_t g_hold_checksum = 0;
+
+struct HoldSink final : EventQueue::Target {
+  EnvelopeSlab inflight;
+  std::uint64_t sum = 0;
+  void run_delivery(std::uint32_t envelope) override {
+    sum += inflight.take(envelope).src.value();
+  }
+  void run_service(NodeId, std::uint64_t) override {}
+  void run_timer(NodeId node, std::uint8_t, std::uint64_t epoch) override {
+    sum += node.value() ^ epoch;
+  }
+};
+
+double giga_mix_ns_per_op(bool typed, std::uint64_t ops) {
+  EventQueue queue;
+  HoldSink sink;
+  queue.set_target(&sink);
+  Rng rng(0x61A7ULL);
+  auto schedule_one = [&] {
+    const SimTime when =
+        queue.now() + SimTime::from_us(rng.next_in(25'000, 75'000));
+    const NodeId node(1 + rng.next_below(100'000));
+    if (rng.next_below(100) < 55) {
+      Envelope env;
+      env.src = node;
+      env.dst = node;
+      env.sent_at = queue.now();
+      if (typed) {
+        queue.schedule_record(
+            when, EventQueue::Record::delivery(
+                      node, sink.inflight.park(std::move(env))));
+      } else {
+        queue.schedule_at(when, [s = &sink, node, env = std::move(env)] {
+          s->sum += env.src.value() ^ node.value();
+        });
+      }
+    } else {
+      const std::uint64_t epoch = rng.next_below(4);
+      if (typed) {
+        queue.schedule_record(when,
+                              EventQueue::Record::timer_tick(node, 0, epoch));
+      } else {
+        queue.schedule_at(when, [s = &sink, node, epoch] {
+          s->sum += node.value() ^ epoch;
+        });
+      }
+    }
+  };
+  for (std::size_t i = 0; i < kGigaMixDepth; ++i) schedule_one();
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::uint64_t i = 0; i < ops; ++i) {
+    queue.step();
+    schedule_one();
+  }
+  const auto t1 = std::chrono::steady_clock::now();
+  g_hold_checksum = sink.sum;  // keeps the handlers observable
+  // One pop + one push per iteration.
+  return std::chrono::duration<double>(t1 - t0).count() * 1e9 /
+         (2.0 * static_cast<double>(ops));
+}
+
+void run_giga_mix_microbench(JsonReport& json) {
+  const std::uint64_t ops = 2'000'000;
+  const double typed = giga_mix_ns_per_op(true, ops);
+  const double closures = giga_mix_ns_per_op(false, ops);
+  std::printf("\n[giga event mix at %zu pending: ns per pop or push]\n",
+              kGigaMixDepth);
+  std::printf("  %-26s %12.1f\n", "typed records", typed);
+  std::printf("  %-26s %12.1f\n", "closures", closures);
+  json.add("sched_giga_mix", "typed_ns_per_op", typed, "ns");
+  json.add("sched_giga_mix", "closure_ns_per_op", closures, "ns");
 }
 
 /// The giga crowd with every hotspot confined to the TOP HALF of the world.
@@ -212,6 +301,7 @@ void report(JsonReport& json, const char* run, const RunResult& r) {
       {"node_table_bytes", r.engine.node_table_bytes},
       {"link_table_bytes", r.engine.link_table_bytes},
       {"receive_slab_bytes", r.engine.receive_slab_bytes},
+      {"inflight_envelope_bytes", r.engine.inflight_envelope_bytes},
       {"event_slab_bytes", r.engine.event_slab_bytes},
       {"sched_tier_bytes", r.engine.sched_tier_bytes},
       {"buffer_pool_idle_bytes", r.engine.buffer_pool_idle_bytes},
@@ -257,6 +347,7 @@ int main(int argc, char** argv) {
   JsonReport json("engine_throughput");
 
   run_scheduler_microbench(json);
+  run_giga_mix_microbench(json);
 
   {
     HotspotScenarioOptions scenario;  // the paper's Fig. 2 timeline

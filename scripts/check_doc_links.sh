@@ -29,7 +29,7 @@ anchors_of() {
   awk '/^[[:space:]]*```/ { fence = !fence; next } !fence' "$1" 2>/dev/null \
     | grep -E '^#{1,6} ' | sed -E 's/^#{1,6} +//' \
     | tr '[:upper:]' '[:lower:]' \
-    | sed -E 's/[^a-z0-9 _-]//g; s/ +/-/g' \
+    | sed -E 's/[^a-z0-9 _-]//g; s/ /-/g' \
     | awk '{ n = seen[$0]++; if (n) print $0 "-" n; else print }'
 }
 

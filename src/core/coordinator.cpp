@@ -89,13 +89,12 @@ void Coordinator::broadcast_heartbeat() {
 }
 
 void Coordinator::schedule_heartbeat() {
-  network()->events_for(node_id()).schedule_after(
-      config_.failsafe.heartbeat_interval, [this] {
-        // A killed/failed-over MC is detached; its silence is the signal.
-        if (!network()->attached(node_id())) return;
-        broadcast_heartbeat();
-        schedule_heartbeat();
-      });
+  set_timer(config_.failsafe.heartbeat_interval, /*timer=*/0);
+}
+
+void Coordinator::on_timer(std::uint8_t, std::uint64_t) {
+  broadcast_heartbeat();
+  schedule_heartbeat();
 }
 
 void Coordinator::broadcast_pool_pressure() {

@@ -86,6 +86,9 @@ class Coordinator : public ProtocolNode {
 
  protected:
   void on_message(const Message& message, const Envelope& envelope) override;
+  /// The heartbeat timer (the coordinator's only one).  It stops when the
+  /// coordinator is detached: the network drops a detached node's timers.
+  void on_timer(std::uint8_t timer, std::uint64_t arg) override;
 
  private:
   void register_server(const ServerRegister& reg);

@@ -468,18 +468,27 @@ void MatrixServer::start_failsafe(SimTime at) {
   schedule_failsafe_tick();
 }
 
+void MatrixServer::on_timer(std::uint8_t timer, std::uint64_t epoch) {
+  if (!active_ || activation_epoch_ != epoch) return;
+  if (timer == kFailsafeTimer) {
+    failsafe_tick();
+  } else {
+    send_peer_load();
+  }
+}
+
 void MatrixServer::schedule_failsafe_tick() {
-  const std::uint64_t epoch = activation_epoch_;
-  network()->events_for(node_id()).schedule_after(
-      config_.failsafe.check_interval, [this, epoch] {
-        if (!active_ || activation_epoch_ != epoch) return;
-        const bool was_fallback = control_plane_.fallback();
-        if (control_plane_.tick(now()) && !was_fallback &&
-            control_plane_.fallback()) {
-          on_failsafe_degraded();
-        }
-        schedule_failsafe_tick();
-      });
+  set_timer(config_.failsafe.check_interval, kFailsafeTimer,
+            activation_epoch_);
+}
+
+void MatrixServer::failsafe_tick() {
+  const bool was_fallback = control_plane_.fallback();
+  if (control_plane_.tick(now()) && !was_fallback &&
+      control_plane_.fallback()) {
+    on_failsafe_degraded();
+  }
+  schedule_failsafe_tick();
 }
 
 void MatrixServer::on_failsafe_degraded() {
@@ -665,16 +674,17 @@ void MatrixServer::handle_adopt(const Adopt& adopt) {
 }
 
 void MatrixServer::schedule_heartbeat() {
-  const std::uint64_t epoch = activation_epoch_;
-  network()->events_for(node_id()).schedule_after(config_.peer_load_interval, [this, epoch] {
-    if (!active_ || activation_epoch_ != epoch || !parent_.valid()) return;
-    PeerLoad load;
-    load.server = id_;
-    load.client_count = last_report_.client_count;
-    load.child_count = static_cast<std::uint32_t>(children_.size());
-    send(parent_matrix_, load);
-    schedule_heartbeat();
-  });
+  set_timer(config_.peer_load_interval, kPeerLoadTimer, activation_epoch_);
+}
+
+void MatrixServer::send_peer_load() {
+  if (!parent_.valid()) return;
+  PeerLoad load;
+  load.server = id_;
+  load.client_count = last_report_.client_count;
+  load.child_count = static_cast<std::uint32_t>(children_.size());
+  send(parent_matrix_, load);
+  schedule_heartbeat();
 }
 
 void MatrixServer::handle_peer_load(const PeerLoad& load) {

@@ -200,8 +200,12 @@ class MatrixServer : public ProtocolNode {
   /// from a zero-copy partial parse; peer forwards resend the raw frame
   /// with the peer flag flipped in place instead of decode → re-encode.
   bool on_frame(const Envelope& envelope) override;
+  void on_timer(std::uint8_t timer, std::uint64_t epoch) override;
 
  private:
+  /// Timer ids; each carries the activation_epoch_ it was armed in.
+  enum Timer : std::uint8_t { kFailsafeTimer, kPeerLoadTimer };
+
   struct ChildInfo {
     ServerId server;
     NodeId matrix_node;
@@ -246,6 +250,7 @@ class MatrixServer : public ProtocolNode {
   void handle_mc_heartbeat(const McHeartbeat& beat);
   void start_failsafe(SimTime at);
   void schedule_failsafe_tick();
+  void failsafe_tick();
   void on_failsafe_degraded();
 
   // split / reclaim machinery (decisions delegated to policy_)
@@ -257,6 +262,7 @@ class MatrixServer : public ProtocolNode {
   void push_range_to_game(const Rect& shed_range, NodeId shed_to_game,
                           ServerId shed_to_server, bool reclaim);
   void schedule_heartbeat();
+  void send_peer_load();
   void deactivate();
 
   ServerId id_;

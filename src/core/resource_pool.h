@@ -87,7 +87,7 @@ class ResourcePool : public ProtocolNode {
       pending_.push_back(request);
       if (!arbitration_scheduled_) {
         arbitration_scheduled_ = true;
-        network()->events_for(node_id()).schedule_after(hold, [this] { arbitrate(); });
+        set_timer(hold, /*timer=*/0);
       }
     } else if (const auto* release = std::get_if<PoolRelease>(&message)) {
       ++releases_;
@@ -96,6 +96,9 @@ class ResourcePool : public ProtocolNode {
       push_status();
     }
   }
+
+  /// The arbitration timer (the pool's only one).
+  void on_timer(std::uint8_t, std::uint64_t) override { arbitrate(); }
 
  private:
   /// The immediate (classic / need-0) path: grant the oldest idle spare or

@@ -187,12 +187,20 @@ void BotClient::on_message(const Message& message, const Envelope& envelope) {
     const double jitter = 1.0 + rng_.next_double() * 0.5;
     const auto delay =
         SimTime::from_ms(defer->retry_after.ms() * jitter);
-    network()->events_for(node_id()).schedule_after(delay, [this, epoch] {
-      if (playing_ || play_epoch_ != epoch || !defer_pending_) return;
-      join(server_node_, position_);
-    });
+    set_timer(delay, kJoinRetryTimer, epoch);
     return;
   }
+}
+
+void BotClient::on_timer(std::uint8_t timer, std::uint64_t epoch) {
+  if (timer == kJoinRetryTimer) {
+    if (playing_ || play_epoch_ != epoch || !defer_pending_) return;
+    join(server_node_, position_);
+    return;
+  }
+  if (!playing_ || play_epoch_ != epoch) return;
+  act();
+  schedule_next_action();
 }
 
 void BotClient::schedule_next_action() {
@@ -202,11 +210,7 @@ void BotClient::schedule_next_action() {
   const double mean_ms = spec_->action_interval.ms();
   const double gap_ms = std::clamp(rng_.next_exponential(mean_ms),
                                    mean_ms * 0.25, mean_ms * 4.0);
-  network()->events_for(node_id()).schedule_after(SimTime::from_ms(gap_ms), [this, epoch] {
-    if (!playing_ || play_epoch_ != epoch) return;
-    act();
-    schedule_next_action();
-  });
+  set_timer(SimTime::from_ms(gap_ms), kActionTimer, epoch);
 }
 
 ActionKind BotClient::choose_kind() {

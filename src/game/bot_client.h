@@ -208,8 +208,12 @@ class BotClient : public ProtocolNode {
   /// tick rate — are handled from a zero-copy partial parse (only ack_seq
   /// and the origin timestamp matter; the digest payload is opaque).
   bool on_frame(const Envelope& envelope) override;
+  void on_timer(std::uint8_t timer, std::uint64_t epoch) override;
 
  private:
+  /// Timer ids; each timer's argument is the play epoch it was armed in.
+  enum Timer : std::uint8_t { kActionTimer, kJoinRetryTimer };
+
   void schedule_next_action();
   void act();
   void move(double dt_sec);

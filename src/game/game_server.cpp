@@ -348,19 +348,20 @@ void GameServer::send_queue_update(ClientId client, NodeId client_node,
 void GameServer::schedule_queue_tick() {
   if (queue_tick_scheduled_) return;
   queue_tick_scheduled_ = true;
-  network()->events_for(node_id()).schedule_after(
-      config_.admission.priority.update_interval, [this] {
-        queue_tick_scheduled_ = false;
-        drain_surge_queue();
-        if (surge_queue_.empty()) return;
-        const auto order = surge_queue_.ordered(now());
-        const auto depth = static_cast<std::uint32_t>(order.size());
-        for (std::size_t i = 0; i < order.size(); ++i) {
-          send_queue_update(order[i]->client, order[i]->client_node,
-                            static_cast<std::uint32_t>(i + 1), depth);
-        }
-        schedule_queue_tick();
-      });
+  set_timer(config_.admission.priority.update_interval, kQueueTimer);
+}
+
+void GameServer::queue_tick() {
+  queue_tick_scheduled_ = false;
+  drain_surge_queue();
+  if (surge_queue_.empty()) return;
+  const auto order = surge_queue_.ordered(now());
+  const auto depth = static_cast<std::uint32_t>(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    send_queue_update(order[i]->client, order[i]->client_node,
+                      static_cast<std::uint32_t>(i + 1), depth);
+  }
+  schedule_queue_tick();
 }
 
 void GameServer::flush_surge_queue() {
@@ -485,18 +486,38 @@ void GameServer::handle_heartbeat(const McHeartbeat& beat) {
                        {ControlKind::kHeartbeat, beat.generation, beat.seq});
 }
 
+void GameServer::on_timer(std::uint8_t timer, std::uint64_t epoch) {
+  if (timer == kQueueTimer) {
+    queue_tick();
+    return;
+  }
+  if (!started_ || started_epoch_ != epoch) return;
+  switch (timer) {
+    case kFailsafeTimer:
+      failsafe_tick();
+      break;
+    case kLoadReportTimer:
+      load_report_tick();
+      break;
+    case kUpdateTimer:
+      update_tick();
+      break;
+    default:
+      break;
+  }
+}
+
 void GameServer::schedule_failsafe_tick() {
-  const std::uint64_t epoch = started_epoch_;
-  network()->events_for(node_id()).schedule_after(
-      config_.failsafe.check_interval, [this, epoch] {
-        if (!started_ || started_epoch_ != epoch) return;
-        const bool was_fallback = control_plane_.fallback();
-        if (control_plane_.tick(now()) && !was_fallback &&
-            control_plane_.fallback()) {
-          on_failsafe_degraded();
-        }
-        schedule_failsafe_tick();
-      });
+  set_timer(config_.failsafe.check_interval, kFailsafeTimer, started_epoch_);
+}
+
+void GameServer::failsafe_tick() {
+  const bool was_fallback = control_plane_.fallback();
+  if (control_plane_.tick(now()) && !was_fallback &&
+      control_plane_.fallback()) {
+    on_failsafe_degraded();
+  }
+  schedule_failsafe_tick();
 }
 
 void GameServer::on_failsafe_degraded() {
@@ -928,80 +949,78 @@ LoadReport GameServer::build_load_report() {
 }
 
 void GameServer::schedule_load_report() {
-  const std::uint64_t epoch = started_epoch_;
-  network()->events_for(node_id()).schedule_after(
-      config_.load_report_interval, [this, epoch] {
-        if (!started_ || started_epoch_ != epoch) return;
-        port_->report_load(build_load_report());
-        ++stats_.load_reports;
-        msgs_since_report_ = 0;
-        last_report_at_ = now();
+  set_timer(config_.load_report_interval, kLoadReportTimer, started_epoch_);
+}
 
-        // Prune ghosts that drifted far from our range (their owners moved
-        // away; no further updates will refresh them).
-        const double keep_radius = spec_.visibility_radius * 1.5;
-        ghosts_.prune([&](const Entity& ghost) {
-          return authority_.empty() ||
-                 metric_distance(config_.metric, ghost.position, authority_) <=
-                     keep_radius;
-        });
-        schedule_load_report();
-      });
+void GameServer::load_report_tick() {
+  port_->report_load(build_load_report());
+  ++stats_.load_reports;
+  msgs_since_report_ = 0;
+  last_report_at_ = now();
+
+  // Prune ghosts that drifted far from our range (their owners moved
+  // away; no further updates will refresh them).
+  const double keep_radius = spec_.visibility_radius * 1.5;
+  ghosts_.prune([&](const Entity& ghost) {
+    return authority_.empty() ||
+           metric_distance(config_.metric, ghost.position, authority_) <=
+               keep_radius;
+  });
+  schedule_load_report();
 }
 
 void GameServer::schedule_update_tick() {
-  const std::uint64_t epoch = started_epoch_;
-  network()->events_for(node_id()).schedule_after(spec_.update_tick, [this, epoch] {
-    if (!started_ || started_epoch_ != epoch) return;
+  set_timer(spec_.update_tick, kUpdateTimer, started_epoch_);
+}
 
-    if (!sessions_.empty()) {
-      // Approximate each client's visible-entity count with an R-sized
-      // bucket grid (sum over the 3×3 neighbourhood); sizes the digest.
-      const double cell = std::max(spec_.visibility_radius, 1.0);
-      grid_prepare(sessions_.size() + ghosts_.size());
-      auto key = [cell](Vec2 p) {
-        const auto ix = static_cast<std::uint64_t>(
-            static_cast<std::uint32_t>(bucket(p.x, cell)));
-        const auto iy = static_cast<std::uint64_t>(
-            static_cast<std::uint32_t>(bucket(p.y, cell)));
-        return (ix << 32) | iy;
-      };
-      for (const auto& [client, session] : sessions_) {
-        grid_bump(key(session.position));
-      }
-      ghosts_.for_each(
-          [&](const Entity& ghost) { grid_bump(key(ghost.position)); });
-
-      SimTime oldest = now();
-      if (!pending_events_.empty()) oldest = std::min(oldest, pending_oldest_);
-
-      for (const auto& [client, session] : sessions_) {
-        std::uint32_t visible = 0;
-        const auto bx = bucket(session.position.x, cell);
-        const auto by = bucket(session.position.y, cell);
-        for (std::int64_t dx = -1; dx <= 1; ++dx) {
-          for (std::int64_t dy = -1; dy <= 1; ++dy) {
-            const auto ix = static_cast<std::uint64_t>(
-                static_cast<std::uint32_t>(bx + dx));
-            const auto iy = static_cast<std::uint64_t>(
-                static_cast<std::uint32_t>(by + dy));
-            visible += grid_count((ix << 32) | iy);
-          }
-        }
-        ServerUpdate update;
-        update.kind = 0;  // digest
-        update.position = session.position;
-        update.ack_seq = 0;
-        update.origin_sent_at = pending_events_.empty() ? now() : oldest;
-        update.payload.assign(
-            12 + 8 * std::min<std::uint32_t>(visible, 32), 0);
-        send(session.client_node, update);
-        ++stats_.updates_sent;
-      }
+void GameServer::update_tick() {
+  if (!sessions_.empty()) {
+    // Approximate each client's visible-entity count with an R-sized
+    // bucket grid (sum over the 3×3 neighbourhood); sizes the digest.
+    const double cell = std::max(spec_.visibility_radius, 1.0);
+    grid_prepare(sessions_.size() + ghosts_.size());
+    auto key = [cell](Vec2 p) {
+      const auto ix = static_cast<std::uint64_t>(
+          static_cast<std::uint32_t>(bucket(p.x, cell)));
+      const auto iy = static_cast<std::uint64_t>(
+          static_cast<std::uint32_t>(bucket(p.y, cell)));
+      return (ix << 32) | iy;
+    };
+    for (const auto& [client, session] : sessions_) {
+      grid_bump(key(session.position));
     }
-    pending_events_.clear();
-    schedule_update_tick();
-  });
+    ghosts_.for_each(
+        [&](const Entity& ghost) { grid_bump(key(ghost.position)); });
+
+    SimTime oldest = now();
+    if (!pending_events_.empty()) oldest = std::min(oldest, pending_oldest_);
+
+    for (const auto& [client, session] : sessions_) {
+      std::uint32_t visible = 0;
+      const auto bx = bucket(session.position.x, cell);
+      const auto by = bucket(session.position.y, cell);
+      for (std::int64_t dx = -1; dx <= 1; ++dx) {
+        for (std::int64_t dy = -1; dy <= 1; ++dy) {
+          const auto ix = static_cast<std::uint64_t>(
+              static_cast<std::uint32_t>(bx + dx));
+          const auto iy = static_cast<std::uint64_t>(
+              static_cast<std::uint32_t>(by + dy));
+          visible += grid_count((ix << 32) | iy);
+        }
+      }
+      ServerUpdate update;
+      update.kind = 0;  // digest
+      update.position = session.position;
+      update.ack_seq = 0;
+      update.origin_sent_at = pending_events_.empty() ? now() : oldest;
+      update.payload.assign(
+          12 + 8 * std::min<std::uint32_t>(visible, 32), 0);
+      send(session.client_node, update);
+      ++stats_.updates_sent;
+    }
+  }
+  pending_events_.clear();
+  schedule_update_tick();
 }
 
 }  // namespace matrix

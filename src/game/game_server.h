@@ -176,8 +176,18 @@ class GameServer : public ProtocolNode {
   /// skipping the Message-variant decode (neither consumes the payload
   /// bytes: remote events update ghosts, actions re-tag a fresh payload).
   bool on_frame(const Envelope& envelope) override;
+  void on_timer(std::uint8_t timer, std::uint64_t epoch) override;
 
  private:
+  /// Timer ids.  All but the queue tick carry the started_epoch_ they were
+  /// armed in, so a stop (or stop + restart) silences them.
+  enum Timer : std::uint8_t {
+    kQueueTimer,
+    kFailsafeTimer,
+    kLoadReportTimer,
+    kUpdateTimer,
+  };
+
   struct Session {
     NodeId client_node;
     EntityId avatar;
@@ -212,6 +222,7 @@ class GameServer : public ProtocolNode {
   // coordinator state in favour of the local valve.
   void handle_heartbeat(const McHeartbeat& beat);
   void schedule_failsafe_tick();
+  void failsafe_tick();
   void on_failsafe_degraded();
   /// The admission gate for a fresh (non-resume) join; true ⇒ admit.
   [[nodiscard]] bool admit_join(const ClientHello& hello, NodeId client_node);
@@ -234,6 +245,7 @@ class GameServer : public ProtocolNode {
   void send_queue_update(ClientId client, NodeId client_node,
                          std::uint32_t position, std::uint32_t depth);
   void schedule_queue_tick();
+  void queue_tick();
   /// Zeroes the vip_drain_cap tallies once the room is empty — called on
   /// EVERY path that can empty it (drain, flush, handoff, ClientBye), so
   /// each occupancy episode starts with a fresh fairness window.
@@ -254,7 +266,10 @@ class GameServer : public ProtocolNode {
                        std::uint32_t actor_seq);
   void maybe_migrate(ClientId client, Session& session);
   void schedule_load_report();
+  void load_report_tick();
   void schedule_update_tick();
+  /// Sends every session its per-tick digest.
+  void update_tick();
   [[nodiscard]] LoadReport build_load_report();
   [[nodiscard]] double radius_for(std::uint8_t radius_class) const;
   /// Deterministic exceptional-radius assignment by client id (stable

@@ -34,12 +34,27 @@
 // word) — sift and bucket moves are trivial copies.  A bucket folds into the
 // near heap by swapping storage, and a drained bucket or heap gives back
 // any capacity above kRetainEntries, so tier memory tracks the events
-// pending now rather than the deepest burst of the run.  The callbacks live
-// in a separate slab of small-buffer-optimized InlineAction slots (a deque,
-// so slots never move) recycled through a freelist: steady-state scheduling
-// performs no allocation, and popping invokes the callback in place.  Each
-// slot also carries an optional owner tag (NodeId) so the sharded engine can
-// extract and re-home a migrating node's pending events (extract_tagged).
+// pending now rather than the deepest burst of the run.
+//
+// The slot indexes a slab of 16-byte typed Records (a deque, so slots never
+// move; free slots are threaded into an intrusive LIFO list).  The three
+// kinds every message and tick produces carry their few words of state
+// inline, and step() dispatches them with a switch to the queue's Target
+// (the Network):
+//
+//   * kDelivery — (destination node, index of the envelope parked in the
+//     shard's in-flight EnvelopeSlab, net/envelope_slab.h);
+//   * kService  — (node, epoch): the node's service completion;
+//   * kTimer    — (node, timer id, argument): Node::on_timer.
+//
+// Everything else — scenario scripting, metrics samplers, tests — is a cold
+// kClosure record naming a slot in a second slab of small-buffer-optimized
+// InlineAction callbacks (util/inline_function.h).  Scheduling allocates
+// nothing in steady state.  Because every typed record names its node, the
+// sharded engine re-homes a migrating node's pending events by scanning for
+// that node id (extract_node); closures belong to no node and never move.
+// This is ROSS's fixed-size event struct (Carothers, Bauer & Pearce, JPDC
+// 2002) in place of one type-erased closure per event.
 #pragma once
 
 #include <algorithm>
@@ -48,6 +63,7 @@
 #include <deque>
 #include <vector>
 
+#include "util/ids.h"
 #include "util/inline_function.h"
 #include "util/sim_time.h"
 
@@ -56,23 +72,61 @@ namespace matrix {
 class EventQueue {
  public:
   using Action = InlineAction;
-  /// Slot owner tag (NodeId::value of the node an event belongs to, or
-  /// kNoTag).  Only consulted by extract_tagged — never by pop order.
-  using Tag = std::uint64_t;
-  static constexpr Tag kNoTag = 0;
 
   /// Which priority structure orders the pending set.  Pop order — and thus
   /// every golden trace — is identical for both; kHeap exists as the A/B
   /// reference and fallback (MATRIX_EVENT_SCHEDULER, Config::engine).
   enum class Scheduler : std::uint8_t { kLadder = 0, kHeap = 1 };
 
-  /// One extracted pending event (see extract_tagged): its absolute time,
-  /// its (seq) order word for deterministic re-insertion order, and the
-  /// callback moved out of the slab.
+  enum class Kind : std::uint8_t { kClosure, kDelivery, kService, kTimer };
+
+  /// One pending event.  `node` is the owning node (the destination of a
+  /// delivery) and 0 for closures; `arg` is the kind's payload word: the
+  /// parked envelope's slot, the service epoch, the timer argument, or the
+  /// closure's slot.
+  struct Record {
+    Kind kind = Kind::kClosure;
+    std::uint8_t timer = 0;
+    std::uint32_t node = 0;
+    std::uint64_t arg = 0;
+
+    static Record delivery(NodeId dst, std::uint32_t envelope) {
+      return {Kind::kDelivery, 0, node_key(dst), envelope};
+    }
+    static Record service(NodeId node, std::uint64_t epoch) {
+      return {Kind::kService, 0, node_key(node), epoch};
+    }
+    static Record timer_tick(NodeId node, std::uint8_t timer,
+                             std::uint64_t arg) {
+      return {Kind::kTimer, timer, node_key(node), arg};
+    }
+    /// Node ids are dense from 1, so they fit 32 bits (as in LinkTable).
+    static std::uint32_t node_key(NodeId id) {
+      assert(id.valid() && id.value() <= UINT32_MAX);
+      return static_cast<std::uint32_t>(id.value());
+    }
+  };
+  static_assert(sizeof(Record) == 16);
+
+  /// Runs the typed records this queue pops.  Only closures run without
+  /// one.
+  class Target {
+   public:
+    virtual void run_delivery(std::uint32_t slot) = 0;
+    virtual void run_service(NodeId node, std::uint64_t epoch) = 0;
+    virtual void run_timer(NodeId node, std::uint8_t timer,
+                           std::uint64_t arg) = 0;
+
+   protected:
+    ~Target() = default;
+  };
+
+  /// One extracted pending event (see extract_node): its absolute time, its
+  /// (seq) order word for deterministic re-insertion order, and the record.
   struct MigratedEvent {
     SimTime when{};
     std::uint64_t order = 0;
-    Action action;
+    Record record;
   };
 
   /// Selects the priority structure.  Only callable while the queue is
@@ -83,37 +137,50 @@ class EventQueue {
   }
   [[nodiscard]] Scheduler scheduler() const { return scheduler_; }
 
-  /// Schedules `action` to run at absolute time `when`.  Scheduling in the
-  /// past is clamped to "now" (runs next, still after already-queued events
-  /// at the current instant).  The callable is constructed directly in its
-  /// slab slot — no intermediate Action object, no relocation.
-  template <typename F>
-  void schedule_at(SimTime when, F&& action) {
-    schedule_at(when, kNoTag, std::forward<F>(action));
-  }
+  void set_target(Target* target) { target_ = target; }
 
-  /// As schedule_at, additionally stamping the slab slot with `tag` so the
-  /// event can later be re-homed by extract_tagged (shard rebalancing).
-  template <typename F>
-  void schedule_at(SimTime when, Tag tag, F&& action) {
+  /// Schedules `record` at absolute time `when`.  Scheduling in the past is
+  /// clamped to "now" (runs next, still after already-queued events at the
+  /// current instant).
+  void schedule_record(SimTime when, Record record) {
     if (when < now_) when = now_;
-    const std::uint32_t slot = acquire_slot();
-    slots_[slot].assign(std::forward<F>(action));
-    slot_tags_[slot] = tag;
+    std::uint32_t slot = free_record_;
+    if (slot != kNoSlot) {
+      free_record_ = static_cast<std::uint32_t>(records_[slot].arg);
+    } else {
+      records_.emplace_back();
+      slot = static_cast<std::uint32_t>(records_.size() - 1);
+      // The slot index must fit the packed heap word: a loud tripwire for
+      // an impossible state, not a reachable limit.
+      assert(records_.size() <= kSlotMask + 1);
+    }
+    records_[slot] = record;
     file_entry(HeapEntry{when, (next_seq_++ << kSlotBits) | slot});
     const std::size_t depth = pending();
     if (depth > peak_pending_) peak_pending_ = depth;
   }
 
+  /// Schedules a cold closure to run at absolute time `when`.  The callable
+  /// is constructed directly in its slab slot — no intermediate Action
+  /// object, no relocation.
+  template <typename F>
+  void schedule_at(SimTime when, F&& action) {
+    std::uint32_t index;
+    if (!free_closures_.empty()) {
+      index = free_closures_.back();
+      free_closures_.pop_back();
+    } else {
+      closures_.emplace_back();
+      index = static_cast<std::uint32_t>(closures_.size() - 1);
+    }
+    closures_[index].assign(std::forward<F>(action));
+    schedule_record(when, Record{Kind::kClosure, 0, 0, index});
+  }
+
   /// Schedules `action` to run `delay` after the current time.
   template <typename F>
   void schedule_after(SimTime delay, F&& action) {
-    schedule_at(now_ + delay, kNoTag, std::forward<F>(action));
-  }
-
-  template <typename F>
-  void schedule_after(SimTime delay, Tag tag, F&& action) {
-    schedule_at(now_ + delay, tag, std::forward<F>(action));
+    schedule_at(now_ + delay, std::forward<F>(action));
   }
 
   [[nodiscard]] SimTime now() const { return now_; }
@@ -147,12 +214,13 @@ class EventQueue {
            (buckets_.capacity() + sub_buckets_.capacity()) *
                sizeof(std::vector<HeapEntry>);
   }
-  /// Bytes of the callback slab: one InlineAction and tag per slot ever
-  /// allocated (the slab grows to peak pending and recycles), plus the
+  /// Bytes of the event slabs: one Record per slot ever allocated (the slab
+  /// grows to peak pending and recycles), plus the closure slots and their
   /// freelist.
   [[nodiscard]] std::size_t slab_bytes() const {
-    return slots_.size() * (sizeof(Action) + sizeof(Tag)) +
-           free_slots_.capacity() * sizeof(std::uint32_t);
+    return records_.size() * sizeof(Record) +
+           closures_.size() * sizeof(Action) +
+           free_closures_.capacity() * sizeof(std::uint32_t);
   }
 
   /// Runs the next event; returns false when the queue is empty.
@@ -163,12 +231,32 @@ class EventQueue {
     if (heap_.empty()) settle();
     now_ = top.when;
     ++events_processed_;
-    // Invoke in place — the slab is a deque, so slots stay put while the
-    // action schedules new events.  The slot is recycled only afterwards,
-    // so re-entrant scheduling can never alias the running callback.
+    // Copy the record out and free its slot before dispatch, so events the
+    // handler schedules may reuse it.
     const std::uint32_t slot = top.slot();
-    slots_[slot].invoke_and_reset();
-    free_slots_.push_back(slot);
+    const Record record = records_[slot];
+    release_record(slot);
+    assert(record.kind == Kind::kClosure || target_ != nullptr);
+    switch (record.kind) {
+      case Kind::kClosure: {
+        // Invoke in place — the closure slab is a deque, so slots stay put
+        // while the action schedules new events.  The slot is recycled only
+        // afterwards, so re-entrant scheduling never aliases it.
+        const auto index = static_cast<std::uint32_t>(record.arg);
+        closures_[index].invoke_and_reset();
+        free_closures_.push_back(index);
+        break;
+      }
+      case Kind::kDelivery:
+        target_->run_delivery(static_cast<std::uint32_t>(record.arg));
+        break;
+      case Kind::kService:
+        target_->run_service(NodeId(record.node), record.arg);
+        break;
+      case Kind::kTimer:
+        target_->run_timer(NodeId(record.node), record.timer, record.arg);
+        break;
+    }
     return true;
   }
 
@@ -201,20 +289,21 @@ class EventQueue {
     }
   }
 
-  /// Removes every pending event whose slot carries `tag` and appends them
-  /// to `out` in (when, seq) order, releasing their slab slots.  Used by
-  /// Network shard rebalancing to re-home a migrating node's events — only
-  /// from control context at a barrier.  O(pending) tier rebuild.
-  void extract_tagged(Tag tag, std::vector<MigratedEvent>& out) {
+  /// Removes every pending typed record owned by `node` and appends them to
+  /// `out` in (when, seq) order, freeing their slots.  Used by Network shard
+  /// rebalancing to re-home a migrating node's events — only from control
+  /// context at a barrier.  O(pending) tier rebuild.
+  void extract_node(NodeId node, std::vector<MigratedEvent>& out) {
+    const std::uint32_t key = Record::node_key(node);
     const std::size_t first = out.size();
     auto take = [&](std::vector<HeapEntry>& tier) {
       std::size_t kept = 0;
       for (HeapEntry& entry : tier) {
         const std::uint32_t slot = entry.slot();
-        if (slot_tags_[slot] == tag) {
-          out.push_back(MigratedEvent{entry.when, entry.seq_slot,
-                                      std::move(slots_[slot])});
-          free_slots_.push_back(slot);
+        const Record& record = records_[slot];
+        if (record.kind != Kind::kClosure && record.node == key) {
+          out.push_back(MigratedEvent{entry.when, entry.seq_slot, record});
+          release_record(slot);
         } else {
           tier[kept++] = entry;
         }
@@ -244,8 +333,9 @@ class EventQueue {
 
  private:
   /// Slot index width inside the packed (seq, slot) word.  2^24 concurrent
-  /// events would mean a multi-gigabyte slab, far past any workload here;
-  /// sequence numbers keep 40 bits — a trillion events per run.
+  /// events is far past any workload here (the 100k-client one peaks near
+  /// 111k per shard); sequence numbers keep 40 bits — a trillion events per
+  /// run.
   static constexpr std::uint64_t kSlotBits = 24;
   static constexpr std::uint64_t kSlotMask = (1ULL << kSlotBits) - 1;
 
@@ -289,19 +379,13 @@ class EventQueue {
   /// even for degenerate month-out timer sets.
   static constexpr std::int64_t kMaxWidthUs = 3'600'000'000;  // 1 hour
 
-  std::uint32_t acquire_slot() {
-    if (!free_slots_.empty()) {
-      const std::uint32_t slot = free_slots_.back();
-      free_slots_.pop_back();
-      return slot;
-    }
-    slots_.emplace_back();
-    slot_tags_.push_back(kNoTag);
-    // The slot index must fit the packed heap word; 2^24 concurrent events
-    // would need a multi-gigabyte slab, so this is a loud tripwire for an
-    // impossible state, not a reachable limit.
-    assert(slots_.size() <= kSlotMask + 1);
-    return static_cast<std::uint32_t>(slots_.size() - 1);
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+
+  /// Pushes a record slot onto the intrusive free list (threaded through
+  /// the free records' arg words).
+  void release_record(std::uint32_t slot) {
+    records_[slot].arg = free_record_;
+    free_record_ = slot;
   }
 
   /// Routes a new entry to its tier.  Near events (when < near_end_, the
@@ -551,12 +635,14 @@ class EventQueue {
   // Overflow tier: unsorted events at or past ring_end, re-filed at reseed.
   std::vector<HeapEntry> overflow_;
 
-  // Callback slab, indexed by HeapEntry::slot.  A deque so references stay
-  // stable while a running action schedules (and thus grows the slab).
-  // slot_tags_ parallels it with the owner tag extract_tagged filters on.
-  std::deque<Action> slots_;
-  std::deque<Tag> slot_tags_;
-  std::vector<std::uint32_t> free_slots_;
+  // Record slab, indexed by HeapEntry::slot; free slots form a LIFO list
+  // from free_record_.  Closure slab, indexed by a kClosure record's arg —
+  // a deque so a running closure stays put while it schedules.
+  std::deque<Record> records_;
+  std::uint32_t free_record_ = kNoSlot;
+  std::deque<Action> closures_;
+  std::vector<std::uint32_t> free_closures_;
+  Target* target_ = nullptr;
   Scheduler scheduler_ = Scheduler::kLadder;
   SimTime now_{};
   std::uint64_t next_seq_ = 0;

@@ -33,7 +33,7 @@ constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;
 
 }  // namespace
 
-thread_local Network::Shard* Network::tls_shard_ = nullptr;
+constinit thread_local Network::Shard* Network::tls_shard_ = nullptr;
 
 bool resolve_shard_threads(bool config_default) {
   const char* env = std::getenv("MATRIX_SHARD_THREADS");
@@ -63,6 +63,7 @@ Network::Network(std::uint64_t seed) : seed_(seed) {
   scheduler_ = resolve_ladder_scheduler(true) ? EventQueue::Scheduler::kLadder
                                               : EventQueue::Scheduler::kHeap;
   shards_.front()->events.set_scheduler(scheduler_);
+  shards_.front()->events.set_target(this);
   control_queue_.set_scheduler(scheduler_);
   // Sim-time-stamp all log output while this network lives (last network
   // constructed wins; owner matching in clear_clock keeps interleaved
@@ -95,6 +96,7 @@ void Network::configure_shards(std::size_t count, bool use_threads) {
   for (auto& shard : shards_) {
     shard->outbox.resize(count);
     shard->events.set_scheduler(scheduler_);
+    shard->events.set_target(this);
   }
   use_threads_ = count > 1 && resolve_shard_threads(use_threads);
   if (tracer_.enabled() && sharded()) {
@@ -266,7 +268,6 @@ std::size_t Network::send(NodeId src, NodeId dst,
     ++here.cross_sends;
     Mail mail;
     mail.deliver_at = deliver_at;
-    mail.dst = dst;
     mail.env = std::move(envelope);
     here.outbox[shard_of(dst)].push_back(std::move(mail));
     return wire;
@@ -274,20 +275,18 @@ std::size_t Network::send(NodeId src, NodeId dst,
   // Same-shard inside a window, the serial engine, or the main-thread
   // control context (scenario drivers, revive paths — workers idle, so
   // scheduling straight onto the destination shard's queue is race-free).
-  EventQueue& queue = !sharded() ? shards_.front()->events
-                     : tls_shard_ != nullptr
-                         ? tls_shard_->events
-                         : shards_[shard_of(dst)]->events;
-  queue.schedule_at(deliver_at, dst.value(),
-                    [this, dst, env = std::move(envelope)]() mutable {
-                      env.delivered_at = now();
-                      deliver(dst, std::move(env));
-                    });
+  Shard& shard = !sharded()                ? *shards_.front()
+                 : tls_shard_ != nullptr ? *tls_shard_
+                                         : *shards_[shard_of(dst)];
+  schedule_delivery(shard, deliver_at, std::move(envelope));
   return wire;
 }
 
-void Network::deliver(NodeId dst, Envelope envelope) {
+void Network::run_delivery(std::uint32_t slot) {
   Shard& here = current_shard();
+  Envelope envelope = here.inflight.take(slot);
+  envelope.delivered_at = now();
+  const NodeId dst = envelope.dst;
   NodeState* state = find_state(dst);
   if (state == nullptr || state->node == nullptr) {
     ++here.total_dropped;
@@ -321,26 +320,36 @@ void Network::start_service(NodeId dst) {
   const std::uint64_t epoch = state->epoch;
   const SimTime service = state->config.service_time(
       shards_[state->shard]->receive.front(state->queue).wire_size());
-  current_shard().events.schedule_after(service, dst.value(), [this, dst,
-                                                               epoch] {
-    NodeState* s = find_state(dst);
-    if (s == nullptr || s->epoch != epoch || s->node == nullptr ||
-        s->queue.empty()) {
-      return;
-    }
-    Envelope env = shards_[s->shard]->receive.pop(s->queue);
-    // Handle *before* scheduling the next service so handlers observe a
-    // queue that no longer contains the message being processed.
-    s->node->handle_message(env);
-    ++s->served;  // the rebalancer's per-node load proxy
-    release_payload(current_shard(), std::move(env.payload));
-    // The handler may have detached this node (e.g. reclamation) or attached
-    // new ones (the node table may have grown) — re-resolve.
-    s = find_state(dst);
-    if (s != nullptr && s->epoch == epoch) {
-      start_service(dst);
-    }
-  });
+  EventQueue& queue = current_shard().events;
+  queue.schedule_record(queue.now() + service,
+                        EventQueue::Record::service(dst, epoch));
+}
+
+void Network::run_service(NodeId node, std::uint64_t epoch) {
+  NodeState* s = find_state(node);
+  if (s == nullptr || s->epoch != epoch || s->node == nullptr ||
+      s->queue.empty()) {
+    return;
+  }
+  Envelope env = shards_[s->shard]->receive.pop(s->queue);
+  // Handle *before* scheduling the next service so handlers observe a
+  // queue that no longer contains the message being processed.
+  s->node->handle_message(env);
+  ++s->served;  // the rebalancer's per-node load proxy
+  release_payload(current_shard(), std::move(env.payload));
+  // The handler may have detached this node (e.g. reclamation) or attached
+  // new ones (the node table may have grown) — re-resolve.
+  s = find_state(node);
+  if (s != nullptr && s->epoch == epoch) {
+    start_service(node);
+  }
+}
+
+void Network::run_timer(NodeId node, std::uint8_t timer, std::uint64_t arg) {
+  NodeState* state = find_state(node);
+  if (state != nullptr && state->node != nullptr) {
+    state->node->on_timer(timer, arg);
+  }
 }
 
 void Network::trace_record(Shard& shard, NodeId src, NodeId dst,
@@ -467,17 +476,12 @@ void Network::merge_mailboxes() {
                      [](const Mail& a, const Mail& b) {
                        return a.deliver_at < b.deliver_at;
                      });
-    EventQueue& queue = shards_[d]->events;
+    Shard& dest = *shards_[d];
     for (Mail& mail : merge_scratch_) {
       // Conservative lookahead means nothing lands behind the horizon the
       // destination already reached.
-      assert(mail.deliver_at >= queue.now());
-      queue.schedule_at(mail.deliver_at, mail.dst.value(),
-                        [this, dst = mail.dst,
-                         env = std::move(mail.env)]() mutable {
-                          env.delivered_at = now();
-                          deliver(dst, std::move(env));
-                        });
+      assert(mail.deliver_at >= dest.events.now());
+      schedule_delivery(dest, mail.deliver_at, std::move(mail.env));
     }
   }
   merge_scratch_.clear();
@@ -487,8 +491,7 @@ void Network::merge_trace_ops() {
   // K-way merge of the per-shard deferred-op buffers by (time, shard index);
   // each buffer is already time-sorted (sim time is monotone in a window).
   const std::size_t count = shards_.size();
-  std::size_t pos[64] = {};
-  assert(count <= 64);
+  std::vector<std::size_t> pos(count, 0);  // one cursor per shard
   while (true) {
     std::size_t best = count;
     SimTime best_at{};
@@ -625,23 +628,29 @@ void Network::migrate_node(NodeId id, std::size_t to) {
   // 2. Re-home the receive queue into the destination shard's slab, oldest
   // first, so the queue's order and the pending service completion's head
   // message are unchanged.
-  ReceiveSlab::Fifo moved;
+  EnvelopeSlab::Fifo moved;
   while (!state->queue.empty()) {
     dest.receive.push(moved, from.receive.pop(state->queue));
   }
   state->queue = moved;
 
-  // 3. Re-home pending events (deliveries, the in-flight service
-  // completion, periodic self-ticks — everything stamped with this node's
-  // tag).  Both queues sit at the barrier time, and extraction preserves
+  // 3. Re-home pending events (deliveries to it, the in-flight service
+  // completion, its timers — every record naming this node), moving each
+  // delivery's parked envelope into the destination shard's in-flight slab.
+  // Both queues sit at the barrier time, and extraction preserves
   // (when, seq) order, so the events replay on the new shard in the exact
   // order they would have run — after any same-instant events the new
   // shard already holds, which is a deterministic order either way.
   state->shard = static_cast<std::uint32_t>(to);
   migrate_scratch_.clear();
-  from.events.extract_tagged(id.value(), migrate_scratch_);
+  from.events.extract_node(id, migrate_scratch_);
   for (EventQueue::MigratedEvent& event : migrate_scratch_) {
-    dest.events.schedule_at(event.when, id.value(), std::move(event.action));
+    EventQueue::Record record = event.record;
+    if (record.kind == EventQueue::Kind::kDelivery) {
+      record.arg = dest.inflight.park(
+          from.inflight.take(static_cast<std::uint32_t>(record.arg)));
+    }
+    dest.events.schedule_record(event.when, record);
   }
   migrate_scratch_.clear();
 
@@ -779,6 +788,7 @@ Network::EngineStats Network::engine_stats() const {
     stats.link_table_bytes +=
         shard->link_records.capacity() * sizeof(LinkRecord);
     stats.receive_slab_bytes += shard->receive.bytes();
+    stats.inflight_envelope_bytes += shard->inflight.bytes();
     stats.event_slab_bytes += shard->events.slab_bytes();
     stats.sched_tier_bytes += shard->events.tier_bytes();
     stats.buffer_pool_idle_bytes += shard->pool.idle_bytes();

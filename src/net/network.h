@@ -20,9 +20,11 @@
 // and every per-send lookup is O(1).  Per-pair link state (config override +
 // traffic counters) lives in append-ordered record stores reached through
 // per-source hashed link tables (net/link_table.h).  Receive queues are
-// intrusive FIFOs threaded through one slab per shard (net/receive_slab.h).
-// Message payload storage is recycled through per-shard BufferPools once the
-// receiving handler returns.
+// intrusive FIFOs threaded through one slab per shard, and messages on the
+// wire are parked in a second one (net/envelope_slab.h); each pending
+// delivery, service completion and node timer is a 16-byte typed event
+// record (net/event_queue.h).  Message payload storage is recycled through
+// per-shard BufferPools once the receiving handler returns.
 //
 // Parallel engine (docs/ARCHITECTURE.md, "Parallel engine"): nodes are
 // partitioned into K shards, each owning an EventQueue + BufferPool + RNG
@@ -49,7 +51,7 @@
 #include "net/event_queue.h"
 #include "net/link_table.h"
 #include "net/message.h"
-#include "net/receive_slab.h"
+#include "net/envelope_slab.h"
 #include "obs/trace.h"
 #include "util/buffer_pool.h"
 #include "util/ids.h"
@@ -80,6 +82,20 @@ class Node {
   /// tracer_for pointer, say — must re-acquire them here; everything routed
   /// through the context-sensitive accessors needs nothing.
   virtual void on_shard_migrated() {}
+
+ protected:
+  /// Arms timer `timer` to fire on_timer(timer, arg) `delay` from now, on
+  /// the queue of the shard that owns this node (Network::schedule_timer).
+  void set_timer(SimTime delay, std::uint8_t timer, std::uint64_t arg = 0);
+
+  /// Fires a timer armed with set_timer: `timer` is the subclass's own
+  /// timer id, `arg` the word it armed it with (typically an epoch that
+  /// lets a stale timer recognise itself).  A detached node's timers are
+  /// discarded.
+  virtual void on_timer(std::uint8_t timer, std::uint64_t arg) {
+    (void)timer;
+    (void)arg;
+  }
 
  private:
   friend class Network;
@@ -136,31 +152,7 @@ struct LinkStats {
 /// — the knob exists for A/B benchmarking and as a fallback.
 [[nodiscard]] bool resolve_ladder_scheduler(bool config_default);
 
-/// Tag-stamping façade over a node's owner-shard EventQueue (see
-/// Network::events_for): every event scheduled through it carries the
-/// node's id, so shard rebalancing can extract and re-home the node's
-/// pending timers along with the node.
-class NodeEventQueue {
- public:
-  NodeEventQueue(EventQueue& queue, NodeId id)
-      : queue_(queue), tag_(id.value()) {}
-
-  template <typename F>
-  void schedule_at(SimTime when, F&& action) {
-    queue_.schedule_at(when, tag_, std::forward<F>(action));
-  }
-  template <typename F>
-  void schedule_after(SimTime delay, F&& action) {
-    queue_.schedule_after(delay, tag_, std::forward<F>(action));
-  }
-  [[nodiscard]] SimTime now() const { return queue_.now(); }
-
- private:
-  EventQueue& queue_;
-  EventQueue::Tag tag_;
-};
-
-class Network {
+class Network : private EventQueue::Target {
  public:
   /// Defined in network.cpp: construction also registers this network as
   /// the Logger's sim-time clock (util/log.h) so log lines carry sim time.
@@ -285,18 +277,22 @@ class Network {
     return sharded() ? control_queue_ : shards_.front()->events;
   }
 
-  /// The event queue OWNED by a node — where that node's periodic self-ticks
-  /// belong regardless of which context first arms them.  A timer armed via
-  /// events() from control context (Deployment bring-up, a scenario action
-  /// calling join()) would land on the control queue and stay there through
-  /// every re-arm, capping each conservative window at the next timer and
-  /// serializing per-node work onto the main thread.  Only safe for a node
-  /// scheduling for ITSELF (handlers run on the owning shard's thread) or
-  /// from control context at a barrier (workers parked).  The returned
-  /// façade stamps every event with the node's id so shard rebalancing can
-  /// re-home pending timers when the node migrates.
-  [[nodiscard]] NodeEventQueue events_for(NodeId id) {
-    return NodeEventQueue(shards_[shard_of(id)]->events, id);
+  /// Arms node `id`'s timer `timer`: on_timer(timer, arg) runs `delay`
+  /// from now.  The timer record goes on the queue OWNED by the node, where
+  /// its periodic self-ticks belong regardless of which context first arms
+  /// them.  A timer armed via events() from control context (Deployment
+  /// bring-up, a scenario action calling join()) would land on the control
+  /// queue and stay there through every re-arm, capping each conservative
+  /// window at the next timer and serializing per-node work onto the main
+  /// thread.  Only safe for a node scheduling for ITSELF (handlers run on
+  /// the owning shard's thread) or from control context at a barrier
+  /// (workers parked).  The record names the node, so shard rebalancing
+  /// re-homes pending timers when the node migrates.
+  void schedule_timer(NodeId id, SimTime delay, std::uint8_t timer,
+                      std::uint64_t arg) {
+    EventQueue& queue = shards_[shard_of(id)]->events;
+    queue.schedule_record(queue.now() + delay,
+                          EventQueue::Record::timer_tick(id, timer, arg));
   }
 
   [[nodiscard]] SimTime now() const {
@@ -350,9 +346,12 @@ class Network {
     std::size_t node_table_bytes = 0;    ///< the dense NodeState table
     std::size_t link_table_bytes = 0;    ///< per-node link tables + records
     std::size_t receive_slab_bytes = 0;  ///< receive-queue slots, all shards
-    std::size_t event_slab_bytes = 0;    ///< event callback slabs + tags
+    std::size_t event_slab_bytes = 0;    ///< event records + cold closures
     std::size_t sched_tier_bytes = 0;    ///< scheduler heap/bucket entries
     std::size_t buffer_pool_idle_bytes = 0;  ///< pooled idle payload buffers
+    /// In-flight envelope slots: messages on the wire, parked for their
+    /// delivery events, all shards.
+    std::size_t inflight_envelope_bytes = 0;
     /// Payloads of messages sent but not yet handled or dropped: in
     /// delivery events, mailboxes and receive queues.
     std::size_t payload_inflight_bytes = 0;
@@ -409,7 +408,7 @@ class Network {
   struct NodeState {
     Node* node = nullptr;
     NodeConfig config;
-    ReceiveSlab::Fifo queue;  // threaded through the owner shard's slab
+    EnvelopeSlab::Fifo queue;  // threaded through the owner shard's slab
     std::uint32_t shard = 0;  // owning shard index
     bool serving = false;
     std::uint64_t epoch = 0;  // bumped on detach to cancel stale service events
@@ -425,7 +424,6 @@ class Network {
   /// One cross-shard message parked until the window barrier.
   struct Mail {
     SimTime deliver_at{};
-    NodeId dst;
     Envelope env;
   };
 
@@ -444,7 +442,8 @@ class Network {
     obs::Tracer tracer;  // deferred to the master when sharded
     std::uint64_t trace_hash = 0xcbf29ce484222325ULL;
     std::vector<LinkRecord> link_records;
-    ReceiveSlab receive;  // receive queues of the nodes this shard owns
+    EnvelopeSlab receive;   // receive queues of the nodes this shard owns
+    EnvelopeSlab inflight;  // envelopes of this queue's delivery records
     std::uint64_t total_bytes = 0;
     std::uint64_t total_messages = 0;
     std::uint64_t total_dropped = 0;
@@ -484,7 +483,15 @@ class Network {
                                                    NodeId dst) const;
   void fold_lookahead(SimTime latency);
 
-  void deliver(NodeId dst, Envelope envelope);
+  /// Parks `envelope` in `shard`'s in-flight slab and schedules its
+  /// delivery record on `shard`'s queue.
+  static void schedule_delivery(Shard& shard, SimTime at,
+                                Envelope&& envelope) {
+    const NodeId dst = envelope.dst;
+    shard.events.schedule_record(
+        at, EventQueue::Record::delivery(
+                dst, shard.inflight.park(std::move(envelope))));
+  }
   /// A payload's last stop: back to `shard`'s pool, out of the in-flight
   /// byte tally.
   static void release_payload(Shard& shard,
@@ -496,6 +503,14 @@ class Network {
   void start_service(NodeId dst);
   void trace_record(Shard& shard, NodeId src, NodeId dst,
                     const std::vector<std::uint8_t>& payload, bool dropped);
+
+  // ---- typed event records (EventQueue::Target) ---------------------------
+  /// Takes the parked envelope out of the running shard's in-flight slab
+  /// and queues it at its destination (or drops it: detached destination,
+  /// full bounded queue).
+  void run_delivery(std::uint32_t slot) override;
+  void run_service(NodeId node, std::uint64_t epoch) override;
+  void run_timer(NodeId node, std::uint8_t timer, std::uint64_t arg) override;
 
   // ---- shard rebalancing (network.cpp) ------------------------------------
   void maybe_rebalance();
@@ -516,7 +531,9 @@ class Network {
   void stop_workers();
   void worker_loop(std::size_t index);
 
-  static thread_local Shard* tls_shard_;
+  // constinit: other translation units then read it directly instead of
+  // through a TLS wrapper function (which UBSan flags as a null load).
+  static constinit thread_local Shard* tls_shard_;
 
   std::vector<std::unique_ptr<Shard>> shards_;  // ≥1 always
   EventQueue control_queue_;   // main-thread events when sharded
@@ -562,5 +579,10 @@ class Network {
   bool window_inclusive_ = false;
   bool workers_stop_ = false;
 };
+
+inline void Node::set_timer(SimTime delay, std::uint8_t timer,
+                            std::uint64_t arg) {
+  network_->schedule_timer(node_id_, delay, timer, arg);
+}
 
 }  // namespace matrix

@@ -27,6 +27,8 @@ Registry collect_registry(Deployment& deployment) {
                  static_cast<double>(engine.link_table_bytes), "bytes");
   registry.gauge("engine.mem.receive_slab_bytes",
                  static_cast<double>(engine.receive_slab_bytes), "bytes");
+  registry.gauge("engine.mem.inflight_envelope_bytes",
+                 static_cast<double>(engine.inflight_envelope_bytes), "bytes");
   registry.gauge("engine.mem.event_slab_bytes",
                  static_cast<double>(engine.event_slab_bytes), "bytes");
   registry.gauge("engine.mem.sched_tier_bytes",

@@ -174,11 +174,11 @@ void Deployment::fail_over_coordinator() {
 void Deployment::kill_coordinator() {
   if (!coordinator_alive()) return;
   // Kill the primary: undelivered control messages to it are lost, exactly
-  // like a process crash.  Its heartbeat loop stops itself on the next
-  // firing (Coordinator::schedule_heartbeat checks attachment) — the
-  // resulting silence is what drives every server's failsafe to HOLD and
-  // then FALLBACK.  The object itself is kept so its partition map stays
-  // readable out of band (login path).
+  // like a process crash.  Its heartbeat loop stops at the next firing (the
+  // network drops a detached node's timers) — the resulting silence is what
+  // drives every server's failsafe to HOLD and then FALLBACK.  The object
+  // itself is kept so its partition map stays readable out of band (login
+  // path).
   network_.detach(coordinator_->node_id());
 }
 

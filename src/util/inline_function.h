@@ -1,13 +1,14 @@
 // Small-buffer-optimized, move-only callable.
 //
-// The event scheduler (net/event_queue.h) runs one of these per simulated
-// event — message delivery, service completion, game tick.  std::function
-// heap-allocates for any capture beyond ~2 pointers and must stay copyable;
-// this type instead stores captures up to kInlineBytes inline (covering
-// every hot-path lambda in the engine: an Envelope delivery capture is
-// ~72 bytes) and is move-only, so scheduling an event in steady state costs
-// zero allocations.  Oversized captures (rare scenario-scripting closures
-// holding whole option structs) transparently fall back to the heap.
+// The event scheduler (net/event_queue.h) keeps one of these per pending
+// COLD event: scenario scripting, metrics samplers, tests.  The hot kinds —
+// message deliveries, service completions, node timers — are 16-byte typed
+// records and never become closures.  std::function heap-allocates for any
+// capture beyond ~2 pointers and must stay copyable; this type instead
+// stores captures up to kInlineBytes inline and is move-only, so scheduling
+// a closure in steady state costs zero allocations.  Oversized captures
+// (rare scripting closures holding whole option structs) transparently fall
+// back to the heap.
 #pragma once
 
 #include <cstddef>
@@ -21,10 +22,11 @@ namespace matrix {
 /// invocable; move-only; empty after being moved from.
 class InlineAction {
  public:
-  /// Inline capture budget.  Sized for the engine's fattest hot-path lambda
-  /// (network delivery: this + dst + a moved-in Envelope) with headroom;
-  /// anything bigger goes to the heap, which only scenario scripting hits.
-  static constexpr std::size_t kInlineBytes = 104;
+  /// Inline capture budget.  Sized for the fattest scheduled closure in the
+  /// simulator (Scenario::add_surge_bots: a Deployment pointer, a count, a
+  /// centre, a spread and a VIP fraction — 48 bytes); anything bigger goes
+  /// to the heap.
+  static constexpr std::size_t kInlineBytes = 48;
 
   InlineAction() = default;
 

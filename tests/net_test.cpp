@@ -229,6 +229,42 @@ TEST(NetworkTest, DetachDropsInFlightAndQueued) {
   EXPECT_TRUE(b.received.empty());  // service completion cancelled by epoch
 }
 
+TEST(NetworkTest, DetachDropsInFlightDeliveriesAndRecyclesTheirSlots) {
+  // Messages still on the wire when their destination detaches are dropped
+  // when their delivery fires: each counts as a drop, hands its payload back
+  // to the pool and frees its in-flight envelope slot for the next send.
+  Network net;
+  Recorder a, b, c;
+  net.attach(&a);
+  const NodeId ib = net.attach(&b);
+  const NodeId ic = net.attach(&c);
+  net.set_default_link({10_ms, 0.0, 0.0});
+  const std::size_t inflight_before = net.engine_stats().payload_inflight_bytes;
+  for (std::uint8_t i = 0; i < 3; ++i) {
+    std::vector<std::uint8_t> payload = net.rent_buffer();
+    payload.assign(32, i);
+    net.send(a.node_id(), ib, std::move(payload));
+  }
+  const Network::EngineStats sent = net.engine_stats();
+  EXPECT_GT(sent.payload_inflight_bytes, inflight_before);
+  EXPECT_GT(sent.inflight_envelope_bytes, 0u);
+  net.run_until(5_ms);  // still on the wire
+  net.detach(ib);
+  net.run_until(1_sec);
+  EXPECT_TRUE(b.received.empty());
+  EXPECT_EQ(net.total_dropped(), 3u);
+  const Network::EngineStats dropped = net.engine_stats();
+  EXPECT_EQ(dropped.payload_inflight_bytes, inflight_before);
+  EXPECT_EQ(dropped.buffers_idle, 3u);
+  // The three freed envelope slots carry the next three messages.
+  for (std::uint8_t i = 0; i < 3; ++i) net.send(a.node_id(), ic, {i});
+  EXPECT_EQ(net.engine_stats().inflight_envelope_bytes,
+            sent.inflight_envelope_bytes);
+  net.run_until(2_sec);
+  EXPECT_EQ(c.received.size(), 3u);
+  EXPECT_EQ(net.engine_stats().payload_inflight_bytes, inflight_before);
+}
+
 TEST(NetworkTest, StatsCountMessagesAndBytes) {
   Network net;
   Recorder a, b;

@@ -5,7 +5,9 @@
 // The golden trace hashes in tests/determinism_test.cpp depend on this; here
 // we pin it directly with randomized schedules that exercise every tier
 // transition (near inserts, bucket folds, ring reseeds, width re-derivation,
-// overflow spill, past-time clamping, re-entrant scheduling from callbacks).
+// overflow spill, past-time clamping, re-entrant scheduling from callbacks),
+// with cold closures alone and interleaved with the typed delivery, service
+// and timer records.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -56,19 +58,78 @@ SimTime draw_when(Rng& rng, SimTime now) {
   }
 }
 
+/// Runs typed records by logging (time, marker) — the marker rides in the
+/// record's arg word — and, for timer id 1, re-arming a follow-up timer from
+/// inside the dispatch (the re-entrant path of a node's periodic tick).
+class LogTarget final : public EventQueue::Target {
+ public:
+  LogTarget(EventQueue& queue, Log& log) : queue_(queue), log_(log) {}
+
+  void run_delivery(std::uint32_t envelope) override {
+    log_.emplace_back(queue_.now().us(), envelope);
+  }
+  void run_service(NodeId, std::uint64_t epoch) override {
+    log_.emplace_back(queue_.now().us(), epoch);
+  }
+  void run_timer(NodeId node, std::uint8_t timer, std::uint64_t arg) override {
+    log_.emplace_back(queue_.now().us(), arg);
+    if (timer == 1) {
+      const auto delay =
+          SimTime::from_us(static_cast<std::int64_t>(arg % 5'000));
+      queue_.schedule_record(
+          queue_.now() + delay,
+          EventQueue::Record::timer_tick(node, 0, arg | (1ULL << 63)));
+    }
+  }
+
+ private:
+  EventQueue& queue_;
+  Log& log_;
+};
+
+/// Schedules marker `id` as one of the three typed record kinds, chosen by
+/// `kind` (timers with odd markers re-arm once; see LogTarget).
+void schedule_typed(EventQueue& queue, std::uint64_t kind, SimTime when,
+                    std::uint64_t id) {
+  const NodeId node(1 + id % 13);
+  switch (kind) {
+    case 0:
+      queue.schedule_record(
+          when,
+          EventQueue::Record::delivery(node, static_cast<std::uint32_t>(id)));
+      break;
+    case 1:
+      queue.schedule_record(when, EventQueue::Record::service(node, id));
+      break;
+    default:
+      queue.schedule_record(
+          when, EventQueue::Record::timer_tick(
+                    node, static_cast<std::uint8_t>(id % 2), id));
+      break;
+  }
+}
+
 /// Runs one randomized schedule/pop interleaving against `queue` and returns
 /// the execution log.  The op stream depends only on `seed`, never on the
 /// queue's internals, so both schedulers see the identical request sequence.
-Log run_schedule(EventQueue& queue, std::uint64_t seed, int ops) {
+/// With `typed`, half the scheduled events are typed records instead of
+/// closures.
+Log run_schedule(EventQueue& queue, std::uint64_t seed, int ops,
+                 bool typed = false) {
   Rng rng(seed);
   Log log;
+  LogTarget target(queue, log);
+  queue.set_target(&target);
   std::uint64_t marker = 0;
   for (int op = 0; op < ops; ++op) {
     const std::uint64_t roll = rng.next_below(100);
     if (roll < 70 || queue.empty()) {
       const SimTime when = draw_when(rng, queue.now());
       const std::uint64_t id = marker++;
-      if (rng.next_below(8) == 0) {
+      const std::uint64_t kind = typed ? rng.next_below(6) : 3;
+      if (kind < 3) {
+        schedule_typed(queue, kind, when, id);
+      } else if (rng.next_below(8) == 0) {
         // Re-entrant: the callback itself schedules a follow-up, landing in
         // whatever tier the clock has reached by then.
         const auto delay =
@@ -96,6 +157,7 @@ Log run_schedule(EventQueue& queue, std::uint64_t seed, int ops) {
   queue.run_all();
   EXPECT_TRUE(queue.empty());
   EXPECT_EQ(queue.pending(), 0u);
+  queue.set_target(nullptr);
   return log;
 }
 
@@ -109,6 +171,23 @@ TEST(SchedulerTest, LadderMatchesHeapPopOrder) {
     ladder.set_scheduler(EventQueue::Scheduler::kLadder);
     const Log expected = run_schedule(heap, seed, 10'000);
     const Log actual = run_schedule(ladder, seed, 10'000);
+    ASSERT_EQ(expected, actual) << "seed " << seed;
+    EXPECT_EQ(heap.events_processed(), ladder.events_processed());
+    EXPECT_EQ(heap.now(), ladder.now());
+  }
+}
+
+TEST(SchedulerTest, TypedRecordsAndClosuresKeepHeapPopOrder) {
+  // The same differential check with typed delivery, service and timer
+  // records interleaved with closures: the record kind never influences
+  // pop order, only (when, seq) does.
+  for (std::uint64_t seed = 101; seed <= 124; ++seed) {
+    EventQueue heap;
+    heap.set_scheduler(EventQueue::Scheduler::kHeap);
+    EventQueue ladder;
+    ladder.set_scheduler(EventQueue::Scheduler::kLadder);
+    const Log expected = run_schedule(heap, seed, 10'000, /*typed=*/true);
+    const Log actual = run_schedule(ladder, seed, 10'000, /*typed=*/true);
     ASSERT_EQ(expected, actual) << "seed " << seed;
     EXPECT_EQ(heap.events_processed(), ladder.events_processed());
     EXPECT_EQ(heap.now(), ladder.now());
@@ -161,41 +240,52 @@ TEST(SchedulerTest, NextTimeTracksGlobalMinimumAcrossTiers) {
   EXPECT_EQ(queue.now(), SimTime::from_sec(7200));
 }
 
-TEST(SchedulerTest, ExtractTaggedRemovesOnlyMatchingEvents) {
-  // Tagged extraction across all three tiers: the migrating node's events
-  // come out in (when, seq) order; everything else keeps its pop order.
+TEST(SchedulerTest, ExtractNodeRemovesOnlyThatNodesRecords) {
+  // By-node extraction across all three tiers: the migrating node's records
+  // come out in (when, seq) order with their kind and words intact;
+  // everything else — other nodes' records and closures — keeps its pop
+  // order.
+  using Record = EventQueue::Record;
+  const NodeId mine(7);
+  const NodeId other(8);
   EventQueue queue;
-  std::vector<int> stayed;
-  constexpr EventQueue::Tag kMine = 7;
-  constexpr EventQueue::Tag kOther = 8;
-  queue.schedule_at(1_ms, kMine, [] {});
-  queue.schedule_at(1_ms, kOther, [&] { stayed.push_back(0); });
-  queue.schedule_at(40_ms, kMine, [] {});    // ring tier
-  queue.schedule_at(SimTime::from_sec(1200), kMine, [] {});   // overflow tier
-  queue.schedule_at(5_ms, kOther, [&] { stayed.push_back(1); });
+  Log stayed;
+  LogTarget stay_target(queue, stayed);
+  queue.set_target(&stay_target);
+  queue.schedule_record(1_ms, Record::timer_tick(mine, 0, 10));
+  queue.schedule_record(1_ms, Record::timer_tick(other, 0, 20));
+  queue.schedule_at(1_ms, [&] { stayed.emplace_back(queue.now().us(), 21); });
+  queue.schedule_record(40_ms, Record::delivery(mine, 11));  // ring tier
+  queue.schedule_record(SimTime::from_sec(1200),
+                        Record::service(mine, 12));  // overflow tier
+  queue.schedule_record(5_ms, Record::service(other, 22));
 
   std::vector<EventQueue::MigratedEvent> moved;
-  queue.extract_tagged(kMine, moved);
+  queue.extract_node(mine, moved);
   ASSERT_EQ(moved.size(), 3u);
   EXPECT_EQ(moved[0].when, 1_ms);
   EXPECT_EQ(moved[1].when, 40_ms);
   EXPECT_EQ(moved[2].when, SimTime::from_sec(1200));
   EXPECT_TRUE(moved[0].order < moved[1].order);
+  EXPECT_EQ(moved[0].record.kind, EventQueue::Kind::kTimer);
+  EXPECT_EQ(moved[1].record.kind, EventQueue::Kind::kDelivery);
+  EXPECT_EQ(moved[2].record.kind, EventQueue::Kind::kService);
+  EXPECT_EQ(queue.pending(), 3u);
 
-  // Re-home into a fresh queue: the moved callbacks still run.
+  // Re-home into a fresh queue: the moved records still run, at their
+  // original instants.
   EventQueue dest;
-  std::vector<std::int64_t> landed;
-  for (EventQueue::MigratedEvent& event : moved) {
-    const SimTime when = event.when;
-    dest.schedule_at(when, kMine,
-                     [&landed, when] { landed.push_back(when.us()); });
-    (void)event;
+  Log landed;
+  LogTarget dest_target(dest, landed);
+  dest.set_target(&dest_target);
+  for (const EventQueue::MigratedEvent& event : moved) {
+    dest.schedule_record(event.when, event.record);
   }
   dest.run_all();
-  EXPECT_EQ(landed, (std::vector<std::int64_t>{1'000, 40'000, 1'200'000'000}));
+  EXPECT_EQ(landed, (Log{{1'000, 10}, {40'000, 11}, {1'200'000'000, 12}}));
 
   queue.run_all();
-  EXPECT_EQ(stayed, (std::vector<int>{0, 1}));
+  EXPECT_EQ(stayed, (Log{{1'000, 20}, {1'000, 21}, {5'000, 22}}));
   EXPECT_EQ(queue.pending(), 0u);
 }
 

@@ -8,6 +8,8 @@
 // pinned there too).  This file exercises the engine directly.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <tuple>
 #include <vector>
 
 #include "net/network.h"
@@ -161,6 +163,40 @@ TEST(ShardEngineTest, SingleShardConfigKeepsSerialTraceHash) {
   EXPECT_EQ(run(false), run(true));
 }
 
+TEST(ShardEngineTest, TraceMergeCoversMoreThanSixtyFourShards) {
+  // The barrier's trace merge keeps one cursor per shard whatever the shard
+  // count.  Sequential windows, so 65 shards start no thread.
+  constexpr std::size_t kShards = 65;
+  Network net;
+  net.configure_shards(kShards, /*use_threads=*/false);
+  net.enable_tracing();
+  const NodeConfig instant{0_us, 0_us, std::nullopt};
+  std::vector<Recorder> sinks(kShards);
+  std::vector<std::unique_ptr<Fanout>> relays;
+  for (std::size_t i = 0; i < kShards; ++i) net.attach(&sinks[i], instant, i);
+  for (std::size_t i = 0; i < kShards; ++i) {
+    relays.push_back(
+        std::make_unique<Fanout>(static_cast<std::uint8_t>(i), /*count=*/1));
+    net.attach(relays.back().get(), instant, i);
+    relays.back()->target = sinks[(i + 1) % kShards].node_id();
+  }
+  net.set_default_link({1_ms, 0.0, 0.0});
+  // Kick every relay from its own shard's sink; each reply crosses into the
+  // next shard through a mailbox, traced on the sending shard.
+  for (std::size_t i = 0; i < kShards; ++i) {
+    net.send(sinks[i].node_id(), relays[i]->node_id(), {0});
+  }
+  net.run_until(10_ms);
+  for (std::size_t i = 0; i < kShards; ++i) {
+    const Recorder& sink = sinks[(i + 1) % kShards];
+    ASSERT_EQ(sink.received.size(), 1u) << "shard " << i;
+    EXPECT_EQ(sink.received[0].payload[0], i);
+    EXPECT_EQ(sink.received[0].delivered_at, 2_ms);
+  }
+  EXPECT_EQ(net.engine_stats().cross_shard_messages, kShards);
+  EXPECT_EQ(net.tracer().events_recorded(), 2 * kShards);
+}
+
 // ---------------------------------------------------------------------------
 // Deployment-level: full scenarios under K=4, threaded and sequential
 // ---------------------------------------------------------------------------
@@ -308,6 +344,68 @@ TEST(ShardEngineTest, MigrationCarriesNonEmptyReceiveQueueInOrder) {
     EXPECT_EQ(stay.first[i],
               std::make_pair(std::int64_t{4'000 + 1'000 * i}, i));
   }
+  EXPECT_EQ(stay, moved);
+}
+
+TEST(ShardEngineTest, MigrationCarriesEveryTypedEventKind) {
+  // At the migration barrier the mover holds one of each typed record: a
+  // delivery still on the wire (sent, not yet arrived), the service
+  // completion of the message it is handling, a periodic timer that re-arms
+  // itself, and a one-shot timer with an argument.  All of them must move
+  // with it and fire at the same instants, in the same order, as in the run
+  // that never migrated.
+  using Entry = std::tuple<std::int64_t, char, std::uint64_t>;
+  class Ticker : public Node {
+   public:
+    [[nodiscard]] std::string name() const override { return "ticker"; }
+    void handle_message(const Envelope& env) override {
+      log.emplace_back(network()->now().us(), 'm', env.payload[0]);
+    }
+    void on_timer(std::uint8_t timer, std::uint64_t arg) override {
+      log.emplace_back(network()->now().us(), timer == 0 ? 'p' : 'o', arg);
+      if (timer == 0 && arg < 5) set_timer(2_ms, 0, arg + 1);
+    }
+    void arm(SimTime delay, std::uint8_t timer, std::uint64_t arg) {
+      set_timer(delay, timer, arg);
+    }
+    std::vector<Entry> log;
+  };
+  auto run = [](bool migrate) {
+    Network net;
+    net.configure_shards(2, /*use_threads=*/false);
+    Recorder near_src;
+    Recorder far_src;
+    Ticker mover;
+    net.attach(&near_src, {}, 0);
+    net.attach(&far_src, {}, 0);
+    net.attach(&mover, {1_ms, 0_us, std::nullopt}, 1);
+    net.set_link(near_src.node_id(), mover.node_id(), {3_ms, 0.0, 0.0});
+    net.set_link(far_src.node_id(), mover.node_id(), {10_ms, 0.0, 0.0});
+    net.define_colocated_group({mover.node_id()});
+    mover.arm(SimTime::from_us(1'500), 0, 0);  // 1.5, 3.5, ... 11.5 ms
+    mover.arm(6_ms, 1, 42);
+    net.send(near_src.node_id(), mover.node_id(), {1});  // in service 3-4 ms
+    net.send(far_src.node_id(), mover.node_id(), {2});   // lands at 10 ms
+    net.run_until(SimTime::from_us(3'700));
+    if (migrate) {
+      // Only shard 1 has run anything, so the mover's group moves to 0.
+      EXPECT_TRUE(net.force_rebalance());
+      EXPECT_EQ(net.shard_of(mover.node_id()), 0u);
+    }
+    net.run_until(1_sec);
+    return mover.log;
+  };
+  const auto stay = run(false);
+  const auto moved = run(true);
+  EXPECT_EQ(stay, (std::vector<Entry>{{1'500, 'p', 0},
+                                      {3'500, 'p', 1},
+                                      {4'000, 'm', 1},
+                                      {5'500, 'p', 2},
+                                      {6'000, 'o', 42},
+                                      {7'500, 'p', 3},
+                                      {9'500, 'p', 4},
+                                      {11'000, 'm', 2},
+                                      {11'500, 'p', 5}}));
   EXPECT_EQ(stay, moved);
 }
 
