@@ -310,7 +310,6 @@ void report(JsonReport& json, const char* run, const RunResult& r) {
       {"session_bytes", r.game_memory.session_bytes},
       {"ghost_bytes", r.game_memory.ghost_bytes},
       {"grid_bytes", r.game_memory.grid_bytes},
-      {"pending_event_bytes", r.game_memory.pending_event_bytes},
   };
   for (const auto& [name, bytes] : memory) {
     std::printf("  %-26s %12zu\n", name, bytes);

@@ -173,18 +173,13 @@ class MatrixPort {
   [[nodiscard]] NodeId matrix_node() const { return matrix_node_; }
 
  private:
-  std::size_t send(const Message& message) {
-    ByteWriter writer(network_->rent_buffer());
-    encode_message_into(writer, message);
-    return network_->send(self_, matrix_node_, writer.take());
-  }
-
-  /// Typed fast path: no Message-variant copy per outbound call.
+  /// Typed: no Message-variant copy per outbound call.  Stores only the
+  /// frame's head; its zero tail travels as a count (net/message.h).
   template <typename Body>
   std::size_t send_body(const Body& body) {
     ByteWriter writer(network_->rent_buffer());
-    encode_one_into(writer, body);
-    return network_->send(self_, matrix_node_, writer.take());
+    const std::size_t zero_tail = encode_head_into(writer, body);
+    return network_->send(self_, matrix_node_, writer.take(), zero_tail);
   }
 
   Network* network_;

@@ -119,16 +119,6 @@ void MatrixServer::on_message(const Message& message, const Envelope& env) {
     const std::uint32_t seq = next_lookup_seq_++;
     pending_owner_queries_[seq] = *query;
     send(wiring_.mc_node, PointLookup{query->point, seq});
-  } else if (const auto* st = std::get_if<StateTransfer>(&message)) {
-    // Relay leg of the game→Matrix→game state path (paper §3.2.2: state is
-    // forwarded "via Matrix").
-    send(st->to_game, *st);
-  } else if (const auto* cst = std::get_if<ClientStateTransfer>(&message)) {
-    send(cst->to_game, *cst);
-  } else if (const auto* handoff = std::get_if<QueueHandoff>(&message)) {
-    // Relay leg of the game→Matrix→game surge-queue handoff (split/merge):
-    // parked joins re-park at the server that now owns their region.
-    send(handoff->to_game, *handoff);
   } else if (const auto* announce = std::get_if<McAnnounce>(&message)) {
     // Coordinator fail-over: adopt the new MC and re-register so it can
     // rebuild the partition map from our (authoritative) local range.  The
@@ -181,9 +171,12 @@ bool MatrixServer::on_frame(const Envelope& env) {
     case wire_type<StateTransfer>:
     case wire_type<ClientStateTransfer>:
     case wire_type<QueueHandoff>: {
-      // Relay legs (paper §3.2.2: state is forwarded "via Matrix"): only the
-      // destination field is read; the frame — shed blobs included — is
-      // forwarded verbatim, never decoded or copied through a struct.
+      // Relay legs (paper §3.2.2: state and parked joins are forwarded "via
+      // Matrix"): the frame — shed blobs included — is validated in place
+      // and forwarded verbatim, never decoded or copied through a struct.
+      // parse_relay_frame accepts exactly what decode_message accepts, so a
+      // frame it rejects goes down the generic path, which counts it as
+      // malformed and drops it; a valid one never reaches on_message.
       const auto relay = parse_relay_frame(env.payload);
       if (!relay) return false;
       send_raw(relay->to_game, env.payload);
@@ -197,10 +190,14 @@ bool MatrixServer::on_frame(const Envelope& env) {
 std::size_t MatrixServer::send_peer_frame(NodeId peer,
                                           const std::vector<std::uint8_t>& frame,
                                           std::size_t flag_offset) {
+  // Only the head is stored, and it is cut after the flag is set: with an
+  // empty payload the unset flag lies in the frame's zero tail.
+  const std::size_t head =
+      std::max(frame.size() - zero_tail_length(frame), flag_offset + 1);
   std::vector<std::uint8_t> buf = network()->rent_buffer();
-  buf.assign(frame.begin(), frame.end());
+  buf.assign(frame.begin(), frame.begin() + static_cast<std::ptrdiff_t>(head));
   buf[flag_offset] = 1;  // peer_forwarded = true, flipped in place
-  return network()->send(node_id(), peer, std::move(buf));
+  return network()->send(node_id(), peer, std::move(buf), frame.size() - head);
 }
 
 void MatrixServer::route_tagged_frame(const TaggedPacketView& view,

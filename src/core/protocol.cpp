@@ -212,6 +212,33 @@ struct Wire {
     fields(m, [&r](auto&... f) { (get(r, f), ...); });
   }
 
+  // put() of a frame's last field less its last `skipped` bytes, all zeros
+  // (encode_head_into); `skipped` is 0 for every other field.
+  static void put_head(auto& w, const auto& v, std::size_t) { put(w, v); }
+  static void put_head(auto& w, const PayloadBytes& v, std::size_t skipped) {
+    w.raw_head(v, v.size() - skipped);
+  }
+  static void put_head(auto& w, const std::vector<std::uint8_t>& v,
+                       std::size_t skipped) {
+    w.raw_head(v, v.size() - skipped);
+  }
+
+  // walk() makes get()'s reads, and so accepts exactly what get() accepts,
+  // without get()'s allocations: byte strings are skipped by their length
+  // and list elements are read one at a time into one scratch element.
+  static void walk(ByteReader& r, auto& v) { get(r, v); }
+  static void walk(ByteReader& r, std::vector<std::uint8_t>&) {
+    r.raw_span();
+  }
+  template <typename T>
+  static void walk(ByteReader& r, std::vector<T>&) {
+    T scratch;
+    for (std::size_t n = r.count(); n != 0; --n) walk(r, scratch);
+  }
+  static void walk(ByteReader& r, HasFields auto& m) {
+    fields(m, [&r](auto&... f) { (walk(r, f), ...); });
+  }
+
   // An overlap region ships one count and then interleaved (server, matrix
   // node) pairs, not two lists, so it keeps a hand-written codec.
   static void put(auto& w, const OverlapRegionWire& v) {
@@ -257,6 +284,23 @@ std::optional<Message> decode_as(ByteReader& r) {
   return message;
 }
 
+/// The zeros that end field `f` when it is a byte string, else 0.
+std::size_t zero_tail_of(const auto&) { return 0; }
+std::size_t zero_tail_of(const PayloadBytes& f) { return zero_tail_length(f); }
+std::size_t zero_tail_of(const std::vector<std::uint8_t>& f) {
+  return zero_tail_length(f);
+}
+
+/// A relay frame whose type byte `r` has consumed, walked to its end.  Its
+/// byte strings and lists stay empty: walk() fills neither.
+template <typename Body>
+std::optional<RelayFrameView> walk_relay_frame(ByteReader& r) {
+  Body body;
+  Wire::walk(r, body);
+  if (!r.ok() || !r.at_end()) return std::nullopt;
+  return RelayFrameView{wire_type<Body>, body.to_game};
+}
+
 /// A view's field copied into its message (payload spans are copied out).
 void copy_field(auto& out, const auto& in) { out = in; }
 void copy_field(PayloadBytes& out, std::span<const std::uint8_t> in) {
@@ -287,6 +331,23 @@ void encode_one_into(ByteWriter& writer, const Body& body) {
   ByteCursor out = writer.extend(1 + size.size());
   out.u8(wire_type<Body>);
   Wire::put(out, body);
+}
+
+template <typename Body>
+std::size_t encode_head_into(ByteWriter& writer, const Body& body) {
+  return fields(body, [&writer](const auto&... f) {
+    std::size_t skipped = 0;  // the zeros ending the last field
+    ((skipped = zero_tail_of(f)), ...);
+    ByteCounter size;
+    (Wire::put(size, f), ...);
+    ByteCursor out = writer.extend(1 + size.size() - skipped);
+    out.u8(wire_type<Body>);
+    [[maybe_unused]] std::size_t left = sizeof...(f);
+    (Wire::put_head(out, f, --left == 0 ? skipped : 0), ...);
+    // The head may itself end in zeros: an empty last byte string's zero
+    // length, or zero-valued fields after the last byte string.
+    return skipped + writer.trim_zero_tail();
+  });
 }
 
 std::optional<Message> decode_message(std::span<const std::uint8_t> bytes) {
@@ -340,25 +401,16 @@ std::optional<QueueUpdate> parse_queue_update_frame(
 std::optional<RelayFrameView> parse_relay_frame(
     std::span<const std::uint8_t> frame) {
   ByteReader r(frame);
-  RelayFrameView view;
-  view.wire_type = r.u8();
-  // `to_game` sits behind 1-2 leading ids; nothing after it is read, so the
-  // relay never walks the (possibly huge) blob/entry tail.
-  switch (view.wire_type) {
+  switch (r.u8()) {
     case wire_type<StateTransfer>:
-    case wire_type<QueueHandoff>:
-      r.id<ServerId>();  // from_server
-      break;
+      return walk_relay_frame<StateTransfer>(r);
     case wire_type<ClientStateTransfer>:
-      r.id<ClientId>();  // client
-      r.id<EntityId>();  // entity
-      break;
+      return walk_relay_frame<ClientStateTransfer>(r);
+    case wire_type<QueueHandoff>:
+      return walk_relay_frame<QueueHandoff>(r);
     default:
       return std::nullopt;
   }
-  view.to_game = r.id<NodeId>();
-  if (!r.ok()) return std::nullopt;
-  return view;
 }
 
 // One instantiation per Message alternative, so the typed fast path is
@@ -374,8 +426,9 @@ std::optional<RelayFrameView> parse_relay_frame(
   X(PoolPressure) X(QueueUpdate) X(LoadDigest) X(AdmissionDirective)         \
   X(QueueHandoff) X(McHeartbeat)
 
-#define MATRIX_INSTANTIATE_ENCODE(T) \
-  template void encode_one_into<T>(ByteWriter&, const T&);
+#define MATRIX_INSTANTIATE_ENCODE(T)                      \
+  template void encode_one_into<T>(ByteWriter&, const T&); \
+  template std::size_t encode_head_into<T>(ByteWriter&, const T&);
 MATRIX_MESSAGE_TYPES(MATRIX_INSTANTIATE_ENCODE)
 #undef MATRIX_INSTANTIATE_ENCODE
 

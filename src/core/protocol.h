@@ -555,6 +555,16 @@ void encode_message_into(ByteWriter& writer, const Message& message);
 template <typename Body>
 void encode_one_into(ByteWriter& writer, const Body& body);
 
+/// encode_one_into without the frame's zero tail: writes every byte up to
+/// the run of zeros that ends the frame and returns that run's length, for
+/// the sender to carry as Envelope::zero_tail.  When the last field is a
+/// byte string, its trailing zeros are never written at all, so an
+/// all-zero filler payload costs no storage.  Explicitly instantiated like
+/// encode_one_into.
+template <typename Body>
+[[nodiscard]] std::size_t encode_head_into(ByteWriter& writer,
+                                           const Body& body);
+
 // ---------------------------------------------------------------------------
 // Zero-copy frame fast paths (the engine hot path)
 // ---------------------------------------------------------------------------
@@ -611,8 +621,11 @@ struct ServerUpdateView {
 /// forward.  The relay re-sends the arriving frame bytes untouched
 /// (encode∘decode is the identity, so the raw forward is byte-identical to
 /// decode-then-re-encode) and the blob — unbounded during big sheds — is
-/// never copied through a decoded struct.  Only the leading ids are read;
-/// the destination game server's full decode validates the rest.
+/// never copied through a decoded struct.  The parser still walks the
+/// whole frame, allocating nothing (the blob is skipped by its length,
+/// handoff entries are read one at a time into one scratch entry), so it
+/// accepts exactly the frames decode_message accepts and a malformed tail
+/// is dropped at the relay instead of crossing the network.
 struct RelayFrameView {
   std::uint8_t wire_type = 0;
   NodeId to_game;

@@ -45,25 +45,25 @@ class ProtocolNode : public Node {
     return false;
   }
 
-  /// Encodes and sends; returns wire bytes charged.  Encodes into a buffer
-  /// rented from the network's pool, so steady-state sends are
-  /// allocation-free (the network reclaims the storage after delivery).
+  /// Encodes and sends; returns wire bytes charged.
   std::size_t send(NodeId dst, const Message& message) {
-    ByteWriter writer(network()->rent_buffer());
-    encode_message_into(writer, message);
-    return network()->send(node_id(), dst, writer.take());
+    return std::visit([this, dst](const auto& body) { return send(dst, body); },
+                      message);
   }
 
   /// Typed fast path: callers passing a concrete body (the common case)
-  /// skip the Message-variant copy entirely.
+  /// skip the Message-variant copy entirely.  Encodes into a buffer rented
+  /// from the network's pool, so steady-state sends are allocation-free
+  /// (the network reclaims the storage after delivery).  Only the frame's
+  /// head is stored; its zero tail travels as a count (net/message.h).
   template <typename Body,
             typename = std::enable_if_t<
                 !std::is_same_v<std::decay_t<Body>, Message> &&
                 std::is_constructible_v<Message, const Body&>>>
   std::size_t send(NodeId dst, const Body& body) {
     ByteWriter writer(network()->rent_buffer());
-    encode_one_into(writer, body);
-    return network()->send(node_id(), dst, writer.take());
+    const std::size_t zero_tail = encode_head_into(writer, body);
+    return network()->send(node_id(), dst, writer.take(), zero_tail);
   }
 
   /// Relay fast path: forwards already-encoded wire bytes verbatim (e.g. a
@@ -72,9 +72,11 @@ class ProtocolNode : public Node {
   /// decoded message — encode∘decode is the identity on valid frames (the
   /// round-trip property protocol_test pins for every message type).
   std::size_t send_raw(NodeId dst, std::span<const std::uint8_t> bytes) {
+    const auto head = bytes.first(bytes.size() - zero_tail_length(bytes));
     std::vector<std::uint8_t> buf = network()->rent_buffer();
-    buf.assign(bytes.begin(), bytes.end());
-    return network()->send(node_id(), dst, std::move(buf));
+    buf.assign(head.begin(), head.end());
+    return network()->send(node_id(), dst, std::move(buf),
+                           bytes.size() - head.size());
   }
 
   [[nodiscard]] SimTime now() const { return network()->now(); }

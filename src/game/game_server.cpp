@@ -19,18 +19,15 @@ std::int64_t bucket(double v, double cell) {
 
 }  // namespace
 
-void GameServer::grid_prepare(std::size_t entries) {
-  std::size_t size = grid_keys_.size() < 64 ? 64 : grid_keys_.size();
-  while (size < entries * 2) size *= 2;  // load factor ≤ 50%
-  // Grow-only: shrinking on entity-count dips would re-allocate every tick
-  // when the population straddles a power-of-two boundary.
-  if (grid_keys_.size() != size) {
-    grid_keys_.assign(size, 0);
-    grid_counts_.assign(size, 0);
-    grid_stamps_.assign(size, 0);
-    grid_epoch_ = 0;
+void GameServer::grid_prepare() {
+  if (grid_keys_.empty()) {
+    constexpr std::size_t kInitialSlots = 64;
+    grid_keys_.assign(kInitialSlots, 0);
+    grid_counts_.assign(kInitialSlots, 0);
+    grid_stamps_.assign(kInitialSlots, 0);
   }
   ++grid_epoch_;
+  grid_used_ = 0;
 }
 
 void GameServer::grid_bump(std::uint64_t key) {
@@ -46,6 +43,29 @@ void GameServer::grid_bump(std::uint64_t key) {
   grid_stamps_[i] = grid_epoch_;
   grid_keys_[i] = key;
   grid_counts_[i] = 1;
+  if (++grid_used_ * 2 > grid_keys_.size()) grid_grow();  // load ≤ 50%
+}
+
+void GameServer::grid_grow() {
+  // Grow-only: shrinking on cell-count dips would re-allocate every tick
+  // when the count straddles a power-of-two boundary.  Only this epoch's
+  // cells move; the fresh stamps (all 0) read as empty to every epoch ≥ 1.
+  const std::vector<std::uint64_t> keys = std::move(grid_keys_);
+  const std::vector<std::uint32_t> counts = std::move(grid_counts_);
+  const std::vector<std::uint32_t> stamps = std::move(grid_stamps_);
+  const std::size_t size = keys.size() * 2;
+  grid_keys_.assign(size, 0);
+  grid_counts_.assign(size, 0);
+  grid_stamps_.assign(size, 0);
+  const std::size_t mask = size - 1;
+  for (std::size_t j = 0; j < keys.size(); ++j) {
+    if (stamps[j] != grid_epoch_) continue;
+    std::size_t i = splitmix64(keys[j]) & mask;
+    while (grid_stamps_[i] == grid_epoch_) i = (i + 1) & mask;
+    grid_stamps_[i] = grid_epoch_;
+    grid_keys_[i] = keys[j];
+    grid_counts_[i] = counts[j];
+  }
 }
 
 std::uint32_t GameServer::grid_count(std::uint64_t key) const {
@@ -563,8 +583,8 @@ bool GameServer::on_frame(const Envelope& envelope) {
     const auto view = parse_tagged_packet_frame(frame);
     if (!view) return false;  // malformed: the generic path counts it
     ++msgs_since_report_;
-    apply_remote_event(view->entity, view->client, view->origin, view->target,
-                       view->radius_class, view->client_sent_at, view->kind);
+    apply_remote_event(view->entity, view->client, view->origin,
+                       view->client_sent_at);
     return true;
   }
   if (frame[0] == wire_type<ClientAction>) {
@@ -664,12 +684,9 @@ void GameServer::handle_action_core(ClientId client, std::uint8_t kind_byte,
   send(envelope.src, ack);
   ++stats_.acks_sent;
 
-  // Everyone nearby sees the event at the next update tick.
-  push_pending({position, radius_for(radius_class), sent_at, kind_byte});
-  if (target && kind == ActionKind::kFire) {
-    // Shots also matter where they land.
-    push_pending({*target, radius_for(radius_class), sent_at, kind_byte});
-  }
+  // Everyone nearby sees the event (and a shot's impact) at the next
+  // update tick.
+  note_pending(sent_at);
 
   maybe_migrate(client, session);
 }
@@ -762,15 +779,11 @@ void GameServer::redirect_client(ClientId client, Session& session,
 
 void GameServer::handle_remote_packet(const TaggedPacket& packet) {
   apply_remote_event(packet.entity, packet.client, packet.origin,
-                     packet.target, packet.radius_class,
-                     packet.client_sent_at, packet.kind);
+                     packet.client_sent_at);
 }
 
 void GameServer::apply_remote_event(EntityId entity, ClientId client,
-                                    Vec2 origin,
-                                    const std::optional<Vec2>& target,
-                                    std::uint8_t radius_class, SimTime sent_at,
-                                    std::uint8_t kind) {
+                                    Vec2 origin, SimTime sent_at) {
   ++stats_.remote_events;
   // Maintain a ghost replica of the remote avatar so local players "see"
   // across the partition boundary — the localized consistency the paper's
@@ -780,13 +793,9 @@ void GameServer::apply_remote_event(EntityId entity, ClientId client,
   ghost.position = origin;
   ghost.owner = client;
 
-  const double radius = radius_for(radius_class);
-  push_pending({origin, radius, sent_at, kind});
-  if (target && authority_.contains(*target)) {
-    // Non-proximal interaction landing in our range (teleport arrival,
-    // remote shot impact).
-    push_pending({*target, radius, sent_at, kind});
-  }
+  // Local clients see it (and a non-proximal interaction landing in our
+  // range: teleport arrival, remote shot impact) at the next update tick.
+  note_pending(sent_at);
 }
 
 void GameServer::handle_map_range(const MapRange& range) {
@@ -855,7 +864,7 @@ void GameServer::handle_map_range(const MapRange& range) {
   if (range.reclaim) {
     authority_ = Rect{};
     ghosts_.clear();
-    pending_events_.clear();
+    pending_any_ = false;
     if (queue_handoff_active() && !surge_queue_.empty()) {
       // The whole room follows the range back to the parent instead of
       // being dumped into client-side retry.
@@ -900,13 +909,6 @@ std::uint8_t GameServer::radius_class_for(ClientId client) const {
   const double u =
       static_cast<double>(z >> 11) * 0x1.0p-53;  // uniform in [0,1)
   return u < spec_.exceptional_radius_fraction ? 1 : 0;
-}
-
-double GameServer::radius_for(std::uint8_t radius_class) const {
-  if (radius_class == 0) return spec_.visibility_radius;
-  const std::size_t idx = radius_class - 1;
-  if (idx < spec_.extra_radii.size()) return spec_.extra_radii[idx];
-  return spec_.visibility_radius;
 }
 
 LoadSignals GameServer::local_signals() const {
@@ -978,7 +980,7 @@ void GameServer::update_tick() {
     // Approximate each client's visible-entity count with an R-sized
     // bucket grid (sum over the 3×3 neighbourhood); sizes the digest.
     const double cell = std::max(spec_.visibility_radius, 1.0);
-    grid_prepare(sessions_.size() + ghosts_.size());
+    grid_prepare();
     auto key = [cell](Vec2 p) {
       const auto ix = static_cast<std::uint64_t>(
           static_cast<std::uint32_t>(bucket(p.x, cell)));
@@ -993,7 +995,7 @@ void GameServer::update_tick() {
         [&](const Entity& ghost) { grid_bump(key(ghost.position)); });
 
     SimTime oldest = now();
-    if (!pending_events_.empty()) oldest = std::min(oldest, pending_oldest_);
+    if (pending_any_) oldest = std::min(oldest, pending_oldest_);
 
     for (const auto& [client, session] : sessions_) {
       std::uint32_t visible = 0;
@@ -1012,14 +1014,14 @@ void GameServer::update_tick() {
       update.kind = 0;  // digest
       update.position = session.position;
       update.ack_seq = 0;
-      update.origin_sent_at = pending_events_.empty() ? now() : oldest;
+      update.origin_sent_at = pending_any_ ? oldest : now();
       update.payload.assign(
           12 + 8 * std::min<std::uint32_t>(visible, 32), 0);
       send(session.client_node, update);
       ++stats_.updates_sent;
     }
   }
-  pending_events_.clear();
+  pending_any_ = false;
   schedule_update_tick();
 }
 

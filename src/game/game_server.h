@@ -102,14 +102,12 @@ class GameServer : public ProtocolNode {
     std::size_t sessions = 0;
     std::size_t ghosts = 0;
     std::size_t grid = 0;
-    std::size_t pending_events = 0;
   };
   [[nodiscard]] MemoryBytes memory_bytes() const {
     return {sessions_.bytes(), ghosts_.bytes(),
             grid_keys_.capacity() * sizeof(std::uint64_t) +
                 (grid_counts_.capacity() + grid_stamps_.capacity()) *
-                    sizeof(std::uint32_t),
-            pending_events_.capacity() * sizeof(PendingEvent)};
+                    sizeof(std::uint32_t)};
   }
   [[nodiscard]] const GameModelSpec& spec() const { return spec_; }
   /// Admission state last pushed by the co-located Matrix server.
@@ -207,9 +205,7 @@ class GameServer : public ProtocolNode {
   // Matrix callbacks
   void handle_remote_packet(const TaggedPacket& packet);
   void apply_remote_event(EntityId entity, ClientId client, Vec2 origin,
-                          const std::optional<Vec2>& target,
-                          std::uint8_t radius_class, SimTime sent_at,
-                          std::uint8_t kind);
+                          SimTime sent_at);
   void handle_map_range(const MapRange& range);
   void handle_state_transfer(const StateTransfer& transfer);
   void handle_client_state(const ClientStateTransfer& transfer);
@@ -271,7 +267,6 @@ class GameServer : public ProtocolNode {
   /// Sends every session its per-tick digest.
   void update_tick();
   [[nodiscard]] LoadReport build_load_report();
-  [[nodiscard]] double radius_for(std::uint8_t radius_class) const;
   /// Deterministic exceptional-radius assignment by client id (stable
   /// across handoffs because client ids are globally unique).
   [[nodiscard]] std::uint8_t radius_class_for(ClientId client) const;
@@ -295,39 +290,37 @@ class GameServer : public ProtocolNode {
   /// hello; consumed when the hello lands.
   FlatMap<ClientId, Entity> pending_avatars_;
 
-  /// Events accumulated since the last update tick, flushed as one digest
-  /// ServerUpdate per interested client (real servers batch exactly like
-  /// this; per-event broadcast would melt both the real and simulated NIC).
-  struct PendingEvent {
-    Vec2 origin;
-    double radius;
-    SimTime sent_at;
-    std::uint8_t kind;
-  };
-  std::vector<PendingEvent> pending_events_;
-  /// Oldest sent_at among pending_events_ (valid while non-empty),
-  /// maintained on push so the update tick does not rescan the batch.
-  SimTime pending_oldest_{};
+  /// Events (local actions, remote events) since the last update tick are
+  /// flushed as one digest ServerUpdate per client — real servers batch
+  /// exactly like this; per-event broadcast would melt both the real and
+  /// the simulated NIC.  A digest's size comes from the visibility grid
+  /// and its timestamp from the oldest event, so that timestamp is all the
+  /// batch keeps.
+  bool pending_any_ = false;
+  SimTime pending_oldest_{};  // valid while pending_any_
 
-  void push_pending(const PendingEvent& event) {
-    if (pending_events_.empty() || event.sent_at < pending_oldest_) {
-      pending_oldest_ = event.sent_at;
-    }
-    pending_events_.push_back(event);
+  void note_pending(SimTime sent_at) {
+    if (!pending_any_ || sent_at < pending_oldest_) pending_oldest_ = sent_at;
+    pending_any_ = true;
   }
 
   /// Scratch bucket grid for the update tick's visible-entity estimate: an
-  /// epoch-stamped open-address table (linear probing, ≤50% load factor)
-  /// kept across ticks.  Epoch stamping makes "clear" a counter increment,
-  /// so the tick performs no allocation and no table wipe in steady state.
-  /// Count sums are order-independent, so determinism is unaffected.
+  /// epoch-stamped open-address table (linear probing) kept across ticks.
+  /// Epoch stamping makes "clear" a counter increment, so the tick performs
+  /// no allocation and no table wipe in steady state.  It is sized by the
+  /// distinct cells a tick bumps (~100 per server), not by the entities
+  /// bumped (thousands), and doubles whenever it passes half full, mid-tick
+  /// included.  Count sums are order-independent, so neither the size nor
+  /// the growth point can change a digest.
   std::vector<std::uint64_t> grid_keys_;
   std::vector<std::uint32_t> grid_counts_;
   std::vector<std::uint32_t> grid_stamps_;
   std::uint32_t grid_epoch_ = 0;
+  std::size_t grid_used_ = 0;  // distinct cells bumped this epoch
 
-  void grid_prepare(std::size_t entries);
+  void grid_prepare();
   void grid_bump(std::uint64_t key);
+  void grid_grow();
   [[nodiscard]] std::uint32_t grid_count(std::uint64_t key) const;
 
   std::uint32_t next_redirect_seq_ = 1;

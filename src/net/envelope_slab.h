@@ -112,9 +112,12 @@ class EnvelopeSlab {
 
  private:
   struct Slot {
-    Envelope envelope;
+    // The link sits in the envelope's tail padding (after zero_tail), so a
+    // slot stays one 64-byte cache line.
+    [[no_unique_address]] Envelope envelope;
     std::uint32_t next = kNone;
   };
+  static_assert(sizeof(Slot) <= 64);
 
   std::deque<Slot> slots_;
   std::uint32_t free_ = kNone;

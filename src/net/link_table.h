@@ -59,6 +59,15 @@ class LinkTable {
     }
   }
 
+  /// Visits every mapping as (dst, record).
+  template <typename F>
+  void for_each(F&& visit) const {
+    for (std::uint32_t i = 0; i < capacity_; ++i) {
+      const Entry& entry = entries_[i];
+      if (entry.dst != 0) visit(NodeId(entry.dst), entry.record);
+    }
+  }
+
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] std::size_t bytes() const { return capacity_ * sizeof(Entry); }
 

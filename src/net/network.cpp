@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 
 #include "util/log.h"
@@ -30,6 +31,15 @@ constexpr std::uint64_t kRngSalt = 0xA5A5A5A5DEADBEEFULL;
 constexpr std::uint64_t kShardSeedStride = 0x9E3779B97F4A7C15ULL;
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;
+
+/// kFnvPrime^n (mod 2^64), by squaring.
+std::uint64_t fnv_prime_pow(std::uint64_t n) {
+  std::uint64_t result = 1;
+  for (std::uint64_t base = kFnvPrime; n != 0; n >>= 1, base *= base) {
+    if ((n & 1) != 0) result *= base;
+  }
+  return result;
+}
 
 }  // namespace
 
@@ -148,10 +158,7 @@ Network::LinkRecord& Network::link_record(NodeId src, NodeId dst) {
   if (slot == LinkTable::kAbsent) {
     slot = static_cast<std::int32_t>(store.size());
     state.out.insert(dst, static_cast<std::uint32_t>(slot));
-    LinkRecord record;
-    record.src = src;
-    record.dst = dst;
-    store.push_back(std::move(record));
+    store.emplace_back();
   }
   return store[static_cast<std::size_t>(slot)];
 }
@@ -205,9 +212,11 @@ void Network::set_default_link(LinkConfig config) {
 }
 
 void Network::set_link(NodeId src, NodeId dst, LinkConfig config) {
-  LinkRecord& record = link_record(src, dst);
-  record.has_override = true;
-  record.config = config;
+  const auto index = static_cast<std::size_t>(
+      std::find(link_configs_.begin(), link_configs_.end(), config) -
+      link_configs_.begin());
+  if (index == link_configs_.size()) link_configs_.push_back(config);
+  link_record(src, dst).override_index = static_cast<std::uint32_t>(index);
   if (sharded() && shard_of(src) != shard_of(dst)) {
     fold_lookahead(config.latency);
   }
@@ -219,16 +228,19 @@ void Network::set_node_config(NodeId id, NodeConfig config) {
 }
 
 std::size_t Network::send(NodeId src, NodeId dst,
-                          std::vector<std::uint8_t> payload) {
+                          std::vector<std::uint8_t> payload,
+                          std::size_t zero_tail) {
+  assert(zero_tail <= UINT32_MAX);
   Envelope envelope;
   envelope.src = src;
   envelope.dst = dst;
   envelope.payload = std::move(payload);
   envelope.sent_at = now();
+  envelope.zero_tail = static_cast<std::uint32_t>(zero_tail);
   const std::size_t wire = envelope.wire_size();
 
   LinkRecord& record = link_record(src, dst);
-  const LinkConfig& cfg = record.has_override ? record.config : default_link_;
+  const LinkConfig& cfg = config_of(record);
   // Sender-side state (RNG stream, golden hash, totals, payload pool) lives
   // on the shard that owns `src`; inside a window that IS the running shard.
   Shard& sh = *shards_[find_state(src)->shard];
@@ -236,7 +248,7 @@ std::size_t Network::send(NodeId src, NodeId dst,
   const bool dropped =
       !attached(dst) ||
       (cfg.drop_probability > 0.0 && sh.rng.next_bool(cfg.drop_probability));
-  if (trace_hash_on_) trace_record(sh, src, dst, envelope.payload, dropped);
+  if (trace_hash_on_) trace_record(sh, envelope, dropped);
   sh.payload_inflight_bytes +=
       static_cast<std::int64_t>(envelope.payload.capacity());
   obs::Tracer& tr = tracer();
@@ -332,11 +344,30 @@ void Network::run_service(NodeId node, std::uint64_t epoch) {
     return;
   }
   Envelope env = shards_[s->shard]->receive.pop(s->queue);
+  Shard& here = current_shard();
+  // The handler sees the whole frame: a stored head is rebuilt with its
+  // zero tail in the shard's scratch buffer, and put back afterwards.  The
+  // scratch buffer holds only zeros between handlers (resize zero-fills
+  // what it adds), so a rebuild writes the head alone.
+  const bool rebuilt = env.zero_tail != 0;
+  const std::size_t head = env.payload.size();
+  if (rebuilt) {
+    here.frame_scratch.resize(env.frame_size());
+    if (head != 0) {
+      std::memcpy(here.frame_scratch.data(), env.payload.data(), head);
+    }
+    env.payload.swap(here.frame_scratch);
+    env.zero_tail = 0;
+  }
   // Handle *before* scheduling the next service so handlers observe a
   // queue that no longer contains the message being processed.
   s->node->handle_message(env);
+  if (rebuilt) {
+    env.payload.swap(here.frame_scratch);
+    if (head != 0) std::memset(here.frame_scratch.data(), 0, head);
+  }
   ++s->served;  // the rebalancer's per-node load proxy
-  release_payload(current_shard(), std::move(env.payload));
+  release_payload(here, std::move(env.payload));
   // The handler may have detached this node (e.g. reclamation) or attached
   // new ones (the node table may have grown) — re-resolve.
   s = find_state(node);
@@ -352,8 +383,7 @@ void Network::run_timer(NodeId node, std::uint8_t timer, std::uint64_t arg) {
   }
 }
 
-void Network::trace_record(Shard& shard, NodeId src, NodeId dst,
-                           const std::vector<std::uint8_t>& payload,
+void Network::trace_record(Shard& shard, const Envelope& envelope,
                            bool dropped) {
   std::uint64_t h = shard.trace_hash;
   auto mix = [&h](std::uint64_t v) {
@@ -363,14 +393,17 @@ void Network::trace_record(Shard& shard, NodeId src, NodeId dst,
     }
   };
   mix(static_cast<std::uint64_t>(now().us()));
-  mix(src.value());
-  mix(dst.value());
+  mix(envelope.src.value());
+  mix(envelope.dst.value());
   mix(dropped ? 1u : 0u);
-  mix(payload.size());
-  for (const std::uint8_t b : payload) {
+  mix(envelope.frame_size());
+  for (const std::uint8_t b : envelope.payload) {
     h ^= b;
     h *= kFnvPrime;
   }
+  // Each zero of the tail is an FNV step whose xor is a no-op, so the tail
+  // folds in as one multiply by kFnvPrime^zero_tail.
+  h *= fnv_prime_pow(envelope.zero_tail);
   shard.trace_hash = h;
 }
 
@@ -621,7 +654,7 @@ void Network::migrate_node(NodeId id, std::size_t to) {
   state->out.for_each([&](NodeId, std::uint32_t& slot) {
     LinkRecord& old_record = from.link_records[slot];
     slot = static_cast<std::uint32_t>(dest.link_records.size());
-    dest.link_records.push_back(old_record);
+    dest.link_records.push_back(old_record);  // override index included
     old_record = LinkRecord{};  // dead slot: zero stats, no override
   });
 
@@ -659,14 +692,12 @@ void Network::migrate_node(NodeId id, std::size_t to) {
 }
 
 void Network::refold_cross_shard_lookahead() {
-  for (const auto& shard : shards_) {
-    for (const LinkRecord& record : shard->link_records) {
-      if (!record.has_override) continue;
-      if (shard_of(record.src) != shard_of(record.dst)) {
-        fold_lookahead(record.config.latency);
-      }
+  for_each_link([this](NodeId src, NodeId dst, const LinkRecord& record) {
+    if (record.override_index != kNoOverride &&
+        shard_of(src) != shard_of(dst)) {
+      fold_lookahead(link_configs_[record.override_index].latency);
     }
-  }
+  });
 }
 
 void Network::start_workers() {
@@ -754,11 +785,9 @@ std::uint64_t Network::total_dropped() const {
 std::uint64_t Network::bytes_matching(
     const std::function<bool(NodeId, NodeId)>& pred) const {
   std::uint64_t sum = 0;
-  for (const auto& shard : shards_) {
-    for (const LinkRecord& record : shard->link_records) {
-      if (pred(record.src, record.dst)) sum += record.stats.bytes;
-    }
-  }
+  for_each_link([&](NodeId src, NodeId dst, const LinkRecord& record) {
+    if (pred(src, dst)) sum += record.stats.bytes;
+  });
   return sum;
 }
 
@@ -780,6 +809,7 @@ Network::EngineStats Network::engine_stats() const {
   }
   stats.events_processed += control_queue_.events_processed();
   stats.node_table_bytes = nodes_.capacity() * sizeof(NodeState);
+  stats.link_table_bytes = link_configs_.capacity() * sizeof(LinkConfig);
   for (const NodeState& state : nodes_) {
     stats.link_table_bytes += state.out.bytes();
   }

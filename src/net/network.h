@@ -17,14 +17,16 @@
 //
 // Hot-path layout (docs/ARCHITECTURE.md, "Engine internals"): NodeIds are
 // dense (monotonic from 1), so the node table is a flat vector indexed by id
-// and every per-send lookup is O(1).  Per-pair link state (config override +
-// traffic counters) lives in append-ordered record stores reached through
-// per-source hashed link tables (net/link_table.h).  Receive queues are
-// intrusive FIFOs threaded through one slab per shard, and messages on the
-// wire are parked in a second one (net/envelope_slab.h); each pending
-// delivery, service completion and node timer is a 16-byte typed event
-// record (net/event_queue.h).  Message payload storage is recycled through
-// per-shard BufferPools once the receiving handler returns.
+// and every per-send lookup is O(1).  Per-pair link state (traffic counters
+// plus the index of a config override, if any) lives in append-ordered
+// record stores reached through per-source hashed link tables
+// (net/link_table.h).  Receive queues are intrusive FIFOs threaded through
+// one slab per shard, and messages on the wire are parked in a second one
+// (net/envelope_slab.h); each pending delivery, service completion and node
+// timer is a 16-byte typed event record (net/event_queue.h).  Message
+// payload storage is recycled through per-shard BufferPools once the
+// receiving handler returns; only a frame's head is stored, its zero tail
+// travels as a count (net/message.h).
 //
 // Parallel engine (docs/ARCHITECTURE.md, "Parallel engine"): nodes are
 // partitioned into K shards, each owning an EventQueue + BufferPool + RNG
@@ -114,6 +116,8 @@ struct LinkConfig {
     const double sec = static_cast<double>(wire_bytes) / bandwidth_bytes_per_sec;
     return SimTime::from_sec(sec);
   }
+
+  bool operator==(const LinkConfig&) const = default;
 };
 
 /// Service capacity of one node; overload manifests as queue growth.
@@ -244,17 +248,18 @@ class Network : private EventQueue::Target {
 
   [[nodiscard]] const LinkConfig& link(NodeId src, NodeId dst) const {
     const LinkRecord* record = find_link_record(src, dst);
-    return record != nullptr && record->has_override ? record->config
-                                                     : default_link_;
+    return record != nullptr ? config_of(*record) : default_link_;
   }
 
   void set_node_config(NodeId id, NodeConfig config);
 
   // ---- data plane ---------------------------------------------------------
 
-  /// Sends `payload` from `src` to `dst`.  Returns the wire size charged.
-  /// Messages to detached nodes are counted as drops.
-  std::size_t send(NodeId src, NodeId dst, std::vector<std::uint8_t> payload);
+  /// Sends the frame `payload` followed by `zero_tail` zero bytes (stored
+  /// as a count, see net/message.h) from `src` to `dst`.  Returns the wire
+  /// size charged.  Messages to detached nodes are counted as drops.
+  std::size_t send(NodeId src, NodeId dst, std::vector<std::uint8_t> payload,
+                   std::size_t zero_tail = 0);
 
   /// Rents a recycled payload buffer (capacity intact, contents cleared) for
   /// encoding the next outgoing message; the network reclaims the storage
@@ -344,7 +349,7 @@ class Network : private EventQueue::Target {
     /// Memory, in bytes of allocated capacity — a pure function of seed,
     /// Config and shard count.
     std::size_t node_table_bytes = 0;    ///< the dense NodeState table
-    std::size_t link_table_bytes = 0;    ///< per-node link tables + records
+    std::size_t link_table_bytes = 0;    ///< link tables, records, configs
     std::size_t receive_slab_bytes = 0;  ///< receive-queue slots, all shards
     std::size_t event_slab_bytes = 0;    ///< event records + cold closures
     std::size_t sched_tier_bytes = 0;    ///< scheduler heap/bucket entries
@@ -352,15 +357,17 @@ class Network : private EventQueue::Target {
     /// In-flight envelope slots: messages on the wire, parked for their
     /// delivery events, all shards.
     std::size_t inflight_envelope_bytes = 0;
-    /// Payloads of messages sent but not yet handled or dropped: in
-    /// delivery events, mailboxes and receive queues.
+    /// Stored payload heads (allocated capacity; zero tails cost nothing)
+    /// of messages sent but not yet handled or dropped: in delivery events,
+    /// mailboxes and receive queues.
     std::size_t payload_inflight_bytes = 0;
   };
   [[nodiscard]] EngineStats engine_stats() const;
 
   /// Golden-trace hashing (tests/determinism_test.cpp): chains an FNV-1a
-  /// hash over every send (time, src, dst, drop flag, payload bytes), one
-  /// chain per SENDING shard so a fixed K>1 pins K stable hashes.
+  /// hash over every send (time, src, dst, drop flag, frame length, frame
+  /// bytes — zero tail included), one chain per SENDING shard so a fixed
+  /// K>1 pins K stable hashes.
   void enable_trace_hash() { trace_hash_on_ = true; }
   /// Serial / K=1: the historical golden hash.  K>1: an FNV-1a fold of the
   /// per-shard hashes (order-stable; see shard_trace_hashes()).
@@ -395,15 +402,19 @@ class Network : private EventQueue::Target {
   [[nodiscard]] Rng& rng() { return current_shard().rng; }
 
  private:
-  /// Per-directed-pair link state: traffic counters plus the optional config
-  /// override, stored once in the SOURCE-owner shard's record store.
+  static constexpr std::uint32_t kNoOverride = UINT32_MAX;
+
+  /// Per-directed-pair link state, stored once in the SOURCE-owner shard's
+  /// record store: traffic counters plus, for a pair set_link gave its own
+  /// config, that config's index in link_configs_.  There is one record
+  /// per pair that ever carried traffic (~262k on a 100k-client run), so it
+  /// holds nothing else: its (src, dst) pair is known to whoever reached it
+  /// through a link table.
   struct LinkRecord {
-    LinkStats stats;  // first: the only fields every send touches
-    NodeId src;
-    NodeId dst;
-    bool has_override = false;
-    LinkConfig config{};
+    LinkStats stats;  // the only field every send writes
+    std::uint32_t override_index = kNoOverride;
   };
+  static_assert(sizeof(LinkRecord) <= 32);
 
   struct NodeState {
     Node* node = nullptr;
@@ -444,6 +455,9 @@ class Network : private EventQueue::Target {
     std::vector<LinkRecord> link_records;
     EnvelopeSlab receive;   // receive queues of the nodes this shard owns
     EnvelopeSlab inflight;  // envelopes of this queue's delivery records
+    /// The frame a handler is reading, rebuilt from a stored head and its
+    /// zero tail (run_service); all zeros between handlers.
+    std::vector<std::uint8_t> frame_scratch;
     std::uint64_t total_bytes = 0;
     std::uint64_t total_messages = 0;
     std::uint64_t total_dropped = 0;
@@ -481,6 +495,23 @@ class Network : private EventQueue::Target {
   LinkRecord& link_record(NodeId src, NodeId dst);
   [[nodiscard]] const LinkRecord* find_link_record(NodeId src,
                                                    NodeId dst) const;
+  [[nodiscard]] const LinkConfig& config_of(const LinkRecord& record) const {
+    return record.override_index == kNoOverride
+               ? default_link_
+               : link_configs_[record.override_index];
+  }
+  /// Visits every link record as (src, dst, record), walking each source's
+  /// link table.
+  template <typename F>
+  void for_each_link(F&& visit) const {
+    for (std::size_t src = 0; src < nodes_.size(); ++src) {
+      const NodeState& state = nodes_[src];
+      const std::vector<LinkRecord>& store = shards_[state.shard]->link_records;
+      state.out.for_each([&](NodeId dst, std::uint32_t slot) {
+        visit(NodeId(src), dst, store[slot]);
+      });
+    }
+  }
   void fold_lookahead(SimTime latency);
 
   /// Parks `envelope` in `shard`'s in-flight slab and schedules its
@@ -501,8 +532,7 @@ class Network : private EventQueue::Target {
     shard.pool.release(std::move(payload));
   }
   void start_service(NodeId dst);
-  void trace_record(Shard& shard, NodeId src, NodeId dst,
-                    const std::vector<std::uint8_t>& payload, bool dropped);
+  void trace_record(Shard& shard, const Envelope& envelope, bool dropped);
 
   // ---- typed event records (EventQueue::Target) ---------------------------
   /// Takes the parked envelope out of the running shard's in-flight slab
@@ -550,6 +580,11 @@ class Network : private EventQueue::Target {
 
   std::vector<NodeState> nodes_;       // dense, index = NodeId::value()
   LinkConfig default_link_;
+  /// The distinct configs set_link was given, in first-use order; records
+  /// name theirs by index.  A handful (LAN fabric, co-located pairs) serve
+  /// the thousands of overridden infrastructure pairs.  Written only from
+  /// control context, so windows read it race-free.
+  std::vector<LinkConfig> link_configs_;
   IdGenerator<NodeId> node_ids_;
   bool trace_hash_on_ = false;
   obs::Tracer tracer_;

@@ -157,8 +157,6 @@ Registry collect_registry(Deployment& deployment) {
                  static_cast<double>(memory.ghost_bytes), "bytes");
   registry.gauge("game.mem.grid_bytes", static_cast<double>(memory.grid_bytes),
                  "bytes");
-  registry.gauge("game.mem.pending_event_bytes",
-                 static_cast<double>(memory.pending_event_bytes), "bytes");
 
   // ---- bot-side latency -----------------------------------------------------
   const LatencySummary latency = collect_latency(deployment);

@@ -102,7 +102,6 @@ GameMemory collect_game_memory(const Deployment& deployment) {
     memory.session_bytes += bytes.sessions;
     memory.ghost_bytes += bytes.ghosts;
     memory.grid_bytes += bytes.grid;
-    memory.pending_event_bytes += bytes.pending_events;
   }
   return memory;
 }

@@ -80,10 +80,9 @@ struct GameMemory {
   /// sizeof(BotClient) plus each bot's heap (spilled ack ring, latency
   /// histogram capacity) plus the deployment's per-bot pointer tables.
   std::size_t bot_bytes = 0;
-  std::size_t session_bytes = 0;        ///< game-server session tables
-  std::size_t ghost_bytes = 0;          ///< game-server ghost tables
-  std::size_t grid_bytes = 0;           ///< update-tick visibility grids
-  std::size_t pending_event_bytes = 0;  ///< per-tick digest batches
+  std::size_t session_bytes = 0;  ///< game-server session tables
+  std::size_t ghost_bytes = 0;    ///< game-server ghost tables
+  std::size_t grid_bytes = 0;     ///< update-tick visibility grids
 };
 
 [[nodiscard]] GameMemory collect_game_memory(const Deployment& deployment);

@@ -31,6 +31,27 @@ namespace matrix {
   return (static_cast<std::size_t>(std::bit_width(v | 1)) + 6) / 7;
 }
 
+/// Length of the run of zero bytes that ends `bytes` (its zero tail).
+[[nodiscard]] inline std::size_t zero_tail_length(
+    std::span<const std::uint8_t> bytes) {
+  if (bytes.empty() || bytes.back() != 0) return 0;
+  // Filler tails run to hundreds of bytes: skip them a block at a time
+  // (memcmp is vectorized), then a word, then a byte at a time.
+  static constexpr std::uint8_t kZeros[64] = {};
+  const std::uint8_t* data = bytes.data();
+  std::size_t end = bytes.size();
+  while (end >= sizeof kZeros &&
+         std::memcmp(data + end - sizeof kZeros, kZeros, sizeof kZeros) == 0) {
+    end -= sizeof kZeros;
+  }
+  for (std::uint64_t word = 0; end >= sizeof word; end -= sizeof word) {
+    std::memcpy(&word, data + end - sizeof word, sizeof word);
+    if (word != 0) break;
+  }
+  while (end != 0 && data[end - 1] == 0) --end;
+  return bytes.size() - end;
+}
+
 /// Writes primitives through a cursor into storage already sized for them
 /// (ByteWriter::extend).  Nothing is bounds-checked: the caller sizes the
 /// storage first, e.g. with a ByteCounter run over the same calls.
@@ -59,10 +80,16 @@ class ByteCursor {
   }
 
   void raw(std::span<const std::uint8_t> bytes) {
+    raw_head(bytes, bytes.size());
+  }
+
+  /// raw()'s length prefix, then only the first `stored` bytes: the rest
+  /// are zeros the caller carries as a count instead (Envelope::zero_tail).
+  void raw_head(std::span<const std::uint8_t> bytes, std::size_t stored) {
     varint(bytes.size());
     // memcpy's pointers must be non-null even for zero sizes.
-    if (!bytes.empty()) std::memcpy(at_, bytes.data(), bytes.size());
-    at_ += bytes.size();
+    if (stored != 0) std::memcpy(at_, bytes.data(), stored);
+    at_ += stored;
   }
 
   template <typename Tag>
@@ -98,6 +125,14 @@ class ByteWriter {
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return buf_; }
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
+
+  /// Drops the zero bytes that end the buffer and returns how many there
+  /// were.
+  std::size_t trim_zero_tail() {
+    const std::size_t n = zero_tail_length(buf_);
+    buf_.resize(buf_.size() - n);
+    return n;
+  }
 
   /// Grows the buffer by `n` bytes and returns a cursor over them — one
   /// size check for a whole run of writes.  The cursor is invalidated by

@@ -3,7 +3,9 @@
 // with a CaptureNode standing in for the Matrix server and for clients.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <map>
 #include <memory>
 #include <optional>
@@ -135,6 +137,71 @@ TEST_F(GameServerTest, UpdateTickSendsDigestsToClients) {
   run(300_ms);  // several 100ms ticks
   EXPECT_GT(client2_.count<ServerUpdate>(), before);
   EXPECT_GT(game_.stats().updates_sent, 0u);
+}
+
+TEST_F(GameServerTest, DigestSizesMatchABruteForceNeighbourCount) {
+  // Each digest's payload is 12 + 8·min(visible, 32) bytes, where visible
+  // counts the sessions and ghosts in the 3×3 block of R-sized cells around
+  // the client.  The grid behind that count is sized by distinct cells:
+  // the first tick below sees one cell, the measured tick ~60, so the grid
+  // grows in the middle of it — and must still count every cell.
+  hello(client_, ClientId(1), {10, 10});
+  run(100_ms);  // one tick over a single cell
+  const std::size_t grid_small = game_.memory_bytes().grid;
+  Rng rng(99);
+  std::map<std::pair<double, double>, std::uint32_t> visible;
+  std::vector<Vec2> entities{{10, 10}};
+  for (std::uint64_t id = 2; id <= 80; ++id) {
+    const Vec2 pos{rng.next_double_in(0.0, 500.0),
+                   rng.next_double_in(0.0, 1000.0)};
+    ClientHello msg;
+    msg.client = ClientId(id);
+    msg.position = pos;
+    client_.inject(game_.node_id(), msg);
+    entities.push_back(pos);
+  }
+  for (std::uint64_t id = 0; id < 4; ++id) {
+    TaggedPacket remote;
+    remote.client = ClientId(500 + id);
+    remote.entity = EntityId(500 + id);
+    remote.origin = {rng.next_double_in(400.0, 560.0),
+                     rng.next_double_in(0.0, 1000.0)};
+    remote.peer_forwarded = true;
+    matrix_.inject(game_.node_id(), remote);
+    entities.push_back(remote.origin);
+  }
+  run(10_ms);  // all joined, no tick yet
+  ASSERT_EQ(game_.client_count(), 80u);
+  ASSERT_EQ(game_.ghost_count(), 4u);
+  ASSERT_EQ(game_.memory_bytes().grid, grid_small);
+  const double cell = bzflag_like().visibility_radius;
+  auto bucket = [cell](double v) {
+    return static_cast<std::int64_t>(std::floor(v / cell));
+  };
+  for (std::size_t i = 0; i < 80; ++i) {
+    std::uint32_t count = 0;
+    for (const Vec2& other : entities) {
+      if (std::abs(bucket(other.x) - bucket(entities[i].x)) <= 1 &&
+          std::abs(bucket(other.y) - bucket(entities[i].y)) <= 1) {
+        ++count;
+      }
+    }
+    visible[{entities[i].x, entities[i].y}] = count;
+  }
+  client_.messages.clear();
+  run(100_ms);  // exactly one tick
+  EXPECT_GT(game_.memory_bytes().grid, grid_small);
+  std::size_t digests = 0;
+  for (const Message& m : client_.messages) {
+    const auto* update = std::get_if<ServerUpdate>(&m);
+    if (update == nullptr || update->ack_seq != 0) continue;
+    ++digests;
+    const auto it = visible.find({update->position.x, update->position.y});
+    ASSERT_NE(it, visible.end());
+    EXPECT_EQ(update->payload.size(),
+              12 + 8 * std::min<std::uint32_t>(it->second, 32));
+  }
+  EXPECT_EQ(digests, 80u);
 }
 
 TEST_F(GameServerTest, RemoteEventCreatesGhostAndReachesClients) {

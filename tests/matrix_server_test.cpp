@@ -438,6 +438,52 @@ TEST_F(MatrixServerTest, GrantArrivingDuringReclaimIsReturned) {
 }
 
 // ---------------------------------------------------------------------------
+// Relay legs
+// ---------------------------------------------------------------------------
+
+TEST_F(MatrixServerTest, RelayForwardsValidFramesAndDropsMalformedTails) {
+  // StateTransfer, ClientStateTransfer and QueueHandoff frames are relayed
+  // to the game server they name.  A frame whose leading ids parse but
+  // whose tail does not (a trailing byte, a blob cut short) is counted as
+  // malformed and dropped at the relay, not forwarded.
+  boot_single_root();
+  const NodeId to = game(1).node_id();
+  StateTransfer state;
+  state.from_server = ServerId(1);
+  state.to_game = to;
+  state.object_count = 1;
+  state.blob = {1, 2, 3};
+  ClientStateTransfer client_state;
+  client_state.client = ClientId(5);
+  client_state.to_game = to;
+  client_state.blob = {4, 5};
+  QueueHandoff handoff;
+  handoff.from_server = ServerId(1);
+  handoff.to_game = to;
+  handoff.entries.push_back(
+      {ClientId(6), NodeId(90), {1.0, 2.0}, 1, SimTime::from_ms(3)});
+  const Message relayed[] = {state, client_state, handoff};
+  const NodeId from = game(0).node_id();
+  const NodeId relay = server(0).node_id();
+  for (const Message& message : relayed) {
+    const std::vector<std::uint8_t> frame = encode_message(message);
+    std::vector<std::uint8_t> overlong = frame;
+    overlong.push_back(7);
+    const std::vector<std::uint8_t> cut(frame.begin(), frame.end() - 1);
+    const std::size_t received = game(1).messages.size();
+    const std::uint64_t malformed = server(0).malformed_count();
+    harness_.network.send(from, relay, overlong);
+    harness_.network.send(from, relay, cut);
+    harness_.network.send(from, relay, frame);
+    harness_.run_for(10_ms);
+    EXPECT_EQ(server(0).malformed_count(), malformed + 2)
+        << message_name(message);
+    ASSERT_EQ(game(1).messages.size(), received + 1) << message_name(message);
+    EXPECT_TRUE(game(1).messages.back() == message) << message_name(message);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Routing
 // ---------------------------------------------------------------------------
 
@@ -480,6 +526,25 @@ TEST_F(RoutingTest, BoundaryPacketForwardedAndDelivered) {
   ASSERT_NE(delivered, nullptr);
   EXPECT_TRUE(delivered->peer_forwarded);
   EXPECT_EQ(delivered->origin, (Vec2{510, 500}));
+}
+
+TEST_F(RoutingTest, EmptyPayloadPacketKeepsItsPeerFlagWhenForwarded) {
+  // With no payload the packet's frame ends in the zero flag and the zero
+  // length byte, all zero tail; the forwarding server must set the flag
+  // before it trims, or the peer would take the packet for its own game
+  // server's and fan it out again instead of verifying and delivering it.
+  TaggedPacket packet = packet_at({510, 500});
+  packet.payload.clear();
+  game(0).inject(server(0).node_id(), packet);
+  harness_.run_for(20_ms);
+  EXPECT_EQ(server(0).stats().packets_fanned_out, 1u);
+  EXPECT_EQ(server(1).stats().peer_packets_received, 1u);
+  EXPECT_EQ(server(1).stats().peer_packets_delivered, 1u);
+  EXPECT_EQ(server(1).stats().packets_from_game, 0u);
+  const TaggedPacket* delivered = game(1).last<TaggedPacket>();
+  ASSERT_NE(delivered, nullptr);
+  EXPECT_TRUE(delivered->peer_forwarded);
+  EXPECT_TRUE(delivered->payload.empty());
 }
 
 TEST_F(RoutingTest, PeerRejectsIrrelevantPacket) {

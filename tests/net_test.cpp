@@ -3,10 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
+#include <memory>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "net/event_queue.h"
 #include "net/link_table.h"
 #include "net/network.h"
+#include "util/codec.h"
+#include "util/rng.h"
 
 namespace matrix {
 namespace {
@@ -542,6 +549,335 @@ TEST(NetworkTest, TraceHashIsSeedStableAndTrafficSensitive) {
   };
   EXPECT_EQ(run(1, 3), run(1, 3));
   EXPECT_NE(run(1, 3), run(1, 4));
+}
+
+// ---------------------------------------------------------------------------
+// Zero tails (net/message.h)
+// ---------------------------------------------------------------------------
+
+using Frame = std::vector<std::uint8_t>;
+
+/// Frames of every shape a sender stores differently: all zeros, empty, a
+/// head (itself possibly holding zeros) followed by zeros, and frames that
+/// end in a nonzero byte.
+std::vector<Frame> random_frames(std::uint64_t seed, int count) {
+  Rng rng(seed);
+  std::vector<Frame> frames;
+  for (int i = 0; i < count; ++i) {
+    Frame frame(1 + rng.next_below(400));
+    switch (i % 4) {
+      case 0:
+        break;  // all zeros
+      case 1:
+        frame.clear();
+        break;
+      case 2: {
+        const std::size_t head = rng.next_below(frame.size());
+        for (std::size_t j = 0; j < head; ++j) {
+          frame[j] = static_cast<std::uint8_t>(rng.next_below(256));
+        }
+        break;
+      }
+      default:
+        for (std::uint8_t& b : frame) {
+          b = static_cast<std::uint8_t>(1 + rng.next_below(255));
+        }
+        break;
+    }
+    frames.push_back(std::move(frame));
+  }
+  return frames;
+}
+
+/// Sends `frame` the way the protocol senders do: a head allocated for its
+/// bytes up to the zero tail, plus the tail's length.  Returns the head's
+/// capacity, which is what the in-flight gauge charges.
+std::size_t send_trimmed(Network& net, NodeId src, NodeId dst,
+                         const Frame& frame) {
+  const std::size_t tail = zero_tail_length(frame);
+  Frame head(frame.begin(), frame.end() - static_cast<std::ptrdiff_t>(tail));
+  const std::size_t capacity = head.capacity();
+  net.send(src, dst, std::move(head), tail);
+  return capacity;
+}
+
+/// Records each handled frame with the instant its handler ran.
+class FrameLog : public Node {
+ public:
+  [[nodiscard]] std::string name() const override { return "frame-log"; }
+  void handle_message(const Envelope& env) override {
+    EXPECT_EQ(env.zero_tail, 0u) << "handlers see whole frames";
+    handled.emplace_back(network()->now().us(), env.payload);
+  }
+  std::vector<std::pair<std::int64_t, Frame>> handled;
+
+  [[nodiscard]] std::vector<Frame> frames() const {
+    std::vector<Frame> out;
+    for (const auto& entry : handled) out.push_back(entry.second);
+    return out;
+  }
+};
+
+TEST(ZeroTailTest, TrimmedFramesAreSeenAndChargedLikeStoredOnes) {
+  // The same frames, sent once with their zeros stored and once as a head
+  // plus a count: handlers see the same bytes at the same instants (link
+  // transfer delay and service time both scale with the frame), and the
+  // wire sizes, link stats, byte totals and trace hash all agree.
+  const std::vector<Frame> frames = random_frames(11, 64);
+  struct Outcome {
+    std::vector<std::pair<std::int64_t, Frame>> handled;
+    std::vector<std::size_t> wire;
+    std::tuple<std::uint64_t, std::uint64_t, std::uint64_t> stats;
+    std::uint64_t total_bytes = 0;
+    std::uint64_t hash = 0;
+  };
+  auto run = [&](bool trimmed) {
+    Network net(5);
+    Recorder a;
+    FrameLog b;
+    net.attach(&a);
+    net.attach(&b, {15_us, 200_us, std::nullopt});
+    net.set_link(a.node_id(), b.node_id(), {1_ms, 1e6, 0.0});
+    net.enable_trace_hash();
+    Outcome out;
+    for (const Frame& frame : frames) {
+      if (trimmed) {
+        const std::size_t tail = zero_tail_length(frame);
+        Frame head(frame.begin(),
+                   frame.end() - static_cast<std::ptrdiff_t>(tail));
+        out.wire.push_back(
+            net.send(a.node_id(), b.node_id(), std::move(head), tail));
+      } else {
+        out.wire.push_back(net.send(a.node_id(), b.node_id(), frame));
+      }
+      // Spaced so that a small frame never overtakes a large one.
+      net.run_until(net.now() + 5_ms);
+    }
+    net.run_until(10_sec);
+    out.handled = b.handled;
+    const LinkStats& stats = net.stats(a.node_id(), b.node_id());
+    out.stats = {stats.messages, stats.bytes, stats.dropped_messages};
+    out.total_bytes = net.total_bytes();
+    out.hash = net.trace_hash();
+    EXPECT_EQ(net.engine_stats().payload_inflight_bytes, 0u);
+    return out;
+  };
+  const Outcome stored = run(false);
+  const Outcome trimmed = run(true);
+  ASSERT_EQ(stored.handled.size(), frames.size());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(stored.handled[i].second, frames[i]) << "frame " << i;
+  }
+  EXPECT_EQ(trimmed.handled, stored.handled);
+  EXPECT_EQ(trimmed.wire, stored.wire);
+  EXPECT_EQ(trimmed.stats, stored.stats);
+  EXPECT_EQ(trimmed.total_bytes, stored.total_bytes);
+  EXPECT_EQ(trimmed.hash, stored.hash);
+}
+
+TEST(ZeroTailTest, EveryExitPathReturnsHeadsAndSlots) {
+  // A trimmed message leaves the network by a drop on the link, a tail drop
+  // at a full queue, a detach, or a delivery after crossing a shard
+  // mailbox or migrating with its destination.  Each path must give its
+  // head back (the in-flight gauge returns to where it started) and free
+  // its envelope slot, and a delivered frame must arrive byte for byte.
+  const std::vector<Frame> frames = random_frames(12, 16);
+
+  {  // Link drop: nothing is stored at all.
+    Network net;
+    Recorder a, b;
+    net.attach(&a);
+    net.attach(&b);
+    net.set_link(a.node_id(), b.node_id(), {1_ms, 0.0, 1.0});
+    for (const Frame& frame : frames) {
+      send_trimmed(net, a.node_id(), b.node_id(), frame);
+    }
+    EXPECT_EQ(net.total_dropped(), frames.size());
+    EXPECT_EQ(net.engine_stats().payload_inflight_bytes, 0u);
+    EXPECT_EQ(net.engine_stats().inflight_envelope_bytes, 0u);
+  }
+
+  {  // Tail drop at a two-message queue.
+    Network net;
+    Recorder a;
+    FrameLog b;
+    net.attach(&a);
+    net.attach(&b, {1_ms, 0_us, std::size_t{2}});
+    net.set_link(a.node_id(), b.node_id(), {0_us, 0.0, 0.0});
+    std::size_t heads = 0;
+    for (const Frame& frame : frames) {
+      heads += send_trimmed(net, a.node_id(), b.node_id(), frame);
+    }
+    EXPECT_EQ(net.engine_stats().payload_inflight_bytes, heads);
+    net.run_until(1_sec);
+    EXPECT_EQ(b.frames(), (std::vector<Frame>{frames[0], frames[1]}));
+    EXPECT_EQ(net.total_dropped(), frames.size() - 2);
+    EXPECT_EQ(net.engine_stats().payload_inflight_bytes, 0u);
+  }
+
+  {  // Detach with half the frames queued and half on the wire; the freed
+     // slots then carry the same traffic to another node.
+    Network net;
+    Recorder a;
+    FrameLog b, c;
+    net.attach(&a);
+    const NodeId ib = net.attach(&b, {1_ms, 0_us, std::nullopt});
+    const NodeId ic = net.attach(&c, {1_ms, 0_us, std::nullopt});
+    net.set_default_link({10_ms, 0.0, 0.0});
+    const std::size_t half = frames.size() / 2;
+    auto send_in_halves = [&](NodeId dst) {
+      for (std::size_t i = 0; i < half; ++i) {
+        send_trimmed(net, a.node_id(), dst, frames[i]);
+      }
+      net.run_until(net.now() + 15_ms);  // arrived: some handled, the rest
+                                         // queued
+      for (std::size_t i = half; i < frames.size(); ++i) {
+        send_trimmed(net, a.node_id(), dst, frames[i]);
+      }
+    };
+    send_in_halves(ib);
+    const Network::EngineStats before = net.engine_stats();
+    net.detach(ib);
+    net.run_until(1_sec);
+    EXPECT_EQ(net.engine_stats().payload_inflight_bytes, 0u);
+    send_in_halves(ic);
+    net.run_until(2_sec);
+    EXPECT_EQ(c.frames(), frames);
+    const Network::EngineStats after = net.engine_stats();
+    EXPECT_EQ(after.payload_inflight_bytes, 0u);
+    EXPECT_EQ(after.inflight_envelope_bytes, before.inflight_envelope_bytes);
+    EXPECT_EQ(after.receive_slab_bytes, before.receive_slab_bytes);
+  }
+
+  {  // Cross-shard mailbox: a relay on shard 0 forwards every frame,
+     // trimmed, to a node on shard 1.
+    class Relay : public Node {
+     public:
+      explicit Relay(const std::vector<Frame>& frames) : frames_(frames) {}
+      [[nodiscard]] std::string name() const override { return "relay"; }
+      void handle_message(const Envelope&) override {
+        for (const Frame& frame : frames_) {
+          send_trimmed(*network(), node_id(), target, frame);
+        }
+      }
+      NodeId target;
+
+     private:
+      const std::vector<Frame>& frames_;
+    };
+    Network net;
+    net.configure_shards(2, /*use_threads=*/false);
+    Recorder a;
+    Relay relay(frames);
+    FrameLog far;
+    net.attach(&a, {}, 0);
+    net.attach(&relay, {}, 0);
+    net.attach(&far, {}, 1);
+    net.set_default_link({1_ms, 0.0, 0.0});  // no size-dependent overtaking
+    relay.target = far.node_id();
+    net.send(a.node_id(), relay.node_id(), {1});
+    net.run_until(1_sec);
+    EXPECT_EQ(far.frames(), frames);
+    EXPECT_EQ(net.engine_stats().cross_shard_messages, frames.size());
+    EXPECT_EQ(net.engine_stats().payload_inflight_bytes, 0u);
+  }
+
+  {  // Migration: the destination moves shards with half its frames queued
+     // and half still on the wire.
+    Network net;
+    net.configure_shards(2, /*use_threads=*/false);
+    Recorder src;
+    FrameLog mover;
+    net.attach(&src, {}, 0);
+    net.attach(&mover, {1_ms, 0_us, std::nullopt}, 1);
+    net.set_default_link({3_ms, 0.0, 0.0});
+    net.define_colocated_group({mover.node_id()});
+    const std::size_t half = frames.size() / 2;
+    for (std::size_t i = 0; i < half; ++i) {
+      send_trimmed(net, src.node_id(), mover.node_id(), frames[i]);
+    }
+    net.run_until(SimTime::from_us(3'500));
+    for (std::size_t i = half; i < frames.size(); ++i) {
+      send_trimmed(net, src.node_id(), mover.node_id(), frames[i]);
+    }
+    EXPECT_GT(net.queue_length(mover.node_id()), 0u);
+    ASSERT_TRUE(net.force_rebalance());
+    EXPECT_EQ(net.shard_of(mover.node_id()), 0u);
+    net.run_until(1_sec);
+    EXPECT_EQ(mover.frames(), frames);
+    EXPECT_EQ(net.engine_stats().payload_inflight_bytes, 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Link records and overrides
+// ---------------------------------------------------------------------------
+
+TEST(NetworkTest, LinkOverridesFollowTheirPairThroughMigration) {
+  // Records hold an override by index only; after the rebalancer moves a
+  // node, link() still returns each pair's override, and the lookahead is
+  // refolded from the overrides: the mover's 40 µs link to a peer it used
+  // to share a shard with now crosses shards and bounds every window.
+  Network net;
+  net.configure_shards(2, /*use_threads=*/false);
+  Recorder src, mover, peer;
+  net.attach(&src, {}, 0);
+  net.attach(&mover, {}, 1);
+  net.attach(&peer, {}, 1);
+  net.set_default_link({1_ms, 0.0, 0.0});
+  const LinkConfig fast{40_us, 0.0, 0.0};
+  const LinkConfig wan{20_ms, 1e6, 0.0};
+  net.set_link(mover.node_id(), peer.node_id(), fast);
+  net.set_link(src.node_id(), mover.node_id(), wan);
+  net.set_link(src.node_id(), mover.node_id(), {2_ms, 0.0, 0.0});  // reset
+  net.set_link(src.node_id(), peer.node_id(), wan);
+  EXPECT_EQ(net.lookahead(), 1_ms);  // 40 µs link is same-shard so far
+  net.define_colocated_group({mover.node_id()});
+  net.send(src.node_id(), mover.node_id(), {1});
+  net.run_until(3_ms);  // shard 1 handled it, so shard 1 is the busiest
+  ASSERT_TRUE(net.force_rebalance());
+  EXPECT_EQ(net.shard_of(mover.node_id()), 0u);
+  EXPECT_TRUE(net.link(mover.node_id(), peer.node_id()) == fast);
+  EXPECT_EQ(net.link(src.node_id(), mover.node_id()).latency, 2_ms);
+  EXPECT_TRUE(net.link(src.node_id(), peer.node_id()) == wan);
+  EXPECT_EQ(net.link(peer.node_id(), mover.node_id()).latency, 1_ms);
+  EXPECT_EQ(net.lookahead(), 40_us);
+}
+
+TEST(NetworkTest, BytesMatchingSumsTheStatsOfMatchedPairs) {
+  // Random traffic across two shards' record stores: bytes_matching finds
+  // every pair through the link tables and adds exactly its stats().
+  Network net;
+  net.configure_shards(2, /*use_threads=*/false);
+  std::vector<std::unique_ptr<Recorder>> nodes;
+  for (std::size_t i = 0; i < 8; ++i) {
+    nodes.push_back(std::make_unique<Recorder>());
+    net.attach(nodes.back().get(), {}, i % 2);
+  }
+  Rng rng(17);
+  for (int i = 0; i < 200; ++i) {
+    const NodeId src = nodes[rng.next_below(nodes.size())]->node_id();
+    const NodeId dst = nodes[rng.next_below(nodes.size())]->node_id();
+    net.send(src, dst, Frame(rng.next_below(100), 1));
+  }
+  net.run_until(1_sec);
+  const std::function<bool(NodeId, NodeId)> preds[] = {
+      [](NodeId, NodeId) { return true; },
+      [](NodeId src, NodeId) { return src.value() % 2 == 0; },
+      [](NodeId src, NodeId dst) { return src.value() + 1 == dst.value(); },
+  };
+  for (const auto& pred : preds) {
+    std::uint64_t expected = 0;
+    for (const auto& src : nodes) {
+      for (const auto& dst : nodes) {
+        if (pred(src->node_id(), dst->node_id())) {
+          expected += net.stats(src->node_id(), dst->node_id()).bytes;
+        }
+      }
+    }
+    EXPECT_EQ(net.bytes_matching(pred), expected);
+  }
+  EXPECT_EQ(net.bytes_matching(preds[0]), net.total_bytes());
 }
 
 }  // namespace

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <variant>
 
 #include "core/protocol.h"
@@ -762,6 +765,107 @@ TEST(ProtocolTest, RelayViewExtractsDestinationForAllRelayLegs) {
   // on a frame whose second field is not a destination.
   EXPECT_FALSE(parse_relay_frame(encode_message(Message{PoolDeny{}})));
   EXPECT_FALSE(parse_relay_frame({}));
+}
+
+TEST(ProtocolTest, RelayViewAcceptsExactlyTheFramesDecodeAccepts) {
+  // The relay validates the whole frame in place: a malformed tail (a short
+  // or overlong blob, a bad handoff entry, a trailing byte) fails it as it
+  // fails the full decode, and an accepted frame names the destination the
+  // decode finds.
+  Rng rng(36);
+  std::size_t accepted = 0;
+  for (const std::size_t index :
+       {index_of<StateTransfer>(), index_of<ClientStateTransfer>(),
+        index_of<QueueHandoff>()}) {
+    for (int rep = 0; rep < 16; ++rep) {
+      const Frame frame = encode_message(random_message(index, rng));
+      std::vector<Frame> frames = mutations(frame, rng);
+      frames.push_back(frame);
+      for (const Frame& f : frames) {
+        const auto full = decode_message(f);
+        const auto view = parse_relay_frame(f);
+        const std::optional<NodeId> to_game =
+            full ? std::visit(
+                       [](const auto& m) -> std::optional<NodeId> {
+                         using M = std::decay_t<decltype(m)>;
+                         if constexpr (std::is_same_v<M, StateTransfer> ||
+                                       std::is_same_v<M, ClientStateTransfer> ||
+                                       std::is_same_v<M, QueueHandoff>) {
+                           return m.to_game;
+                         } else {
+                           return std::nullopt;
+                         }
+                       },
+                       *full)
+                 : std::nullopt;
+        EXPECT_EQ(view.has_value(), to_game.has_value())
+            << ::testing::PrintToString(f);
+        if (!view || !to_game) continue;
+        ++accepted;
+        EXPECT_EQ(view->to_game, *to_game);
+        EXPECT_EQ(view->wire_type, full->index() + 1);
+      }
+    }
+  }
+  EXPECT_GT(accepted, 48u);
+}
+
+// ---------------------------------------------------------------------------
+// Zero tails
+// ---------------------------------------------------------------------------
+
+/// What a sender stores for `message`: encode_head_into's head and count.
+std::pair<Frame, std::size_t> encode_head(const Message& message) {
+  ByteWriter writer;
+  const std::size_t tail = std::visit(
+      [&writer](const auto& body) { return encode_head_into(writer, body); },
+      message);
+  return {writer.take(), tail};
+}
+
+TEST(ProtocolTest, EncodeHeadIsTheFrameLessItsZeroTail) {
+  // For every message type, with random payloads, all-zero filler payloads,
+  // empty ones and zero-valued fields last: the head is a prefix of the
+  // full encoding and the count is exactly the run of zeros that ends it.
+  Rng rng(37);
+  std::vector<Message> cases;
+  for (std::size_t index = 0; index < std::variant_size_v<Message>; ++index) {
+    for (int rep = 0; rep < 8; ++rep) {
+      cases.push_back(random_message(index, rng));
+    }
+  }
+  for (const std::size_t n : {0, 1, 12, 127, 128, 268, 300}) {
+    ServerUpdate digest;
+    digest.position = {1.0, 2.0};
+    digest.payload.assign(n, 0);
+    cases.push_back(digest);
+    TaggedPacket packet = std::get<TaggedPacket>(random_message(0, rng));
+    packet.payload.assign(n, 0);
+    cases.push_back(packet);
+    StateTransfer transfer;
+    transfer.to_game = NodeId(4);
+    transfer.blob.assign(n, 0);
+    if (n > 1) transfer.blob[n / 2] = 9;
+    cases.push_back(transfer);
+  }
+  cases.push_back(ServerUpdate{});
+  cases.push_back(ShedDone{});
+  cases.push_back(PoolDeny{});
+  for (const Message& m : cases) {
+    const Frame full = encode_message(m);
+    const auto [head, tail] = encode_head(m);
+    ASSERT_EQ(head.size() + tail, full.size()) << message_name(m);
+    EXPECT_TRUE(std::equal(head.begin(), head.end(), full.begin()))
+        << message_name(m);
+    EXPECT_EQ(tail, zero_tail_length(full)) << message_name(m);
+  }
+  // A filler digest's zeros are never allocated: 32 bytes hold the frame.
+  ServerUpdate digest;
+  digest.payload.assign(268, 0);
+  const auto [head, tail] = encode_head(Message{digest});
+  EXPECT_EQ(head.size(), 32u);
+  EXPECT_EQ(tail, 268u);
+  EXPECT_LT(head.capacity(), 64u);
 }
 
 // ---------------------------------------------------------------------------
