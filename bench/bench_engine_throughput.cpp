@@ -181,7 +181,7 @@ void run_giga_mix_microbench(JsonReport& json) {
 /// row-major root grid — i.e. a horizontal band of the world — so a top-half
 /// crowd loads the first bands' shards while the bottom bands see only
 /// background bots.  This is the workload the static grid-locality plan
-/// cannot fix — the rebalancer's A/B demonstration runs on it.
+/// cannot fix, so it measures how much a skewed load costs the sharded run.
 void schedule_skewed_giga_scenario(Deployment& deployment,
                                    const GigaSurgeScenarioOptions& options) {
   Scenario scenario(deployment);
@@ -413,33 +413,20 @@ int main(int argc, char** argv) {
         json.add(run, "balance_ratio", balance, "x");
       }
     }
-    // Rebalancer A/B on the SKEWED giga crowd (all hotspots in the top
-    // half of the world — the imbalance the static grid plan cannot fix;
-    // the uniform curve above already sits near 1.0 busiest/mean).  The
-    // rebalance-on run's busiest/mean ratio must sit below the off run's —
-    // that gap is wall-time the busiest core spends grinding while the
-    // other workers wait at the barrier.
-    for (const bool rebalance : {false, true}) {
-      DeploymentOptions options = giga_surge_deployment_options(4);
-      if (rebalance) {
-        options.config.engine.rebalance_threshold = 1.10;
-        options.config.engine.rebalance_interval_events = 200'000;
-      }
-      auto r = run_workload(std::move(options), scenario.duration,
-                            [&](Deployment& d) {
+    // The SKEWED giga crowd (all hotspots in the top half of the world):
+    // the imbalance the static grid plan cannot fix; the uniform curve
+    // above already sits near 1.0 busiest/mean.  The busiest/mean ratio is
+    // wall time the busiest core spends grinding while the other workers
+    // wait at the barrier.
+    {
+      auto r = run_workload(giga_surge_deployment_options(4),
+                            scenario.duration, [&](Deployment& d) {
                               schedule_skewed_giga_scenario(d, scenario);
                             });
-      const char* run = rebalance ? "giga_skew_4_rebalance" : "giga_skew_4";
-      report(json, run, r);
+      report(json, "giga_skew_4", r);
       const double balance = balance_ratio(r.engine);
       std::printf("  %-26s %12.3fx busiest/mean\n", "shard balance", balance);
-      json.add(run, "balance_ratio", balance, "x");
-      if (rebalance) {
-        std::printf("  %-26s %12llu\n", "rebalances",
-                    static_cast<unsigned long long>(r.engine.rebalances));
-        json.add(run, "rebalances",
-                 static_cast<double>(r.engine.rebalances), "moves");
-      }
+      json.add("giga_skew_4", "balance_ratio", balance, "x");
     }
   }
 

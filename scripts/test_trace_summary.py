@@ -41,9 +41,6 @@ SYNTHETIC = [
     # Server 10 sheds once.
     event(40000, "split_requested", 10),
     event(45000, "split_completed", 10, 11),
-    # The engine migrates one server group from shard 2 to shard 0 at a
-    # measured 1.42x imbalance (b is the ratio in permille).
-    event(500000, "shard_rebalance", 7, 2, a=0, b=1420),
 ]
 
 
@@ -67,7 +64,7 @@ class TraceSummaryTest(unittest.TestCase):
     def test_census_counts_every_kind(self):
         result = self.run_tool()
         self.assertEqual(result.returncode, 0, result.stderr)
-        self.assertIn("[census] 13 events", result.stdout)
+        self.assertIn("[census] 12 events", result.stdout)
         self.assertIn("client_hello", result.stdout)
         self.assertIn("queue_handoff_sent", result.stdout)
         self.assertIn("split_completed", result.stdout)
@@ -94,12 +91,6 @@ class TraceSummaryTest(unittest.TestCase):
         self.assertEqual(result.returncode, 0, result.stderr)
         self.assertIn("[server S10]", result.stdout)
         self.assertIn("split_completed", result.stdout)
-
-    def test_engine_timeline_reports_rebalance(self):
-        result = self.run_tool()
-        self.assertEqual(result.returncode, 0, result.stderr)
-        self.assertIn("[engine] 1 shard rebalances", result.stdout)
-        self.assertIn("group@N7 shard 2 -> 0 imbalance 1.42x", result.stdout)
 
     def test_empty_trace_fails_cleanly(self):
         with tempfile.NamedTemporaryFile(suffix=".jsonl") as empty:

@@ -13,8 +13,6 @@ Output:
   * per-client lifecycle timelines (hello -> admitted/denied/deferred/bye),
     with time-to-admit where both ends are in the ring;
   * per-server partition timelines (split/reclaim/adopt/deactivate);
-  * an engine timeline of shard_rebalance migrations (who moved where, at
-    what measured imbalance);
   * --client/--server print one subject's full event list for debugging.
 
 Stdlib only — runs anywhere CI can run python3.
@@ -127,16 +125,6 @@ def server_timelines(events, top):
         print(f"  S{server}: {summary}")
 
 
-def engine_timeline(events, top):
-    moves = [e for e in events if e["kind"] == "shard_rebalance"]
-    if not moves:
-        return
-    print(f"\n[engine] {len(moves)} shard rebalances")
-    for e in moves[:top]:
-        print(f"  {fmt_t(e['t_us'])} group@N{e['subject']} shard "
-              f"{e['actor']} -> {e['a']} imbalance {e['b'] / 1000:.2f}x")
-
-
 def dump_subject(events, subject, kinds):
     trail = [e for e in events
              if e["kind"] in kinds and e["subject"] == subject]
@@ -175,7 +163,6 @@ def main():
         return 0
     client_timelines(events, args.top)
     server_timelines(events, args.top)
-    engine_timeline(events, args.top)
     return 0
 
 

@@ -274,16 +274,6 @@ struct EngineConfig {
   /// benchmarking and as a fallback.  MATRIX_EVENT_SCHEDULER overrides
   /// ("heap"/"0" forces the heap, "ladder"/"1" forces the ladder).
   bool ladder_scheduler = true;
-  /// Shard load rebalancing: when busiest/mean per-shard executed-event
-  /// ratio for an epoch exceeds this, one colocated matrix+game node group
-  /// migrates from the busiest shard to the idlest at a window barrier.
-  /// <= 0 (the default) disables rebalancing entirely — seed behavior,
-  /// including every pinned K>1 hash, is then byte-identical.  Sensible
-  /// values start around 1.15–1.5.  The trigger derives from event counts
-  /// only (never wall time), so fixed-K runs stay run-to-run reproducible.
-  double rebalance_threshold = 0.0;
-  /// Executed events (summed over shards) between imbalance evaluations.
-  std::uint64_t rebalance_interval_events = 250'000;
 };
 
 /// Knobs for the observability layer (src/obs/): structured tracing, the

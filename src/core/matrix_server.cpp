@@ -454,10 +454,6 @@ void MatrixServer::handle_mc_heartbeat(const McHeartbeat& beat) {
   ++stats_.heartbeats_relayed;
 }
 
-void MatrixServer::on_shard_migrated() {
-  control_plane_.bind(&network()->tracer_for(node_id()), node_id().value());
-}
-
 void MatrixServer::start_failsafe(SimTime at) {
   control_plane_.bind(&network()->tracer_for(node_id()), node_id().value());
   if (!config_.failsafe.enabled) return;

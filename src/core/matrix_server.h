@@ -93,10 +93,6 @@ class MatrixServer : public ProtocolNode {
     content_keys_ = std::move(keys);
   }
 
-  /// Shard rebalancing moved this server: re-bind the control plane's
-  /// tracer pointer to the new owner shard's deferred tracer.
-  void on_shard_migrated() override;
-
   // ---- observability --------------------------------------------------------
 
   [[nodiscard]] std::string name() const override;

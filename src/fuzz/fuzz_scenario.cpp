@@ -28,9 +28,6 @@ std::string FuzzPlan::describe() const {
       << "pool overload=" << config.overload_clients << " shards="
       << config.engine.shards << " admission="
       << (config.admission.enabled ? "on" : "off");
-  if (config.engine.rebalance_threshold > 0.0) {
-    out << " rebalance=" << config.engine.rebalance_threshold;
-  }
   if (config.admission.enabled) {
     out << " queue="
         << (config.admission.priority.queue_enabled
@@ -96,16 +93,6 @@ FuzzPlan make_fuzz_plan(std::uint64_t seed, LoadPolicyKind policy) {
   config.engine.shards =
       shard_rng.next_bool(0.3) ? static_cast<std::size_t>(shard_rng.next_in(2, 4))
                                : 1;
-  // Shard rebalancing rides the same derived stream, with its draws appended
-  // AFTER the shard draws: every historical seed still expands to the exact
-  // world it always did — sharded cases now also migrate server groups
-  // mid-run some of the time, putting barrier-time migration under the
-  // replay gate and every invariant check.
-  if (config.engine.shards > 1 && shard_rng.next_bool(0.5)) {
-    config.engine.rebalance_threshold = shard_rng.next_double_in(1.05, 1.5);
-    config.engine.rebalance_interval_events =
-        static_cast<std::uint64_t>(shard_rng.next_in(20'000, 200'000));
-  }
 
   // ---- link fabric ----------------------------------------------------------
   d.wan.latency = SimTime::from_ms(rng.next_double_in(5.0, 40.0));

@@ -496,10 +496,6 @@ void GameServer::start() {
   }
 }
 
-void GameServer::on_shard_migrated() {
-  control_plane_.bind(&network()->tracer_for(node_id()), node_id().value());
-}
-
 void GameServer::handle_heartbeat(const McHeartbeat& beat) {
   if (!config_.failsafe.enabled) return;
   control_plane_.admit(now(),

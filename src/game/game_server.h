@@ -82,10 +82,6 @@ class GameServer : public ProtocolNode {
   /// root servers only; subsequent ownership moves via state transfer).
   void spawn_map_objects(std::size_t count, const Rect& area, Rng& rng);
 
-  /// Shard rebalancing moved this server: re-bind the control plane's
-  /// tracer pointer to the new owner shard's deferred tracer.
-  void on_shard_migrated() override;
-
   // ---- observability --------------------------------------------------------
 
   [[nodiscard]] std::string name() const override;

@@ -50,14 +50,11 @@
 // Everything else — scenario scripting, metrics samplers, tests — is a cold
 // kClosure record naming a slot in a second slab of small-buffer-optimized
 // InlineAction callbacks (util/inline_function.h).  Scheduling allocates
-// nothing in steady state.  Because every typed record names its node, the
-// sharded engine re-homes a migrating node's pending events by scanning for
-// that node id (extract_node); closures belong to no node and never move.
-// This is ROSS's fixed-size event struct (Carothers, Bauer & Pearce, JPDC
-// 2002) in place of one type-erased closure per event.
+// nothing in steady state.  This is ROSS's fixed-size event struct
+// (Carothers, Bauer & Pearce, JPDC 2002) in place of one type-erased
+// closure per event.
 #pragma once
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <deque>
@@ -119,14 +116,6 @@ class EventQueue {
 
    protected:
     ~Target() = default;
-  };
-
-  /// One extracted pending event (see extract_node): its absolute time, its
-  /// (seq) order word for deterministic re-insertion order, and the record.
-  struct MigratedEvent {
-    SimTime when{};
-    std::uint64_t order = 0;
-    Record record;
   };
 
   /// Selects the priority structure.  Only callable while the queue is
@@ -287,48 +276,6 @@ class EventQueue {
   void run_all() {
     while (step()) {
     }
-  }
-
-  /// Removes every pending typed record owned by `node` and appends them to
-  /// `out` in (when, seq) order, freeing their slots.  Used by Network shard
-  /// rebalancing to re-home a migrating node's events — only from control
-  /// context at a barrier.  O(pending) tier rebuild.
-  void extract_node(NodeId node, std::vector<MigratedEvent>& out) {
-    const std::uint32_t key = Record::node_key(node);
-    const std::size_t first = out.size();
-    auto take = [&](std::vector<HeapEntry>& tier) {
-      std::size_t kept = 0;
-      for (HeapEntry& entry : tier) {
-        const std::uint32_t slot = entry.slot();
-        const Record& record = records_[slot];
-        if (record.kind != Kind::kClosure && record.node == key) {
-          out.push_back(MigratedEvent{entry.when, entry.seq_slot, record});
-          release_record(slot);
-        } else {
-          tier[kept++] = entry;
-        }
-      }
-      tier.resize(kept);
-    };
-    take(heap_);
-    heapify();
-    for (std::size_t b = sub_cur_; b < sub_buckets_.size(); ++b) {
-      const std::size_t before = sub_buckets_[b].size();
-      take(sub_buckets_[b]);
-      sub_pending_ -= before - sub_buckets_[b].size();
-    }
-    for (std::size_t b = cur_bucket_; b < buckets_.size(); ++b) {
-      const std::size_t before = buckets_[b].size();
-      take(buckets_[b]);
-      ring_pending_ -= before - buckets_[b].size();
-    }
-    take(overflow_);
-    if (heap_.empty()) settle();
-    std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end(),
-              [](const MigratedEvent& a, const MigratedEvent& b) {
-                if (a.when != b.when) return a.when < b.when;
-                return a.order < b.order;
-              });
   }
 
  private:

@@ -49,16 +49,6 @@ class LinkTable {
     ++size_;
   }
 
-  /// Visits every mapping as (dst, record&); the callback may rewrite the
-  /// record index (shard migration re-homes records) but not the key.
-  template <typename F>
-  void for_each(F&& visit) {
-    for (std::uint32_t i = 0; i < capacity_; ++i) {
-      Entry& entry = entries_[i];
-      if (entry.dst != 0) visit(NodeId(entry.dst), entry.record);
-    }
-  }
-
   /// Visits every mapping as (dst, record).
   template <typename F>
   void for_each(F&& visit) const {

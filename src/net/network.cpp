@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -119,19 +118,6 @@ void Network::set_scheduler(EventQueue::Scheduler scheduler) {
   for (auto& shard : shards_) shard->events.set_scheduler(scheduler);
   control_queue_.set_scheduler(scheduler);
 }
-
-void Network::set_rebalance(double threshold, std::uint64_t interval_events) {
-  rebalance_threshold_ = threshold;
-  rebalance_interval_events_ = interval_events;
-}
-
-void Network::define_colocated_group(std::vector<NodeId> nodes) {
-  ColocatedGroup group;
-  group.nodes = std::move(nodes);
-  groups_.push_back(std::move(group));
-}
-
-bool Network::force_rebalance() { return evaluate_rebalance(true); }
 
 void Network::enable_tracing(obs::TraceOptions options) {
   tracer_.enable(options);
@@ -366,7 +352,6 @@ void Network::run_service(NodeId node, std::uint64_t epoch) {
     env.payload.swap(here.frame_scratch);
     if (head != 0) std::memset(here.frame_scratch.data(), 0, head);
   }
-  ++s->served;  // the rebalancer's per-node load proxy
   release_payload(here, std::move(env.payload));
   // The handler may have detached this node (e.g. reclamation) or attached
   // new ones (the node table may have grown) — re-resolve.
@@ -454,9 +439,6 @@ void Network::run_sharded(SimTime t) {
     if (tracer_.enabled()) merge_trace_ops();
     global_now_ = window;
     ++windows_;
-    // Barrier: workers parked, mailboxes merged — the one safe point to
-    // migrate node groups between shards.
-    maybe_rebalance();
     control_queue_.run_until(window);
   }
 }
@@ -542,162 +524,6 @@ void Network::merge_trace_ops() {
     ++pos[best];
   }
   for (auto& shard : shards_) shard->tracer.deferred_ops().clear();
-}
-
-// ---------------------------------------------------------------------------
-// Shard load rebalancing
-// ---------------------------------------------------------------------------
-
-void Network::maybe_rebalance() {
-  if (rebalance_threshold_ <= 0.0 || !sharded()) return;
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->events.events_processed();
-  if (total - rebalance_last_total_ < rebalance_interval_events_) return;
-  rebalance_last_total_ = total;
-  evaluate_rebalance(false);
-}
-
-bool Network::evaluate_rebalance(bool force) {
-  if (!sharded()) return false;
-  const std::size_t count = shards_.size();
-  if (shard_event_base_.size() != count) shard_event_base_.assign(count, 0);
-
-  // Executed-event deltas for the elapsed epoch; baselines reset at every
-  // evaluation so one early hot phase cannot dominate forever.
-  std::size_t busiest = 0;
-  std::size_t idlest = 0;
-  std::uint64_t delta_total = 0;
-  std::vector<std::uint64_t> delta(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint64_t events = shards_[i]->events.events_processed();
-    delta[i] = events - shard_event_base_[i];
-    shard_event_base_[i] = events;
-    delta_total += delta[i];
-    if (delta[i] > delta[busiest]) busiest = i;
-    if (delta[i] < delta[idlest]) idlest = i;
-  }
-  auto group_served = [this](const ColocatedGroup& group) {
-    std::uint64_t sum = 0;
-    for (const NodeId id : group.nodes) {
-      const NodeState* state = find_state(id);
-      if (state != nullptr) sum += state->served;
-    }
-    return sum;
-  };
-  auto snapshot_groups = [&] {
-    for (ColocatedGroup& group : groups_) group.served_base = group_served(group);
-  };
-
-  const double mean =
-      static_cast<double>(delta_total) / static_cast<double>(count);
-  const double ratio =
-      mean > 0.0 ? static_cast<double>(delta[busiest]) / mean : 1.0;
-  if (busiest == idlest || (!force && ratio < rebalance_threshold_)) {
-    snapshot_groups();
-    return false;
-  }
-
-  // Pick the colocated group on the busiest shard whose epoch load best
-  // matches the ideal transfer (half the busiest-idlest gap): moving the
-  // hottest group outright would often just swap the imbalance.
-  const double ideal =
-      static_cast<double>(delta[busiest] - delta[idlest]) / 2.0;
-  std::size_t best = groups_.size();
-  double best_miss = 0.0;
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
-    const ColocatedGroup& group = groups_[g];
-    bool eligible = !group.nodes.empty();
-    for (const NodeId id : group.nodes) {
-      const NodeState* state = find_state(id);
-      if (state == nullptr || state->node == nullptr ||
-          state->shard != busiest) {
-        eligible = false;
-        break;
-      }
-    }
-    if (!eligible) continue;
-    const std::uint64_t served = group_served(group);
-    const double load =
-        static_cast<double>(served - std::min(served, group.served_base));
-    const double miss = std::abs(load - ideal);
-    if (best == groups_.size() || miss < best_miss) {
-      best = g;
-      best_miss = miss;
-    }
-  }
-  snapshot_groups();
-  if (best == groups_.size()) return false;
-
-  for (const NodeId id : groups_[best].nodes) migrate_node(id, idlest);
-  refold_cross_shard_lookahead();
-  ++rebalance_count_;
-  if (tracer_.enabled()) {
-    tracer_.record(global_now_, obs::TraceKind::kShardRebalance,
-                   groups_[best].nodes.front().value(), busiest,
-                   static_cast<std::int64_t>(idlest),
-                   static_cast<std::int64_t>(ratio * 1000.0));
-  }
-  return true;
-}
-
-void Network::migrate_node(NodeId id, std::size_t to) {
-  NodeState* state = find_state(id);
-  if (state == nullptr || state->shard == to) return;
-  Shard& from = *shards_[state->shard];
-  Shard& dest = *shards_[to];
-
-  // 1. Re-home this node's source link records.  Record indices are shared
-  // with no one (each source's link table points only at its own records),
-  // but sibling records in the old store ARE index-addressed by other
-  // sources on that shard — so vacated slots are deadened in place, never
-  // erased.
-  state->out.for_each([&](NodeId, std::uint32_t& slot) {
-    LinkRecord& old_record = from.link_records[slot];
-    slot = static_cast<std::uint32_t>(dest.link_records.size());
-    dest.link_records.push_back(old_record);  // override index included
-    old_record = LinkRecord{};  // dead slot: zero stats, no override
-  });
-
-  // 2. Re-home the receive queue into the destination shard's slab, oldest
-  // first, so the queue's order and the pending service completion's head
-  // message are unchanged.
-  EnvelopeSlab::Fifo moved;
-  while (!state->queue.empty()) {
-    dest.receive.push(moved, from.receive.pop(state->queue));
-  }
-  state->queue = moved;
-
-  // 3. Re-home pending events (deliveries to it, the in-flight service
-  // completion, its timers — every record naming this node), moving each
-  // delivery's parked envelope into the destination shard's in-flight slab.
-  // Both queues sit at the barrier time, and extraction preserves
-  // (when, seq) order, so the events replay on the new shard in the exact
-  // order they would have run — after any same-instant events the new
-  // shard already holds, which is a deterministic order either way.
-  state->shard = static_cast<std::uint32_t>(to);
-  migrate_scratch_.clear();
-  from.events.extract_node(id, migrate_scratch_);
-  for (EventQueue::MigratedEvent& event : migrate_scratch_) {
-    EventQueue::Record record = event.record;
-    if (record.kind == EventQueue::Kind::kDelivery) {
-      record.arg = dest.inflight.park(
-          from.inflight.take(static_cast<std::uint32_t>(record.arg)));
-    }
-    dest.events.schedule_record(event.when, record);
-  }
-  migrate_scratch_.clear();
-
-  // 4. Let the node re-acquire shard-affine bindings (deferred tracer).
-  if (state->node != nullptr) state->node->on_shard_migrated();
-}
-
-void Network::refold_cross_shard_lookahead() {
-  for_each_link([this](NodeId src, NodeId dst, const LinkRecord& record) {
-    if (record.override_index != kNoOverride &&
-        shard_of(src) != shard_of(dst)) {
-      fold_lookahead(link_configs_[record.override_index].latency);
-    }
-  });
 }
 
 void Network::start_workers() {
@@ -830,7 +656,6 @@ Network::EngineStats Network::engine_stats() const {
     stats.sched_tier_bytes += control_queue_.tier_bytes();
   }
   stats.windows = windows_;
-  stats.rebalances = rebalance_count_;
   // Stall = dispatch wall time summed over shards minus the time shards
   // actually ran: what every core spent waiting on the slowest sibling.
   const std::uint64_t dispatched = windows_wall_us_ * shards_.size();

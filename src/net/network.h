@@ -79,12 +79,6 @@ class Node {
 
   virtual void handle_message(const Envelope& envelope) = 0;
 
-  /// Called (control context, workers parked) after shard rebalancing moved
-  /// this node to a new shard.  Nodes that BIND shard-affine resources — a
-  /// tracer_for pointer, say — must re-acquire them here; everything routed
-  /// through the context-sensitive accessors needs nothing.
-  virtual void on_shard_migrated() {}
-
  protected:
   /// Arms timer `timer` to fire on_timer(timer, arg) `delay` from now, on
   /// the queue of the shard that owns this node (Network::schedule_timer).
@@ -177,13 +171,16 @@ class Network : private EventQueue::Target {
   void configure_shards(std::size_t count, bool use_threads = true);
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] bool sharded() const { return shards_.size() > 1; }
-  /// Owning shard of `id` (0 for unknown ids).
+  /// Owning shard of `id` (0 for unknown ids): fixed at attach, never
+  /// changes.
   [[nodiscard]] std::size_t shard_of(NodeId id) const {
     const NodeState* state = find_state(id);
     return state != nullptr ? state->shard : 0;
   }
   /// Conservative lookahead: min latency over the default link and every
-  /// cross-shard override, floored at 1µs.
+  /// cross-shard override, floored at 1µs.  Shards are fixed at attach, so
+  /// set_link folds each cross-shard override once, and no pair can start
+  /// crossing shards later.
   [[nodiscard]] SimTime lookahead() const { return lookahead_; }
 
   /// Selects the event-queue priority structure (ladder calendar queue vs
@@ -192,35 +189,6 @@ class Network : private EventQueue::Target {
   /// callable while no event is pending; Deployment calls it right after
   /// configure_shards from Config::engine.ladder_scheduler.
   void set_scheduler(EventQueue::Scheduler scheduler);
-
-  // ---- shard load rebalancing ---------------------------------------------
-
-  /// Arms locality-preserving shard rebalancing: every `interval_events`
-  /// executed events (summed over shards, evaluated at window barriers) the
-  /// engine compares per-shard executed-event counts for the elapsed epoch,
-  /// and when busiest/mean exceeds `threshold` migrates one colocated node
-  /// group (see define_colocated_group) from the busiest shard to the
-  /// idlest.  `threshold <= 0` disables (the default; behavior is then
-  /// byte-identical to the pre-rebalancing engine).  The trigger is derived
-  /// from event counts only — never wall time — so any fixed K stays
-  /// run-to-run reproducible, threaded or not.
-  void set_rebalance(double threshold, std::uint64_t interval_events);
-
-  /// Registers a group of nodes that must always share a shard (a matrix
-  /// server and its co-located game server): rebalancing only ever migrates
-  /// whole groups, so the 30µs colocated links never cross shards and the
-  /// LAN lookahead survives every migration.  Deployment registers each
-  /// server pair at bring-up.
-  void define_colocated_group(std::vector<NodeId> nodes);
-
-  /// Runs one rebalance evaluation immediately (control context only,
-  /// between run_until calls), ignoring the interval and threshold gates.
-  /// Returns true when a group actually migrated.  Test hook.
-  bool force_rebalance();
-
-  [[nodiscard]] std::uint64_t rebalance_count() const {
-    return rebalance_count_;
-  }
 
   // ---- topology -----------------------------------------------------------
 
@@ -291,8 +259,7 @@ class Network : private EventQueue::Target {
   /// window at the next timer and serializing per-node work onto the main
   /// thread.  Only safe for a node scheduling for ITSELF (handlers run on
   /// the owning shard's thread) or from control context at a barrier
-  /// (workers parked).  The record names the node, so shard rebalancing
-  /// re-homes pending timers when the node migrates.
+  /// (workers parked).
   void schedule_timer(NodeId id, SimTime delay, std::uint8_t timer,
                       std::uint64_t arg) {
     EventQueue& queue = shards_[shard_of(id)]->events;
@@ -340,10 +307,9 @@ class Network : private EventQueue::Target {
     std::size_t buffers_idle = 0;         ///< freelist depth right now
     std::uint64_t cross_shard_messages = 0;  ///< sends merged through mailboxes
     std::uint64_t windows = 0;            ///< barrier windows executed
-    std::uint64_t rebalances = 0;         ///< shard group migrations executed
     /// Wall-clock µs shards spent parked at window barriers waiting for the
     /// slowest sibling (threaded runs only; 0 sequential).  The direct
-    /// measure of shard imbalance that rebalancing exists to shrink.
+    /// measure of shard imbalance.
     std::uint64_t window_stall_us = 0;
     std::vector<std::uint64_t> shard_events;  ///< per-shard events executed
     /// Memory, in bytes of allocated capacity — a pure function of seed,
@@ -423,14 +389,14 @@ class Network : private EventQueue::Target {
     std::uint32_t shard = 0;  // owning shard index
     bool serving = false;
     std::uint64_t epoch = 0;  // bumped on detach to cancel stale service events
-    std::uint64_t served = 0;  // messages handled — the rebalancer's per-node
-                               // load proxy (written only by the owner shard)
     /// Destination → this source's record index in its owner shard's link
     /// store.  Holds only the destinations this node has sent to.
     LinkTable out;
   };
   // Node-table growth must move, never deep-copy, every NodeState.
   static_assert(std::is_nothrow_move_constructible_v<NodeState>);
+  // One slot per NodeId, 131,072 of them at 100k clients: keep it tight.
+  static_assert(sizeof(NodeState) <= 88);
 
   /// One cross-shard message parked until the window barrier.
   struct Mail {
@@ -542,15 +508,6 @@ class Network : private EventQueue::Target {
   void run_service(NodeId node, std::uint64_t epoch) override;
   void run_timer(NodeId node, std::uint8_t timer, std::uint64_t arg) override;
 
-  // ---- shard rebalancing (network.cpp) ------------------------------------
-  void maybe_rebalance();
-  bool evaluate_rebalance(bool force);
-  void migrate_node(NodeId id, std::size_t to);
-  /// Folds every cross-shard link override into the lookahead again after a
-  /// migration changed which links cross shards.  Folding only ever shrinks
-  /// the lookahead, so it is always conservative-safe.
-  void refold_cross_shard_lookahead();
-
   // ---- sharded barrier loop (network.cpp) ---------------------------------
   void run_sharded(SimTime t);
   void run_windows(SimTime end, bool inclusive);
@@ -589,19 +546,6 @@ class Network : private EventQueue::Target {
   bool trace_hash_on_ = false;
   obs::Tracer tracer_;
   std::vector<Mail> merge_scratch_;
-
-  // ---- shard rebalancing state --------------------------------------------
-  struct ColocatedGroup {
-    std::vector<NodeId> nodes;
-    std::uint64_t served_base = 0;  // served sum at the last epoch boundary
-  };
-  std::vector<ColocatedGroup> groups_;
-  double rebalance_threshold_ = 0.0;            // <= 0: rebalancing off
-  std::uint64_t rebalance_interval_events_ = 0;
-  std::uint64_t rebalance_last_total_ = 0;      // events at the last check
-  std::vector<std::uint64_t> shard_event_base_;  // per-shard epoch baselines
-  std::uint64_t rebalance_count_ = 0;
-  std::vector<EventQueue::MigratedEvent> migrate_scratch_;
 
   // ---- worker pool (sharded + threads) ------------------------------------
   std::vector<std::thread> workers_;

@@ -19,7 +19,6 @@ Registry collect_registry(Deployment& deployment) {
   registry.counter("engine.buffers_reused", engine.buffers_reused);
   registry.gauge("engine.buffers_idle",
                  static_cast<double>(engine.buffers_idle));
-  registry.counter("engine.rebalance_count", engine.rebalances);
   registry.counter("engine.window_stall_us", engine.window_stall_us, "us");
   registry.gauge("engine.mem.node_table_bytes",
                  static_cast<double>(engine.node_table_bytes), "bytes");

@@ -36,7 +36,6 @@ const char* trace_kind_name(TraceKind kind) {
     case TraceKind::kControlEpochFlip: return "control_epoch_flip";
     case TraceKind::kControlStaleDrop: return "control_stale_drop";
     case TraceKind::kControlApplied: return "control_applied";
-    case TraceKind::kShardRebalance: return "shard_rebalance";
     case TraceKind::kCount: break;
   }
   return "?";

@@ -84,12 +84,6 @@ enum class TraceKind : std::uint8_t {
   kControlApplied,      ///< sequenced control update applied: subject=node,
                         ///< actor=ControlKind, a=epoch, b=seq
 
-  // ---- parallel engine ------------------------------------------------------
-  kShardRebalance,      ///< colocated group migrated between shards:
-                        ///< subject=first node of the group, actor=source
-                        ///< shard, a=destination shard, b=imbalance ratio
-                        ///< (busiest/mean, permille)
-
   kCount,
 };
 

@@ -52,10 +52,6 @@ Deployment::Deployment(DeploymentOptions options)
       resolve_ladder_scheduler(options_.config.engine.ladder_scheduler)
           ? EventQueue::Scheduler::kLadder
           : EventQueue::Scheduler::kHeap);
-  if (options_.config.engine.rebalance_threshold > 0.0) {
-    network_.set_rebalance(options_.config.engine.rebalance_threshold,
-                           options_.config.engine.rebalance_interval_events);
-  }
   network_.set_default_link(options_.wan);
 
   // Observability (src/obs/): enable the tracer before any node attaches so
@@ -118,9 +114,8 @@ Deployment::Deployment(DeploymentOptions options)
     game->wire(matrix_node);
     network_.set_link_bidirectional(matrix_node, game_node,
                                     options_.colocated);
-    // Rebalancing migrates the pair as one group, so the 30µs colocated
-    // link above can never become a cross-shard lookahead bound.
-    network_.define_colocated_group({matrix_node, game_node});
+    // Both halves sit on one shard for the whole run, so the 30µs colocated
+    // link above never bounds the cross-shard lookahead.
     infra_nodes.push_back(matrix_node);
     infra_nodes.push_back(game_node);
 

@@ -454,13 +454,11 @@ TEST(LinkTableTest, MapsManyDestinationsThroughGrowth) {
   // most 768 entries, so 1,000 take 4,096 slots of 8 B.
   EXPECT_EQ(table.bytes(), 4096u * 8u);
   std::size_t visited = 0;
-  table.for_each([&](NodeId dst, std::uint32_t& record) {
+  table.for_each([&](NodeId dst, std::uint32_t record) {
     EXPECT_EQ((dst.value() - 7) / 3, record);
-    record += 5000;
     ++visited;
   });
   EXPECT_EQ(visited, 1000u);
-  EXPECT_EQ(table.find(NodeId(7)), 5000);
 }
 
 TEST(NetworkTest, PerPairStatsAcrossManyDestinations) {
@@ -678,7 +676,7 @@ TEST(ZeroTailTest, TrimmedFramesAreSeenAndChargedLikeStoredOnes) {
 TEST(ZeroTailTest, EveryExitPathReturnsHeadsAndSlots) {
   // A trimmed message leaves the network by a drop on the link, a tail drop
   // at a full queue, a detach, or a delivery after crossing a shard
-  // mailbox or migrating with its destination.  Each path must give its
+  // mailbox.  Each path must give its
   // head back (the in-flight gauge returns to where it started) and free
   // its envelope slot, and a delivered frame must arrive byte for byte.
   const std::vector<Frame> frames = random_frames(12, 16);
@@ -781,66 +779,39 @@ TEST(ZeroTailTest, EveryExitPathReturnsHeadsAndSlots) {
     EXPECT_EQ(net.engine_stats().cross_shard_messages, frames.size());
     EXPECT_EQ(net.engine_stats().payload_inflight_bytes, 0u);
   }
-
-  {  // Migration: the destination moves shards with half its frames queued
-     // and half still on the wire.
-    Network net;
-    net.configure_shards(2, /*use_threads=*/false);
-    Recorder src;
-    FrameLog mover;
-    net.attach(&src, {}, 0);
-    net.attach(&mover, {1_ms, 0_us, std::nullopt}, 1);
-    net.set_default_link({3_ms, 0.0, 0.0});
-    net.define_colocated_group({mover.node_id()});
-    const std::size_t half = frames.size() / 2;
-    for (std::size_t i = 0; i < half; ++i) {
-      send_trimmed(net, src.node_id(), mover.node_id(), frames[i]);
-    }
-    net.run_until(SimTime::from_us(3'500));
-    for (std::size_t i = half; i < frames.size(); ++i) {
-      send_trimmed(net, src.node_id(), mover.node_id(), frames[i]);
-    }
-    EXPECT_GT(net.queue_length(mover.node_id()), 0u);
-    ASSERT_TRUE(net.force_rebalance());
-    EXPECT_EQ(net.shard_of(mover.node_id()), 0u);
-    net.run_until(1_sec);
-    EXPECT_EQ(mover.frames(), frames);
-    EXPECT_EQ(net.engine_stats().payload_inflight_bytes, 0u);
-  }
 }
 
 // ---------------------------------------------------------------------------
 // Link records and overrides
 // ---------------------------------------------------------------------------
 
-TEST(NetworkTest, LinkOverridesFollowTheirPairThroughMigration) {
-  // Records hold an override by index only; after the rebalancer moves a
-  // node, link() still returns each pair's override, and the lookahead is
-  // refolded from the overrides: the mover's 40 µs link to a peer it used
-  // to share a shard with now crosses shards and bounds every window.
+TEST(NetworkTest, LinkOverridesStayWithTheirPair) {
+  // Records hold an override by index only; link() still returns each
+  // pair's latest override, and set_link folds an override into the
+  // lookahead exactly when its pair crosses shards: same-shard links never
+  // bound a window, and shards are fixed at attach, so the fold is final.
   Network net;
   net.configure_shards(2, /*use_threads=*/false);
-  Recorder src, mover, peer;
+  Recorder src, near, peer;
   net.attach(&src, {}, 0);
-  net.attach(&mover, {}, 1);
+  net.attach(&near, {}, 0);
   net.attach(&peer, {}, 1);
   net.set_default_link({1_ms, 0.0, 0.0});
   const LinkConfig fast{40_us, 0.0, 0.0};
   const LinkConfig wan{20_ms, 1e6, 0.0};
-  net.set_link(mover.node_id(), peer.node_id(), fast);
-  net.set_link(src.node_id(), mover.node_id(), wan);
-  net.set_link(src.node_id(), mover.node_id(), {2_ms, 0.0, 0.0});  // reset
+  net.set_link(src.node_id(), near.node_id(), {10_us, 0.0, 0.0});
+  net.set_link(src.node_id(), near.node_id(), wan);
+  net.set_link(src.node_id(), near.node_id(), {2_ms, 0.0, 0.0});  // reset
   net.set_link(src.node_id(), peer.node_id(), wan);
-  EXPECT_EQ(net.lookahead(), 1_ms);  // 40 µs link is same-shard so far
-  net.define_colocated_group({mover.node_id()});
-  net.send(src.node_id(), mover.node_id(), {1});
-  net.run_until(3_ms);  // shard 1 handled it, so shard 1 is the busiest
-  ASSERT_TRUE(net.force_rebalance());
-  EXPECT_EQ(net.shard_of(mover.node_id()), 0u);
-  EXPECT_TRUE(net.link(mover.node_id(), peer.node_id()) == fast);
-  EXPECT_EQ(net.link(src.node_id(), mover.node_id()).latency, 2_ms);
+  EXPECT_EQ(net.lookahead(), 1_ms);  // the 10 µs link is same-shard
+  net.set_link(near.node_id(), peer.node_id(), fast);
+  EXPECT_EQ(net.lookahead(), 40_us);
+  net.send(src.node_id(), near.node_id(), {1});
+  net.run_until(3_ms);
+  EXPECT_TRUE(net.link(near.node_id(), peer.node_id()) == fast);
+  EXPECT_EQ(net.link(src.node_id(), near.node_id()).latency, 2_ms);
   EXPECT_TRUE(net.link(src.node_id(), peer.node_id()) == wan);
-  EXPECT_EQ(net.link(peer.node_id(), mover.node_id()).latency, 1_ms);
+  EXPECT_EQ(net.link(peer.node_id(), near.node_id()).latency, 1_ms);
   EXPECT_EQ(net.lookahead(), 40_us);
 }
 

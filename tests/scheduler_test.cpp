@@ -240,55 +240,6 @@ TEST(SchedulerTest, NextTimeTracksGlobalMinimumAcrossTiers) {
   EXPECT_EQ(queue.now(), SimTime::from_sec(7200));
 }
 
-TEST(SchedulerTest, ExtractNodeRemovesOnlyThatNodesRecords) {
-  // By-node extraction across all three tiers: the migrating node's records
-  // come out in (when, seq) order with their kind and words intact;
-  // everything else — other nodes' records and closures — keeps its pop
-  // order.
-  using Record = EventQueue::Record;
-  const NodeId mine(7);
-  const NodeId other(8);
-  EventQueue queue;
-  Log stayed;
-  LogTarget stay_target(queue, stayed);
-  queue.set_target(&stay_target);
-  queue.schedule_record(1_ms, Record::timer_tick(mine, 0, 10));
-  queue.schedule_record(1_ms, Record::timer_tick(other, 0, 20));
-  queue.schedule_at(1_ms, [&] { stayed.emplace_back(queue.now().us(), 21); });
-  queue.schedule_record(40_ms, Record::delivery(mine, 11));  // ring tier
-  queue.schedule_record(SimTime::from_sec(1200),
-                        Record::service(mine, 12));  // overflow tier
-  queue.schedule_record(5_ms, Record::service(other, 22));
-
-  std::vector<EventQueue::MigratedEvent> moved;
-  queue.extract_node(mine, moved);
-  ASSERT_EQ(moved.size(), 3u);
-  EXPECT_EQ(moved[0].when, 1_ms);
-  EXPECT_EQ(moved[1].when, 40_ms);
-  EXPECT_EQ(moved[2].when, SimTime::from_sec(1200));
-  EXPECT_TRUE(moved[0].order < moved[1].order);
-  EXPECT_EQ(moved[0].record.kind, EventQueue::Kind::kTimer);
-  EXPECT_EQ(moved[1].record.kind, EventQueue::Kind::kDelivery);
-  EXPECT_EQ(moved[2].record.kind, EventQueue::Kind::kService);
-  EXPECT_EQ(queue.pending(), 3u);
-
-  // Re-home into a fresh queue: the moved records still run, at their
-  // original instants.
-  EventQueue dest;
-  Log landed;
-  LogTarget dest_target(dest, landed);
-  dest.set_target(&dest_target);
-  for (const EventQueue::MigratedEvent& event : moved) {
-    dest.schedule_record(event.when, event.record);
-  }
-  dest.run_all();
-  EXPECT_EQ(landed, (Log{{1'000, 10}, {40'000, 11}, {1'200'000'000, 12}}));
-
-  queue.run_all();
-  EXPECT_EQ(stayed, (Log{{1'000, 20}, {1'000, 21}, {5'000, 22}}));
-  EXPECT_EQ(queue.pending(), 0u);
-}
-
 TEST(SchedulerTest, ReentrantGrowthKeepsSlabStable) {
   // A callback scheduling thousands of events while running forces slab
   // growth mid-invoke; the deque keeps the running slot stable.

@@ -250,232 +250,6 @@ TEST(ShardEngineTest, ThreadedMatchesSequentialExecution) {
   EXPECT_EQ(threaded, sequential);
 }
 
-// ---------------------------------------------------------------------------
-// Shard rebalancing (load-driven group migration at window barriers)
-// ---------------------------------------------------------------------------
-
-TEST(ShardEngineTest, ForcedMigrationPreservesDeliveryTiming) {
-  // A forced mid-run migration moves the group to the idle shard without
-  // touching the simulated timeline: every delivery lands at the same time
-  // with the same payload as in the run that never migrated.
-  const NodeConfig instant{0_us, 0_us, std::nullopt};
-  auto run = [&](bool migrate) {
-    Network net;
-    net.configure_shards(2, /*use_threads=*/false);
-    Recorder dst;
-    Fanout relay{/*tag=*/9, /*count=*/4};
-    net.attach(&dst, instant, 0);
-    net.attach(&relay, instant, 1);
-    relay.target = dst.node_id();
-    net.set_default_link({3_ms, 0.0, 0.0});
-    net.define_colocated_group({relay.node_id()});
-    net.send(dst.node_id(), relay.node_id(), {1});
-    net.run_until(4_ms);  // relay handled the kick; replies are in flight
-    if (migrate) {
-      EXPECT_TRUE(net.force_rebalance());
-      // Shard 1 did all the work so far, so the relay group moves to 0.
-      EXPECT_EQ(net.shard_of(relay.node_id()), 0u);
-      EXPECT_EQ(net.rebalance_count(), 1u);
-    }
-    net.run_until(1_sec);
-    std::vector<std::pair<std::int64_t, int>> out;
-    for (const Envelope& env : dst.received) {
-      out.emplace_back(env.delivered_at.us(), env.payload[1]);
-    }
-    return out;
-  };
-  const auto stay = run(false);
-  const auto moved = run(true);
-  ASSERT_EQ(stay.size(), 4u);
-  EXPECT_EQ(stay, moved);
-}
-
-TEST(ShardEngineTest, MigrationCarriesNonEmptyReceiveQueueInOrder) {
-  // The migrating node has five messages queued (one in service) when the
-  // rebalancer moves it; the queue must move into the destination shard's
-  // slab intact — interleaving with a queue already living there — and
-  // every message must be handled at the same instant, in the same order,
-  // as in the run that never migrated.
-  class Clock : public Node {
-   public:
-    [[nodiscard]] std::string name() const override { return "clock"; }
-    void handle_message(const Envelope& env) override {
-      handled.emplace_back(network()->now().us(), env.payload[0]);
-    }
-    std::vector<std::pair<std::int64_t, int>> handled;
-  };
-  auto run = [](bool migrate) {
-    Network net;
-    net.configure_shards(2, /*use_threads=*/false);
-    Recorder src;
-    Clock mover;
-    Clock resident;
-    const NodeConfig slow{1_ms, 0_us, std::nullopt};
-    net.attach(&src, {}, 0);
-    net.attach(&resident, slow, 0);
-    net.attach(&mover, slow, 1);
-    net.set_default_link({3_ms, 0.0, 0.0});
-    net.define_colocated_group({mover.node_id()});
-    // Shard 1 runs one more delivery than shard 0, so it is the busiest
-    // and the rebalancer moves the mover's group to shard 0.
-    for (std::uint8_t i = 0; i < 5; ++i) {
-      net.send(src.node_id(), mover.node_id(), {i});
-      if (i < 4) {
-        net.send(src.node_id(), resident.node_id(),
-                 {static_cast<std::uint8_t>(100 + i)});
-      }
-    }
-    net.run_until(SimTime::from_us(3'500));  // all arrived, one in service
-    EXPECT_EQ(net.queue_length(mover.node_id()), 5u);
-    EXPECT_EQ(net.queue_length(resident.node_id()), 4u);
-    if (migrate) {
-      EXPECT_TRUE(net.force_rebalance());
-      EXPECT_EQ(net.shard_of(mover.node_id()), 0u);
-      EXPECT_EQ(net.queue_length(mover.node_id()), 5u);
-    }
-    net.run_until(1_sec);
-    EXPECT_EQ(net.queue_length(mover.node_id()), 0u);
-    return std::pair(mover.handled, resident.handled);
-  };
-  const auto stay = run(false);
-  const auto moved = run(true);
-  ASSERT_EQ(stay.first.size(), 5u);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(stay.first[i],
-              std::make_pair(std::int64_t{4'000 + 1'000 * i}, i));
-  }
-  EXPECT_EQ(stay, moved);
-}
-
-TEST(ShardEngineTest, MigrationCarriesEveryTypedEventKind) {
-  // At the migration barrier the mover holds one of each typed record: a
-  // delivery still on the wire (sent, not yet arrived), the service
-  // completion of the message it is handling, a periodic timer that re-arms
-  // itself, and a one-shot timer with an argument.  All of them must move
-  // with it and fire at the same instants, in the same order, as in the run
-  // that never migrated.
-  using Entry = std::tuple<std::int64_t, char, std::uint64_t>;
-  class Ticker : public Node {
-   public:
-    [[nodiscard]] std::string name() const override { return "ticker"; }
-    void handle_message(const Envelope& env) override {
-      log.emplace_back(network()->now().us(), 'm', env.payload[0]);
-    }
-    void on_timer(std::uint8_t timer, std::uint64_t arg) override {
-      log.emplace_back(network()->now().us(), timer == 0 ? 'p' : 'o', arg);
-      if (timer == 0 && arg < 5) set_timer(2_ms, 0, arg + 1);
-    }
-    void arm(SimTime delay, std::uint8_t timer, std::uint64_t arg) {
-      set_timer(delay, timer, arg);
-    }
-    std::vector<Entry> log;
-  };
-  auto run = [](bool migrate) {
-    Network net;
-    net.configure_shards(2, /*use_threads=*/false);
-    Recorder near_src;
-    Recorder far_src;
-    Ticker mover;
-    net.attach(&near_src, {}, 0);
-    net.attach(&far_src, {}, 0);
-    net.attach(&mover, {1_ms, 0_us, std::nullopt}, 1);
-    net.set_link(near_src.node_id(), mover.node_id(), {3_ms, 0.0, 0.0});
-    net.set_link(far_src.node_id(), mover.node_id(), {10_ms, 0.0, 0.0});
-    net.define_colocated_group({mover.node_id()});
-    mover.arm(SimTime::from_us(1'500), 0, 0);  // 1.5, 3.5, ... 11.5 ms
-    mover.arm(6_ms, 1, 42);
-    net.send(near_src.node_id(), mover.node_id(), {1});  // in service 3-4 ms
-    net.send(far_src.node_id(), mover.node_id(), {2});   // lands at 10 ms
-    net.run_until(SimTime::from_us(3'700));
-    if (migrate) {
-      // Only shard 1 has run anything, so the mover's group moves to 0.
-      EXPECT_TRUE(net.force_rebalance());
-      EXPECT_EQ(net.shard_of(mover.node_id()), 0u);
-    }
-    net.run_until(1_sec);
-    return mover.log;
-  };
-  const auto stay = run(false);
-  const auto moved = run(true);
-  EXPECT_EQ(stay, (std::vector<Entry>{{1'500, 'p', 0},
-                                      {3'500, 'p', 1},
-                                      {4'000, 'm', 1},
-                                      {5'500, 'p', 2},
-                                      {6'000, 'o', 42},
-                                      {7'500, 'p', 3},
-                                      {9'500, 'p', 4},
-                                      {11'000, 'm', 2},
-                                      {11'500, 'p', 5}}));
-  EXPECT_EQ(stay, moved);
-}
-
-DeploymentOptions rebalancing_options(bool threads) {
-  DeploymentOptions options = sharded_options(4, threads);
-  options.config.engine.rebalance_threshold = 1.05;
-  options.config.engine.rebalance_interval_events = 50'000;
-  return options;
-}
-
-std::vector<std::uint64_t> rebalancing_scenario_hashes(
-    bool threads, std::uint64_t* rebalances = nullptr) {
-  OverloadScenarioOptions scenario;
-  scenario.flash_bots = 300;
-  scenario.duration = 12_sec;
-  Deployment deployment(rebalancing_options(threads));
-  deployment.network().enable_trace_hash();
-  schedule_overload_scenario(deployment, scenario);
-  deployment.run_until(scenario.duration);
-  if (rebalances != nullptr) {
-    *rebalances = deployment.network().rebalance_count();
-  }
-  return deployment.network().shard_trace_hashes();
-}
-
-TEST(ShardEngineTest, RebalancingKeepsScenarioTotalsIdentical) {
-  // Migration changes WHERE events execute, never WHAT executes: with the
-  // deployment's drop-free links, every message/event total must match the
-  // rebalance-off run exactly.
-  auto totals = [](bool rebalance) {
-    OverloadScenarioOptions scenario;
-    scenario.flash_bots = 300;
-    scenario.duration = 12_sec;
-    DeploymentOptions options =
-        rebalance ? rebalancing_options(false) : sharded_options(4, false);
-    Deployment deployment(options);
-    schedule_overload_scenario(deployment, scenario);
-    deployment.run_until(scenario.duration);
-    const Network::EngineStats stats = deployment.network().engine_stats();
-    if (rebalance) {
-      EXPECT_GT(stats.rebalances, 0u)
-          << "threshold 1.05 over a flash crowd should migrate something";
-    } else {
-      EXPECT_EQ(stats.rebalances, 0u);
-    }
-    // Byte totals are NOT pinned: same-instant cross-shard ties merge by
-    // (source shard, send order), and migration changes a node's source
-    // shard — so same-timestamp handler interleavings, and with them the
-    // sizes of variable-length control payloads, may legitimately differ.
-    return std::tuple(deployment.network().total_messages(),
-                      stats.events_processed, deployment.total_clients());
-  };
-  EXPECT_EQ(totals(false), totals(true));
-}
-
-TEST(ShardEngineTest, RebalancingRunIsRunToRunStable) {
-  std::uint64_t rebalances = 0;
-  const auto first = rebalancing_scenario_hashes(/*threads=*/true, &rebalances);
-  const auto second = rebalancing_scenario_hashes(/*threads=*/true);
-  EXPECT_GT(rebalances, 0u);
-  EXPECT_EQ(first, second)
-      << "rebalance decisions must derive from event counts only — any wall "
-         "time in the trigger breaks K=4 run-to-run stability.";
-}
-
-TEST(ShardEngineTest, RebalancingThreadedMatchesSequential) {
-  EXPECT_EQ(rebalancing_scenario_hashes(/*threads=*/true),
-            rebalancing_scenario_hashes(/*threads=*/false));
-}
-
 TEST(ShardEngineTest, ShardedDeploymentServesClients) {
   // Sanity beyond hashing: a K=2 deployment actually runs the scenario —
   // clients join, servers split, traffic flows across the shard boundary.
