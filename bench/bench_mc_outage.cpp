@@ -34,6 +34,12 @@
 //   * every failsafe timeline is machine-valid (failsafe_timeline_valid),
 //     servers reached FALLBACK and recovered to NORMAL after the revival;
 //   * with the failsafe off, nothing transitions (the machine is inert).
+//
+// Each label also reports pending_lookup_peak_bytes: the most the matrix
+// servers' parked MC point lookups held (core/matrix_server.h), a ceiling
+// in bench/baselines/mc_outage_baseline.json.  Lookups expire after
+// failsafe.tau1 whether or not the failsafe is on, so the outage's 60 s
+// must not grow it.
 #include "bench_common.h"
 #include "control/control_plane.h"
 
@@ -141,6 +147,9 @@ struct RunResult {
   bool timelines_valid = true;
   bool all_normal_at_end = true;
   AdmissionSummary admission;
+  std::uint64_t lookups_expired = 0;
+  std::uint64_t late_lookup_replies = 0;
+  std::size_t pending_lookup_peak_bytes = 0;
 };
 
 RunResult run_one(bool failsafe_on, const char* label, JsonReport& report) {
@@ -190,6 +199,9 @@ RunResult run_one(bool failsafe_on, const char* label, JsonReport& report) {
   };
   for (const MatrixServer* server : deployment.matrix_servers()) {
     account(server->control_plane());
+    result.lookups_expired += server->stats().lookups_expired;
+    result.late_lookup_replies += server->stats().late_lookup_replies;
+    result.pending_lookup_peak_bytes += server->parked_lookup_peak_bytes();
   }
   for (const GameServer* game : deployment.game_servers()) {
     account(game->control_plane());
@@ -210,6 +222,11 @@ RunResult run_one(bool failsafe_on, const char* label, JsonReport& report) {
       static_cast<unsigned long long>(result.admission.directives_applied),
       static_cast<unsigned long long>(result.admission.joins_queued),
       static_cast<unsigned long long>(result.admission.queue_admitted));
+  std::printf(
+      "       lookups: expired=%llu late-replies=%llu peak-parked=%zu B\n",
+      static_cast<unsigned long long>(result.lookups_expired),
+      static_cast<unsigned long long>(result.late_lookup_replies),
+      result.pending_lookup_peak_bytes);
 
   report.add(label, "goodput", result.goodput, "fraction");
   report.add(label, "p99", result.p99_ms, "ms");
@@ -220,6 +237,8 @@ RunResult run_one(bool failsafe_on, const char* label, JsonReport& report) {
              static_cast<double>(result.failsafe_transitions), "");
   report.add(label, "fallback_entries",
              static_cast<double>(result.fallback_entries), "");
+  report.add(label, "pending_lookup_peak_bytes",
+             static_cast<double>(result.pending_lookup_peak_bytes), "bytes");
   add_registry(report, label, deployment);
   return result;
 }

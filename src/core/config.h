@@ -232,7 +232,9 @@ struct FailsafeConfig {
   /// Heartbeat silence at which a server enters HOLD: the current
   /// directive/pool view is frozen — still in force, but no longer a basis
   /// for new pool-grant-seeking decisions (DirectivePolicy need drops to
-  /// zero, proactive splits stop).
+  /// zero, proactive splits stop).  Also the deadline for an unanswered
+  /// MC point lookup, whether or not the failsafe is enabled: a matrix
+  /// server drops a lookup parked this long when it parks the next one.
   SimTime tau1 = SimTime::from_sec(3.0);
 
   /// Heartbeat silence at which a server enters FALLBACK: deterministic
@@ -332,11 +334,17 @@ struct FaultConfig {
   /// keeps judging against the REAL recover_min, so enabling this makes
   /// lifetime_timeline_valid() report false.
   bool skip_recover_min = false;
+  /// Never expire a matrix server's parked MC point lookups: an unanswered
+  /// lookup (its MC dead, or its message lost) stays parked until an
+  /// McAnnounce — the unbounded-outage leak the lookup-bound invariant
+  /// (kInvLookupBound) exists to catch.
+  bool never_expire_lookups = false;
 
   [[nodiscard]] bool any() const {
     return swallow_gated_join_every != 0 || drop_queue_handoff ||
            reset_handoff_age || leak_session_on_shed ||
-           stale_directive_replay || skip_recover_min;
+           stale_directive_replay || skip_recover_min ||
+           never_expire_lookups;
   }
 };
 

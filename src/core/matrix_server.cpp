@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "util/log.h"
 
@@ -116,9 +117,7 @@ void MatrixServer::on_message(const Message& message, const Envelope& env) {
     // Game server asks who owns a point (client migration).  Resolve via
     // the MC; the reply comes back through handle_point_owner.
     ++stats_.nonproximal_lookups;
-    const std::uint32_t seq = next_lookup_seq_++;
-    pending_owner_queries_[seq] = *query;
-    send(wiring_.mc_node, PointLookup{query->point, seq});
+    park_lookup(query->point, *query);
   } else if (const auto* announce = std::get_if<McAnnounce>(&message)) {
     // Coordinator fail-over: adopt the new MC and re-register so it can
     // rebuild the partition map from our (authoritative) local range.  The
@@ -132,8 +131,9 @@ void MatrixServer::on_message(const Message& message, const Envelope& env) {
       return;  // stale announce
     }
     wiring_.mc_node = announce->mc_node;
-    pending_lookups_.clear();         // in-flight lookups died with the MC
-    pending_owner_queries_.clear();
+    // In-flight lookups died with the MC.
+    lookup_base_ += static_cast<std::uint32_t>(lookups_.size());
+    lookups_.clear();
     // The old MC's directive died with it: drop the floor (the standby
     // re-clamps within a digest round if pressure persists); its successor
     // numbers directives from 1 in the new epoch.
@@ -234,12 +234,10 @@ void MatrixServer::route_tagged_frame(const TaggedPacketView& view,
     // Hand it to the point's owner via the MC (non-proximal machinery).
     ++stats_.origin_outside_range;
     ++stats_.nonproximal_lookups;
-    const std::uint32_t seq = next_lookup_seq_++;
     TaggedPacket forwarded = view.materialize();
     forwarded.peer_forwarded = true;
     forwarded.target = view.origin;  // ensure delivery at the owner
-    pending_lookups_[seq] = std::move(forwarded);
-    send(wiring_.mc_node, PointLookup{view.origin, seq});
+    park_lookup(view.origin, std::move(forwarded));
     return;
   }
 
@@ -261,38 +259,76 @@ void MatrixServer::route_tagged_frame(const TaggedPacketView& view,
     // the origin fan-out above.
     if (metric_distance(config_.metric, *view.target, view.origin) > radius) {
       ++stats_.nonproximal_lookups;
-      const std::uint32_t seq = next_lookup_seq_++;
       TaggedPacket forwarded = view.materialize();
       forwarded.peer_forwarded = true;
-      pending_lookups_[seq] = std::move(forwarded);
-      send(wiring_.mc_node, PointLookup{*view.target, seq});
+      park_lookup(*view.target, std::move(forwarded));
     }
   }
 }
 
+void MatrixServer::park_lookup(Vec2 point, ParkedLookup::Payload parked) {
+  // Lazy expiry: a lookup unanswered for tau1 — the heartbeat silence after
+  // which the MC is suspect — is dropped before the next one is parked.  A
+  // reply that beats this never notices; one that does not is counted in
+  // late_lookup_replies.
+  const SimTime now_at = now();
+  if (!config_.fault.never_expire_lookups) {
+    while (!lookups_.empty() &&
+           lookups_.front().issued_at + config_.failsafe.tau1 <= now_at) {
+      lookups_.pop_front();
+      expired_end_ = ++lookup_base_;
+      ++stats_.lookups_expired;
+      drain_parked_lookups();
+    }
+  }
+  if (!lookups_.empty()) {
+    stats_.lookup_age_peak_us =
+        std::max(stats_.lookup_age_peak_us,
+                 static_cast<std::uint64_t>(
+                     (now_at - lookups_.front().issued_at).us()));
+  }
+  const auto seq =
+      lookup_base_ + static_cast<std::uint32_t>(lookups_.size());
+  lookups_.push_back({now_at, std::move(parked)});
+  stats_.pending_lookups_peak =
+      std::max<std::uint64_t>(stats_.pending_lookups_peak, lookups_.size());
+  send(wiring_.mc_node, PointLookup{point, seq});
+}
+
+void MatrixServer::drain_parked_lookups() {
+  while (!lookups_.empty() &&
+         std::holds_alternative<std::monostate>(lookups_.front().parked)) {
+    lookups_.pop_front();
+    ++lookup_base_;
+  }
+}
+
 void MatrixServer::handle_point_owner(const PointOwner& owner) {
-  if (auto qit = pending_owner_queries_.find(owner.lookup_seq);
-      qit != pending_owner_queries_.end()) {
-    const OwnerQuery query = qit->second;
-    pending_owner_queries_.erase(qit);
+  const std::uint32_t index = owner.lookup_seq - lookup_base_;
+  if (index >= lookups_.size()) {
+    // Serial-number comparison: seq precedes expired_end_, wrap-safe.
+    if (static_cast<std::int32_t>(owner.lookup_seq - expired_end_) < 0) {
+      ++stats_.late_lookup_replies;
+    }
+    return;
+  }
+  auto parked = std::exchange(lookups_[index].parked, std::monostate{});
+  drain_parked_lookups();
+  if (const auto* query = std::get_if<OwnerQuery>(&parked)) {
     OwnerReply reply;
-    reply.client = query.client;
-    reply.seq = query.seq;
+    reply.client = query->client;
+    reply.seq = query->seq;
     reply.found = owner.found;
     reply.server = owner.server;
     reply.game_node = owner.game_node;
     send(wiring_.game_node, reply);
-    return;
-  }
-  auto it = pending_lookups_.find(owner.lookup_seq);
-  if (it == pending_lookups_.end()) return;
-  TaggedPacket packet = std::move(it->second);
-  pending_lookups_.erase(it);
-  if (owner.found && owner.matrix_node != node_id()) {
-    send(owner.matrix_node, packet);
-  } else if (owner.found) {
-    // We own the point ourselves (lookup raced a topology change).
-    send(wiring_.game_node, packet);
+  } else if (const auto* packet = std::get_if<TaggedPacket>(&parked)) {
+    if (owner.found && owner.matrix_node != node_id()) {
+      send(owner.matrix_node, *packet);
+    } else if (owner.found) {
+      // We own the point ourselves (lookup raced a topology change).
+      send(wiring_.game_node, *packet);
+    }
   }
 }
 
@@ -824,7 +860,13 @@ void MatrixServer::deactivate() {
   children_.clear();
   tables_.clear();
   table_versions_.clear();
-  pending_lookups_.clear();
+  // Parked packets are abandoned; parked owner queries are still answered.
+  for (ParkedLookup& slot : lookups_) {
+    if (std::holds_alternative<TaggedPacket>(slot.parked)) {
+      slot.parked = std::monostate{};
+    }
+  }
+  drain_parked_lookups();
   last_report_ = LoadReport{};
   clear_pool_denial_episode();
   admission_.reset(now());

@@ -46,10 +46,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "control/admission.h"
@@ -114,6 +115,18 @@ class MatrixServer : public ProtocolNode {
     std::uint64_t peer_packets_rejected = 0;  ///< failed range verification
     std::uint64_t origin_outside_range = 0;   ///< handoff-window strays
     std::uint64_t nonproximal_lookups = 0;
+    /// Parked MC point lookups dropped unanswered after tau1 (see
+    /// parked_lookups()).
+    std::uint64_t lookups_expired = 0;
+    /// PointOwner replies that found no slot after an expiry had passed
+    /// their lookup (so they came back at least tau1 late); a nonzero
+    /// count means expiry may have changed what the server did.
+    std::uint64_t late_lookup_replies = 0;
+    /// High-water mark of parked_lookups(), in slots.
+    std::uint64_t pending_lookups_peak = 0;
+    /// Age of the oldest lookup still parked when a new one is parked
+    /// (after expiry), maximum over the run, µs; stays below tau1.
+    std::uint64_t lookup_age_peak_us = 0;
     std::uint64_t splits_initiated = 0;
     std::uint64_t splits_completed = 0;
     /// Splits initiated below the overload threshold on the strength of an
@@ -147,6 +160,17 @@ class MatrixServer : public ProtocolNode {
     std::uint64_t reclaim_latency_us_sum = 0;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
+
+  /// MC point lookups parked awaiting a PointOwner reply, in slots (served
+  /// slots behind the oldest unanswered one included).
+  [[nodiscard]] std::size_t parked_lookups() const { return lookups_.size(); }
+  /// Bytes the parked-lookup ring holds now, and at its high-water mark.
+  [[nodiscard]] std::size_t parked_lookup_bytes() const {
+    return lookups_.size() * sizeof(ParkedLookup);
+  }
+  [[nodiscard]] std::size_t parked_lookup_peak_bytes() const {
+    return stats_.pending_lookups_peak * sizeof(ParkedLookup);
+  }
 
   /// The admission valve (src/control/); NORMAL forever unless
   /// Config::admission.enabled.
@@ -202,6 +226,15 @@ class MatrixServer : public ProtocolNode {
   /// Timer ids; each carries the activation_epoch_ it was armed in.
   enum Timer : std::uint8_t { kFailsafeTimer, kPeerLoadTimer };
 
+  /// One MC point lookup in flight (paper §3.2.4): the packet to forward,
+  /// or the game server's owner query to answer, once the PointOwner reply
+  /// arrives.  monostate once served or abandoned.
+  struct ParkedLookup {
+    using Payload = std::variant<std::monostate, TaggedPacket, OwnerQuery>;
+    SimTime issued_at;
+    Payload parked;
+  };
+
   struct ChildInfo {
     ServerId server;
     NodeId matrix_node;
@@ -232,6 +265,10 @@ class MatrixServer : public ProtocolNode {
   void handle_reclaim_done(const ReclaimDone& done);
   void handle_shed_done(const ShedDone& done);
   void handle_point_owner(const PointOwner& owner);
+  /// Parks `parked` and sends the MC a PointLookup for `point`.
+  void park_lookup(Vec2 point, ParkedLookup::Payload parked);
+  /// Pops the served/abandoned slots at the front of the ring.
+  void drain_parked_lookups();
 
   // admission control (src/control/)
   void observe_admission(std::uint32_t clients, std::uint32_t queue_len,
@@ -308,12 +345,17 @@ class MatrixServer : public ProtocolNode {
   std::uint64_t topology_epoch_ = 0;
   std::uint64_t activation_epoch_ = 0;  ///< guards stale heartbeat timers
 
-  // Pending non-proximal packets awaiting MC point lookups.
-  std::uint32_t next_lookup_seq_ = 1;
-  std::map<std::uint32_t, TaggedPacket> pending_lookups_;
-  // Pending game-server owner queries awaiting MC point lookups, keyed by
-  // the MC lookup seq; value = the game's original query.
-  std::map<std::uint32_t, OwnerQuery> pending_owner_queries_;
+  // MC point lookups in flight, indexed by `seq - lookup_base_` (uint32
+  // arithmetic, so wrap-safe); the next seq is lookup_base_ + size().  The
+  // front slot always holds a payload: served slots are popped as soon as
+  // nothing older is outstanding, and a slot older than tau1 is expired
+  // when the next lookup is parked.
+  std::deque<ParkedLookup> lookups_;
+  std::uint32_t lookup_base_ = 1;
+  // One past the newest expired seq: every lookup below it was issued at
+  // least tau1 before that expiry, so a reply for one that finds no slot
+  // is late.
+  std::uint32_t expired_end_ = 1;
 
   AdmissionController admission_{config_.admission, config_.overload_clients,
                                  config_.fault.skip_recover_min};

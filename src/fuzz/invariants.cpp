@@ -687,6 +687,22 @@ InvariantReport check_deployment(Deployment& deployment,
     }
   }
 
+  // Parked lookups: bounded by tau1 at every insert, and no reply lost to
+  // an expiry.
+  for (const MatrixServer* server : deployment.matrix_servers()) {
+    const MatrixServer::Stats& s = server->stats();
+    if (s.lookup_age_peak_us >=
+            static_cast<std::uint64_t>(failsafe.tau1.us()) ||
+        s.late_lookup_replies > 0) {
+      std::ostringstream out;
+      out << "matrix server " << server->server_id().value()
+          << " parked a lookup " << s.lookup_age_peak_us / 1000
+          << " ms old (tau1 " << failsafe.tau1.ms() << " ms); "
+          << s.late_lookup_replies << " late replies";
+      report.add(kInvLookupBound, out.str());
+    }
+  }
+
   if (options.lossy_control_links) strip_delivery_invariants(report);
 
   return report;

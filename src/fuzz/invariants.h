@@ -40,6 +40,10 @@
 //   control-monotonic     applied control updates are strictly monotonic
 //                         per (node, kind) in (epoch, seq) — a stale or
 //                         duplicate coordinator message never changes state.
+//   lookup-bound          a matrix server's parked MC point lookups are
+//                         bounded for an outage of any length: none is
+//                         older than tau1 when the next is parked, and no
+//                         reply ever arrives for an expired one.
 //   setup                 not an invariant of the system but of the run:
 //                         the flight recorder must be deep enough to hold
 //                         the whole lifecycle history, else the checks
@@ -89,6 +93,12 @@ inline constexpr const char* kInvFailsafeTimeline = "failsafe-timeline";
 /// changed state — the bug class the epoch-stamped ControlUpdate API exists
 /// to make impossible.
 inline constexpr const char* kInvControlMonotonic = "control-monotonic";
+/// Parked MC point lookups stay bounded (core/matrix_server.h): every
+/// matrix server's oldest parked lookup, seen whenever it parked another,
+/// was younger than tau1 (lookup_age_peak_us), and no reply came back for
+/// a lookup that had expired (late_lookup_replies == 0) — so expiry never
+/// changed what a server did.
+inline constexpr const char* kInvLookupBound = "lookup-bound";
 
 struct InvariantViolation {
   std::string invariant;

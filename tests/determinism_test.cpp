@@ -136,6 +136,11 @@ std::uint64_t trace_hash_of(DeploymentOptions options, SimTime duration,
   deployment.network().enable_trace_hash();
   schedule(deployment);
   deployment.run_until(duration);
+  // Parked MC lookups expire after tau1; a pinned hash only proves expiry
+  // changed nothing if no reply ever came back for an expired lookup.
+  for (const MatrixServer* server : deployment.matrix_servers()) {
+    EXPECT_EQ(server->stats().late_lookup_replies, 0u);
+  }
   return deployment.network().trace_hash();
 }
 

@@ -499,6 +499,29 @@ TEST(FuzzMutationTest, StaleDirectiveReplayIsCaughtAsControlMonotonic) {
       << result.report.summary();
 }
 
+TEST(FuzzMutationTest, NeverExpiredLookupsAreCaughtAsLookupBound) {
+  // A chaos seed from the CI sweep band: the coordinator dies at 17.6 s and
+  // its standby takes over at 29.8 s, while strays and owner queries keep
+  // parking lookups nobody answers.  Expiry keeps the run clean; without
+  // it the oldest parked lookup outlives tau1.
+  constexpr std::uint64_t kOutageSeed = 9005;
+  const FuzzResult clean = run_fuzz_case(kOutageSeed, LoadPolicyKind::kClassic);
+  ASSERT_TRUE(clean.report.ok()) << clean.report.summary();
+  ASSERT_NE(clean.plan.chaos.kill_at.us(), 0);
+
+  FuzzRunOptions options;
+  options.mutate = [](DeploymentOptions& deployment) {
+    deployment.config.fault.never_expire_lookups = true;
+  };
+  const FuzzResult result =
+      run_fuzz_case(kOutageSeed, LoadPolicyKind::kClassic, options);
+  note_fired(result.report);
+  EXPECT_TRUE(result.report.fired(kInvLookupBound))
+      << result.report.summary();
+  EXPECT_EQ(result.report.fired_counts.size(), 1u)
+      << result.report.summary();
+}
+
 // ---------------------------------------------------------------------------
 // Capstone: full invariant coverage
 // ---------------------------------------------------------------------------
@@ -511,7 +534,7 @@ TEST(FuzzCoverageTest, EveryInvariantFiredSomewhereInThisBinary) {
        {kInvBlackhole, kInvClientConservation, kInvQueueConservation,
         kInvAgeConservation, kInvHandoffChurn, kInvAdmissionTimeline,
         kInvSpanAccounting, kInvSetup, kInvFailsafeTimeline,
-        kInvControlMonotonic}) {
+        kInvControlMonotonic, kInvLookupBound}) {
     EXPECT_TRUE(fired_registry().count(invariant) == 1)
         << "invariant '" << invariant
         << "' never fired in any synthetic or mutation test";

@@ -403,6 +403,24 @@ TEST_F(GameServerTest, StaleOwnerReplyIgnored) {
   EXPECT_EQ(game_.client_count(), 1u);  // not migrated
 }
 
+TEST_F(GameServerTest, UnansweredOwnerQueryBlocksLaterMigration) {
+  // Pins a known liveness bug (ROADMAP): while a session's owner query is
+  // outstanding no new one is sent, and nothing ever clears it if the reply
+  // never comes (its MC lookup died with the coordinator, was dropped on
+  // the link, or expired).  The client keeps walking outside authority and
+  // is never migrated.  A fix re-queries after a deadline; this test then
+  // flips to expect the second query.
+  hello(client_, ClientId(10), {490, 100});
+  act(client_, ClientId(10), {520, 100});
+  ASSERT_EQ(matrix_.count<OwnerQuery>(), 1u);
+  run(10_sec);  // well past any lookup deadline (tau1 = 3 s)
+  act(client_, ClientId(10), {700, 100}, ActionKind::kMove, std::nullopt, 2);
+  act(client_, ClientId(10), {800, 100}, ActionKind::kMove, std::nullopt, 3);
+  EXPECT_EQ(matrix_.count<OwnerQuery>(), 1u);
+  EXPECT_EQ(game_.client_count(), 1u);
+  EXPECT_EQ(game_.stats().clients_migrated, 0u);
+}
+
 TEST_F(GameServerTest, EntityRoundTrip) {
   Entity e;
   e.id = EntityId(55);

@@ -3,6 +3,9 @@
 // lookups — all driven through fake game servers (test_helpers.h).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+
 #include "test_helpers.h"
 
 namespace matrix {
@@ -621,6 +624,188 @@ TEST_F(RoutingTest, OwnerQueryAnsweredViaMc) {
   EXPECT_EQ(reply->seq, 11u);
   EXPECT_TRUE(reply->found);
   EXPECT_EQ(reply->game_node, game(1).node_id());
+}
+
+// ---------------------------------------------------------------------------
+// Parked MC lookups: seq-indexed ring, expired lazily after tau1
+// ---------------------------------------------------------------------------
+
+/// Server 0 talks to a fake coordinator (announced as generation 2) that
+/// records every PointLookup and answers only when a test tells it to.
+class ParkedLookupTest : public RoutingTest {
+ protected:
+  void SetUp() override {
+    RoutingTest::SetUp();
+    fake_mc_node_ = harness_.network.attach(&fake_mc_);
+    announce(fake_mc_node_, 2);
+  }
+
+  void announce(NodeId mc_node, std::uint64_t generation) {
+    McAnnounce announce;
+    announce.mc_node = mc_node;
+    announce.generation = generation;
+    harness_.network.send(mc_node, server(0).node_id(),
+                          encode_message(Message{announce}));
+    harness_.run_for(5_ms);
+  }
+
+  // One lookup down each path; each returns the PointLookup it caused.
+  PointLookup stray() {
+    game(0).inject(server(0).node_id(), packet_at({100, 100}));
+    return last_lookup();
+  }
+  PointLookup nonproximal() {
+    TaggedPacket packet = packet_at({900, 500});
+    packet.target = Vec2{100, 500};
+    game(0).inject(server(0).node_id(), packet);
+    return last_lookup();
+  }
+  PointLookup owner_query() {
+    OwnerQuery query;
+    query.point = {100, 100};
+    query.client = ClientId(3);
+    query.seq = 11;
+    game(0).inject(server(0).node_id(), query);
+    return last_lookup();
+  }
+
+  PointLookup last_lookup() {
+    harness_.run_for(5_ms);
+    const PointLookup* lookup = fake_mc_.last<PointLookup>();
+    EXPECT_NE(lookup, nullptr);
+    return lookup != nullptr ? *lookup : PointLookup{};
+  }
+
+  /// Answers `lookup`: server 1 owns every point these tests ask about.
+  void reply(const PointLookup& lookup) {
+    PointOwner owner;
+    owner.lookup_seq = lookup.lookup_seq;
+    owner.found = true;
+    owner.server = server(1).server_id();
+    owner.matrix_node = server(1).node_id();
+    owner.game_node = game(1).node_id();
+    fake_mc_.inject(server(0).node_id(), owner);
+    harness_.run_for(5_ms);
+  }
+
+  const SimTime tau1_ = fast_config().failsafe.tau1;
+  CaptureNode fake_mc_{"fake-mc"};
+  CaptureNode standby_mc_{"standby-mc"};
+  NodeId fake_mc_node_;
+};
+
+TEST_F(ParkedLookupTest, LongOutageParksOnlyTheLastTau1OfLookups) {
+  // The coordinator is dead for 10 x tau1 while strays, non-proximal
+  // packets and owner queries keep coming: nothing answers, yet the ring
+  // never holds more than what was issued within the last tau1.
+  harness_.network.detach(fake_mc_node_);
+  const SimTime step = 100_ms;
+  std::deque<SimTime> issued;  // issue times of the lookups not yet expired
+  std::uint64_t total = 0;
+  std::size_t peak = 0;
+  for (SimTime start = harness_.network.now();
+       harness_.network.now() < start + tau1_ * 10;) {
+    const SimTime at = harness_.network.now();
+    for (int i = 0; i < 3; ++i) issued.push_back(at);
+    total += 3;
+    TaggedPacket far = packet_at({900, 500});
+    far.target = Vec2{100, 500};
+    OwnerQuery query;
+    query.point = {100, 100};
+    query.client = ClientId(3);
+    game(0).inject(server(0).node_id(), packet_at({100, 100}));
+    game(0).inject(server(0).node_id(), far);
+    game(0).inject(server(0).node_id(), query);
+    harness_.run_for(step);
+    while (issued.front() + tau1_ <= at) issued.pop_front();
+    ASSERT_LE(server(0).parked_lookups(), issued.size());
+    peak = std::max(peak, server(0).parked_lookups());
+  }
+  const MatrixServer::Stats& stats = server(0).stats();
+  EXPECT_EQ(total, 900u);
+  EXPECT_EQ(stats.nonproximal_lookups, total);
+  EXPECT_EQ(stats.lookups_expired, total - server(0).parked_lookups());
+  EXPECT_EQ(stats.pending_lookups_peak, peak);
+  EXPECT_LE(peak, 90u);  // 30 lookups per second for tau1 = 3 s
+  EXPECT_LT(stats.lookup_age_peak_us, static_cast<std::uint64_t>(tau1_.us()));
+  EXPECT_EQ(stats.late_lookup_replies, 0u);
+  EXPECT_GT(server(0).parked_lookup_bytes(), 0u);
+  EXPECT_EQ(server(0).parked_lookup_peak_bytes(),
+            server(0).parked_lookup_bytes() / server(0).parked_lookups() *
+                peak);
+}
+
+TEST_F(ParkedLookupTest, ReplyInsideTheDeadlineIsServedOnEveryPath) {
+  const PointLookup to_stray = stray();
+  const PointLookup to_far = nonproximal();
+  const PointLookup to_query = owner_query();
+  EXPECT_EQ(server(0).parked_lookups(), 3u);
+
+  // A lookup parked later runs the expiry; none of the three is old enough.
+  harness_.run_for(tau1_ - 100_ms);
+  stray();
+  reply(to_stray);
+  reply(to_far);
+  reply(to_query);
+
+  // Stray re-targeted at its origin, non-proximal packet forwarded, owner
+  // query answered — each at server 1, the owner the MC named.
+  std::size_t packets = 0;
+  for (const Message& message : game(1).messages) {
+    if (const auto* packet = std::get_if<TaggedPacket>(&message)) {
+      ++packets;
+      EXPECT_TRUE(packet->peer_forwarded);
+      ASSERT_TRUE(packet->target.has_value());
+    }
+  }
+  EXPECT_EQ(packets, 2u);
+  const OwnerReply* answer = game(0).last<OwnerReply>();
+  ASSERT_NE(answer, nullptr);
+  EXPECT_EQ(answer->seq, 11u);
+  EXPECT_EQ(answer->game_node, game(1).node_id());
+  EXPECT_EQ(server(0).stats().lookups_expired, 0u);
+  EXPECT_EQ(server(0).stats().late_lookup_replies, 0u);
+  // Served slots are freed: only the unanswered later stray is left.
+  EXPECT_EQ(server(0).parked_lookups(), 1u);
+}
+
+TEST_F(ParkedLookupTest, ReplyAfterExpiryIsDroppedAndCounted) {
+  const PointLookup to_query = owner_query();
+  const PointLookup to_stray = stray();
+  harness_.run_for(tau1_);
+
+  // Past tau1 but nothing parked since: expiry is lazy, the reply is served.
+  reply(to_query);
+  EXPECT_NE(game(0).last<OwnerReply>(), nullptr);
+
+  // The next lookup expires the stray; its reply then finds nothing.
+  const PointLookup fresh = nonproximal();
+  EXPECT_EQ(server(0).stats().lookups_expired, 1u);
+  EXPECT_EQ(server(0).parked_lookups(), 1u);
+  reply(to_stray);
+  EXPECT_EQ(game(1).count<TaggedPacket>(), 0u);
+  EXPECT_EQ(server(0).stats().late_lookup_replies, 1u);
+
+  reply(fresh);
+  EXPECT_EQ(game(1).count<TaggedPacket>(), 1u);
+  EXPECT_EQ(server(0).stats().late_lookup_replies, 1u);
+  EXPECT_EQ(server(0).parked_lookups(), 0u);
+}
+
+TEST_F(ParkedLookupTest, McAnnounceEmptiesTheRing) {
+  const PointLookup to_stray = stray();
+  nonproximal();
+  owner_query();
+  EXPECT_EQ(server(0).parked_lookups(), 3u);
+
+  announce(harness_.network.attach(&standby_mc_), 3);
+  EXPECT_EQ(server(0).parked_lookups(), 0u);
+
+  // A reply the dead coordinator had in flight is neither served nor late.
+  reply(to_stray);
+  EXPECT_EQ(game(1).count<TaggedPacket>(), 0u);
+  EXPECT_EQ(server(0).stats().late_lookup_replies, 0u);
+  EXPECT_EQ(server(0).stats().lookups_expired, 0u);
 }
 
 }  // namespace
