@@ -34,9 +34,10 @@ Result run_one(SplitPolicy policy, Vec2 hotspot, double spread) {
   options.pool_size = 11;
   Deployment deployment(options);
   MetricsSampler metrics(deployment, 1_sec);
-  Scenario scenario(deployment);
-  scenario.add_background_bots(100_ms, 60);
-  scenario.add_hotspot_bots(5_sec, 500, hotspot, spread);
+  ScenarioSpec()
+      .background(100_ms, 60)
+      .flash(5_sec, 500, hotspot, spread)
+      .schedule(deployment);
   deployment.run_until(80_sec);
 
   Result result;

@@ -40,8 +40,7 @@ Measured measure(std::size_t servers, std::size_t players) {
   options.seed = 1234 + servers;
 
   Deployment deployment(options);
-  Scenario scenario(deployment);
-  scenario.add_background_bots(100_ms, players);
+  ScenarioSpec().background(100_ms, players).schedule(deployment);
   const double measure_end = 40.0;
   deployment.run_until(SimTime::from_sec(measure_end));
 

@@ -184,8 +184,8 @@ void run_giga_mix_microbench(JsonReport& json) {
 /// cannot fix, so it measures how much a skewed load costs the sharded run.
 void schedule_skewed_giga_scenario(Deployment& deployment,
                                    const GigaSurgeScenarioOptions& options) {
-  Scenario scenario(deployment);
-  scenario.add_background_bots(SimTime::from_ms(100), options.background_bots);
+  ScenarioSpec spec;
+  spec.background(SimTime::from_ms(100), options.background_bots);
   const Rect& world = deployment.options().config.world;
   const double cell_w =
       (world.x1() - world.x0()) / static_cast<double>(options.hotspots_x);
@@ -195,18 +195,11 @@ void schedule_skewed_giga_scenario(Deployment& deployment,
     for (std::size_t iy = 0; iy < options.hotspots_y; ++iy) {
       const Vec2 center{world.x0() + (static_cast<double>(ix) + 0.5) * cell_w,
                         world.y0() + (static_cast<double>(iy) + 0.5) * cell_h};
-      SimTime t = options.flash_at;
-      for (std::size_t joined = 0; joined < options.bots_per_hotspot;) {
-        const std::size_t batch =
-            std::min(options.join_batch > 0 ? options.join_batch
-                                            : options.bots_per_hotspot,
-                     options.bots_per_hotspot - joined);
-        scenario.add_hotspot_bots(t, batch, center, options.spread);
-        joined += batch;
-        t += options.join_interval;
-      }
+      spec.ramp(options.flash_at, options.bots_per_hotspot, options.join_batch,
+                options.join_interval, center, options.spread);
     }
   }
+  spec.schedule(deployment);
 }
 
 /// Busiest-shard events over the per-shard mean — 1.0 is a perfectly level

@@ -33,8 +33,7 @@ void run(JsonReport& json) {
     options.seed = 31 + static_cast<std::uint64_t>(radius);
 
     Deployment deployment(options);
-    Scenario scenario(deployment);
-    scenario.add_background_bots(100_ms, 200);
+    ScenarioSpec().background(100_ms, 200).schedule(deployment);
     deployment.run_until(40_sec);
 
     // Mean overlap area fraction over the four partitions.

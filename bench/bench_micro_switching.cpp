@@ -24,12 +24,12 @@ void run(JsonReport& json) {
   auto options = paper_options();
   options.config.topology_cooldown = 2_sec;
   Deployment deployment(options);
-  Scenario scenario(deployment);
-  scenario.add_background_bots(100_ms, 80);
-  scenario.add_hotspot_bots(5_sec, 500, {350, 350}, 130.0);
   // Dissipate to force reclaims too (each reclaim also switches clients).
-  scenario.remove_bots_at(60_sec, 250, Vec2{350, 350});
-  scenario.remove_bots_at(75_sec, 250, Vec2{350, 350});
+  ScenarioSpec()
+      .background(100_ms, 80)
+      .flash(5_sec, 500, {350, 350}, 130.0)
+      .departures(60_sec, 500, 250, 15_sec, Vec2{350, 350})
+      .schedule(deployment);
   deployment.run_until(120_sec);
 
   const LatencySummary latency = collect_latency(deployment);

@@ -70,8 +70,7 @@ void run(JsonReport& json) {
   {
     auto options = paper_options();
     Deployment deployment(options);
-    Scenario scenario(deployment);
-    scenario.add_background_bots(100_ms, population);
+    ScenarioSpec().background(100_ms, population).schedule(deployment);
     deployment.run_until(40_sec);
     std::uint64_t actions = 0;
     for (const GameServer* game : deployment.game_servers()) {

@@ -46,9 +46,10 @@ RunResult run_one(const GameModelSpec& spec, std::size_t hotspot_bots,
 
   Deployment deployment(options);
   MetricsSampler metrics(deployment, 1_sec);
-  Scenario scenario(deployment);
-  scenario.add_background_bots(100_ms, 60);
-  scenario.add_hotspot_bots(5_sec, hotspot_bots, {350, 350}, 120.0);
+  ScenarioSpec()
+      .background(100_ms, 60)
+      .flash(5_sec, hotspot_bots, {350, 350}, 120.0)
+      .schedule(deployment);
   deployment.run_until(75_sec);
 
   RunResult result;

@@ -55,8 +55,7 @@ void run(JsonReport& json) {
 
   auto options = paper_options();
   Deployment deployment(options);
-  Scenario scenario(deployment);
-  scenario.add_background_bots(100_ms, 150);
+  ScenarioSpec().background(100_ms, 150).schedule(deployment);
 
   // Phase 1: steady state, one server.
   deployment.run_until(20_sec);
@@ -64,7 +63,7 @@ void run(JsonReport& json) {
   snapshot(deployment, steady);
 
   // Phase 2: a hotspot forces a cascade of splits.
-  scenario.add_hotspot_bots(20_sec, 450, {350, 350}, 130.0);
+  ScenarioSpec().flash(20_sec, 450, {350, 350}, 130.0).schedule(deployment);
   deployment.run_until(55_sec);
   Window during{"during splits", {}, {}};
   snapshot(deployment, during);

@@ -51,15 +51,13 @@ int main() {
   options.seed = 2005;
 
   Deployment deployment(options);
-  Scenario scenario(deployment);
-
   std::printf("== phase 0: quiet world, one server ==\n");
-  scenario.add_background_bots(100_ms, 20);
+  ScenarioSpec().background(100_ms, 20).schedule(deployment);
   deployment.run_until(5_sec);
   print_topology(deployment, 5.0);
 
   std::printf("\n== phase 1: 120-client hotspot at (350,350) joins at t=10 ==\n");
-  scenario.add_hotspot_bots(10_sec, 120, {350, 350}, 120.0);
+  ScenarioSpec().flash(10_sec, 120, {350, 350}, 120.0).schedule(deployment);
   for (double t : {12.0, 16.0, 20.0, 26.0, 34.0, 45.0}) {
     deployment.run_until(SimTime::from_sec(t));
     print_topology(deployment, t);
@@ -70,9 +68,9 @@ int main() {
   print_topology(deployment, 70.0);
 
   std::printf("\n== phase 3: the crowd leaves in waves; Matrix reclaims ==\n");
-  scenario.remove_bots_at(72_sec, 40, Vec2{350, 350});
-  scenario.remove_bots_at(87_sec, 40, Vec2{350, 350});
-  scenario.remove_bots_at(102_sec, 40, Vec2{350, 350});
+  ScenarioSpec()
+      .departures(72_sec, 120, 40, 15_sec, Vec2{350, 350})
+      .schedule(deployment);
   for (double t : {80.0, 95.0, 110.0, 140.0, 170.0}) {
     deployment.run_until(SimTime::from_sec(t));
     print_topology(deployment, t);

@@ -10,7 +10,7 @@
 //
 // Everything here goes through the public API surface a game developer
 // would touch: DeploymentOptions (ops knobs), Deployment (wiring),
-// Scenario (workload), MetricsSampler / collect_latency (observability).
+// ScenarioSpec (workload), MetricsSampler / collect_latency (observability).
 // The game logic itself lives behind GameModelSpec — swap bzflag_like()
 // for your own spec and nothing else changes.
 //
@@ -58,8 +58,9 @@ int main() {
 
   // 4. A flash crowd shows up around (300, 300) — more than one server's
   //    overload threshold.
-  Scenario scenario(deployment);
-  scenario.add_hotspot_bots(5_sec, 60, {300, 300}, /*spread=*/90.0);
+  ScenarioSpec()
+      .flash(5_sec, 60, {300, 300}, /*spread=*/90.0)
+      .schedule(deployment);
   deployment.run_until(25_sec);
   std::printf("t=25s  : %zu clients on %zu server(s)  <- Matrix split\n",
               deployment.total_clients(), deployment.active_server_count());

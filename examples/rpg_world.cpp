@@ -39,8 +39,7 @@ int main() {
               options.spec.visibility_radius, options.spec.extra_radii[0]);
 
   // A settled population across the four provinces.
-  Scenario scenario(deployment);
-  scenario.add_background_bots(100_ms, 120);
+  ScenarioSpec().background(100_ms, 120).schedule(deployment);
   deployment.run_until(20_sec);
 
   std::uint64_t lookups = 0, fanned = 0;
@@ -56,7 +55,7 @@ int main() {
 
   // Festival in the north-east province: the crowd triples there.
   std::printf("\na festival draws a crowd to (900, 900)...\n");
-  scenario.add_hotspot_bots(20_sec, 160, {900, 900}, 140.0);
+  ScenarioSpec().flash(20_sec, 160, {900, 900}, 140.0).schedule(deployment);
   deployment.run_until(80_sec);
   std::printf("t=80s: %zu players on %zu servers (pool: %zu idle)\n",
               deployment.total_clients(), deployment.active_server_count(),

@@ -19,8 +19,7 @@ AdmissionController::AdmissionController(const AdmissionConfig& config,
                                          bool skip_recover_min)
     : config_(config),
       overload_clients_(overload_clients),
-      skip_recover_min_(skip_recover_min),
-      bucket_(config.token_rate_per_sec, config.token_burst) {}
+      skip_recover_min_(skip_recover_min) {}
 
 AdmissionState AdmissionController::target_for(
     const AdmissionSignals& signals) const {
@@ -108,25 +107,6 @@ bool AdmissionController::observe(SimTime now,
   return false;
 }
 
-bool AdmissionController::try_admit(SimTime now) {
-  switch (state_) {
-    case AdmissionState::kNormal:
-      ++stats_.admitted;
-      return true;
-    case AdmissionState::kSoft:
-      if (bucket_.try_take(now)) {
-        ++stats_.admitted;
-        return true;
-      }
-      ++stats_.soft_denied;
-      return false;
-    case AdmissionState::kHard:
-      ++stats_.hard_denied;
-      return false;
-  }
-  return false;
-}
-
 bool AdmissionController::lifetime_timeline_valid() const {
   return lifetime_timeline_valid_ &&
          admission_timeline_valid(transitions_, config_);
@@ -139,7 +119,6 @@ void AdmissionController::reset(SimTime now) {
   last_transition_ = now;
   calm_ = false;
   ever_transitioned_ = false;
-  bucket_.reset(now);
   transitions_.clear();
 }
 

@@ -33,7 +33,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "control/token_bucket.h"
 #include "core/config.h"
 #include "policy/load_view.h"
 #include "util/sim_time.h"
@@ -107,11 +106,6 @@ class AdmissionController {
 
   [[nodiscard]] AdmissionState state() const { return state_; }
 
-  /// The join gate: NORMAL always admits, HARD never does, SOFT spends one
-  /// token.  (The game server enforces joins with its own bucket replica;
-  /// this one backs the controller's unit tests and metrics.)
-  bool try_admit(SimTime now);
-
   /// Severity the given signals map to before hysteresis — the "target"
   /// state of the Continuity mode-selection equation.  Exposed for tests.
   [[nodiscard]] AdmissionState target_for(const AdmissionSignals& signals) const;
@@ -130,14 +124,11 @@ class AdmissionController {
     std::uint64_t observations = 0;
     std::uint64_t escalations = 0;
     std::uint64_t relaxations = 0;
-    std::uint64_t admitted = 0;
-    std::uint64_t soft_denied = 0;  ///< token budget exhausted
-    std::uint64_t hard_denied = 0;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  /// Returns to NORMAL with a full bucket and an empty timeline (a pooled
-  /// server being re-adopted starts a fresh admission life).
+  /// Returns to NORMAL with an empty timeline (a pooled server being
+  /// re-adopted starts a fresh admission life).
   void reset(SimTime now);
 
  private:
@@ -156,7 +147,6 @@ class AdmissionController {
   bool ever_transitioned_ = false;
   bool lifetime_timeline_valid_ = true;
 
-  TokenBucket bucket_;
   std::vector<AdmissionTransition> transitions_;
   Stats stats_;
 };

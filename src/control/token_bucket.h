@@ -5,10 +5,9 @@
 //   tokens(t) = min(burst, tokens(t0) + rate * (t - t0))
 //
 // The bucket starts full so a server entering SOFT mode can still absorb a
-// short join burst before throttling to the steady rate.  Used by the
-// AdmissionController for its own accounting and by the game server as the
-// local enforcement point (control plane decides the state, the dataplane
-// spends the budget — no round trip per join).
+// short join burst before throttling to the steady rate.  The game server's
+// join gate spends it: the control plane decides the state, the dataplane
+// spends the budget — no round trip per join.
 #pragma once
 
 #include <algorithm>

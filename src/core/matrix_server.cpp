@@ -38,17 +38,11 @@ const OverlapRegionWire* MatrixServer::lookup(Vec2 point,
   return tables_[rc].find(point);
 }
 
-void MatrixServer::on_message(const Message& message, const Envelope& env) {
-  if (std::get_if<TaggedPacket>(&message) != nullptr) {
-    // Wire TaggedPackets are normally intercepted by on_frame before the
-    // full decode; a frame reaching here re-parses so routing stays on the
-    // single view-based implementation.
-    if (const auto view = parse_tagged_packet_frame(env.payload)) {
-      route_tagged_frame(*view, env);
-    }
-  } else if (const auto* report = std::get_if<LoadReport>(&message)) {
-    handle_load_report(*report);
-  } else if (const auto* grant = std::get_if<PoolGrant>(&message)) {
+void MatrixServer::on_message(const Message& message,
+                              const Envelope& /*envelope*/) {
+  // TaggedPackets and LoadReports never get here: on_frame handles every
+  // valid one, and one it rejects fails the full decode too.
+  if (const auto* grant = std::get_if<PoolGrant>(&message)) {
     handle_pool_grant(*grant);
   } else if (std::holds_alternative<PoolDeny>(message)) {
     ++stats_.split_denied_no_server;

@@ -216,9 +216,10 @@ class MatrixServer : public ProtocolNode {
 
  protected:
   void on_message(const Message& message, const Envelope& envelope) override;
-  /// Frame fast path: TaggedPackets — the routing hot path — are handled
-  /// from a zero-copy partial parse; peer forwards resend the raw frame
-  /// with the peer flag flipped in place instead of decode → re-encode.
+  /// Frame fast path: TaggedPackets — the routing hot path — and
+  /// LoadReports are handled only here, from zero-copy partial parses; peer
+  /// forwards resend the raw frame with the peer flag flipped in place
+  /// instead of decode → re-encode.
   bool on_frame(const Envelope& envelope) override;
   void on_timer(std::uint8_t timer, std::uint64_t epoch) override;
 

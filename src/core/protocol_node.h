@@ -37,9 +37,12 @@ class ProtocolNode : public Node {
   /// Frame fast path, tried before the full decode: a subclass that can
   /// handle this frame from a zero-copy partial parse (protocol.h's
   /// parse_*_frame views) does so and returns true; returning false sends
-  /// the message down the ordinary decode → on_message path.  An override
-  /// MUST be behaviorally identical to its on_message handling — the
-  /// golden-trace determinism tests pin exactly that.
+  /// the message down the ordinary decode → on_message path.  Each parse
+  /// accepts exactly the frames decode_message accepts as its type
+  /// (protocol_test's *ViewMatchesFullDecode cases), so a type an override
+  /// always handles on a valid parse never reaches on_message: a frame it
+  /// rejects is counted malformed by the decode.  Such a type needs no
+  /// on_message branch.
   virtual bool on_frame(const Envelope& envelope) {
     (void)envelope;
     return false;

@@ -56,12 +56,16 @@ bool BotClient::on_frame(const Envelope& envelope) {
   if (frame[0] == wire_type<QueueUpdate>) {
     // Waiting-room ping: sent to every parked client on every drain tick, so
     // a deep surge queue makes this the second-hottest client-bound frame.
-    // Mirrors the QueueUpdate branch of on_message exactly.
     const auto view = parse_queue_update_frame(frame);
     if (!view) return false;  // malformed: the generic path counts it
     if ((!playing_ && !queued_) || connected_ || view->client != id_) {
       return true;
     }
+    // Parked in the server's surge queue: stop acting and wait quietly —
+    // the server owns the retry loop now and will Welcome us when a slot
+    // opens.  No timer, no retry traffic.  The queue itself can move
+    // between servers (handoff on split/merge); track whoever holds us so
+    // a leave() reaches the right waiting room.
     server_node_ = envelope.src;
     ++metrics_.queue_updates;
     metrics_.max_queue_position =
@@ -129,35 +133,6 @@ void BotClient::on_message(const Message& message, const Envelope& envelope) {
     hello.redirect_seq = redirect->redirect_seq;
     hello.priority = vip_ ? 1 : 0;
     send(server_node_, hello);
-    return;
-  }
-  if (const auto* update = std::get_if<ServerUpdate>(&message)) {
-    if (!playing_) return;
-    ++metrics_.updates_received;
-    if (update->ack_seq != 0) {
-      pair_ack(update->ack_seq);
-    } else if (update->origin_sent_at.us() > 0) {
-      metrics_.observer_latency_ms.add((now() - update->origin_sent_at).ms());
-    }
-    return;
-  }
-  if (const auto* queue = std::get_if<QueueUpdate>(&message)) {
-    if ((!playing_ && !queued_) || connected_ || queue->client != id_) return;
-    // Parked in the server's surge queue: stop acting and wait quietly —
-    // the server owns the retry loop now and will Welcome us when a slot
-    // opens.  No timer, no retry traffic.  The queue itself can move
-    // between servers (handoff on split/merge); track whoever holds us so
-    // a leave() reaches the right waiting room.
-    server_node_ = envelope.src;
-    ++metrics_.queue_updates;
-    metrics_.max_queue_position =
-        std::max(metrics_.max_queue_position, queue->position);
-    if (!queued_) {
-      queued_ = true;
-      playing_ = false;
-      defer_pending_ = false;
-      ++play_epoch_;  // parks the action loop
-    }
     return;
   }
   if (const auto* deny = std::get_if<JoinDeny>(&message)) {

@@ -205,8 +205,9 @@ class BotClient : public ProtocolNode {
  protected:
   void on_message(const Message& message, const Envelope& envelope) override;
   /// Frame fast path: ServerUpdates — the one message a bot receives at
-  /// tick rate — are handled from a zero-copy partial parse (only ack_seq
-  /// and the origin timestamp matter; the digest payload is opaque).
+  /// tick rate — and waiting-room QueueUpdates are handled only here, from
+  /// zero-copy partial parses (only ack_seq and the origin timestamp
+  /// matter; the digest payload is opaque).
   bool on_frame(const Envelope& envelope) override;
   void on_timer(std::uint8_t timer, std::uint64_t epoch) override;
 

@@ -86,7 +86,6 @@ std::string GameServer::name() const {
 
 void GameServer::wire(NodeId matrix_node) {
   port_ = std::make_unique<MatrixPort>(network(), node_id(), matrix_node);
-  port_->on_packet([this](const TaggedPacket& p) { handle_remote_packet(p); });
   port_->on_map_range([this](const MapRange& r) { handle_map_range(r); });
   port_->on_state_transfer(
       [this](const StateTransfer& t) { handle_state_transfer(t); });
@@ -572,9 +571,8 @@ bool GameServer::on_frame(const Envelope& envelope) {
   const std::vector<std::uint8_t>& frame = envelope.payload;
   if (frame.empty()) return false;
   if (frame[0] == wire_type<TaggedPacket>) {
-    // Mirrors on_message → try_dispatch → handle_remote_packet: an unwired
-    // server has no port to consume the packet, so the generic path (which
-    // drops it) must handle the frame instead.
+    // Remote events arrive only here; an unwired server has no port, so
+    // the generic path (which drops the packet) handles the frame instead.
     if (port_ == nullptr) return false;
     const auto view = parse_tagged_packet_frame(frame);
     if (!view) return false;  // malformed: the generic path counts it
@@ -587,8 +585,8 @@ bool GameServer::on_frame(const Envelope& envelope) {
     const auto view = parse_client_action_frame(frame);
     if (!view) return false;
     ++msgs_since_report_;
-    handle_action_core(view->client, view->kind, view->position, view->target,
-                       view->seq, view->sent_at, envelope);
+    handle_action(view->client, view->kind, view->position, view->target,
+                  view->seq, view->sent_at, envelope);
     return true;
   }
   return false;
@@ -600,8 +598,6 @@ void GameServer::on_message(const Message& message, const Envelope& envelope) {
 
   if (const auto* hello = std::get_if<ClientHello>(&message)) {
     handle_hello(*hello, envelope);
-  } else if (const auto* action = std::get_if<ClientAction>(&message)) {
-    handle_action(*action, envelope);
   } else if (const auto* bye = std::get_if<ClientBye>(&message)) {
     handle_bye(*bye);
   }
@@ -630,17 +626,11 @@ void GameServer::handle_hello(const ClientHello& hello,
                 hello.redirect_seq);
 }
 
-void GameServer::handle_action(const ClientAction& action,
+void GameServer::handle_action(ClientId client, std::uint8_t kind_byte,
+                               Vec2 position,
+                               const std::optional<Vec2>& target,
+                               std::uint32_t seq, SimTime sent_at,
                                const Envelope& envelope) {
-  handle_action_core(action.client, action.kind, action.position,
-                     action.target, action.seq, action.sent_at, envelope);
-}
-
-void GameServer::handle_action_core(ClientId client, std::uint8_t kind_byte,
-                                    Vec2 position,
-                                    const std::optional<Vec2>& target,
-                                    std::uint32_t seq, SimTime sent_at,
-                                    const Envelope& envelope) {
   auto it = sessions_.find(client);
   if (it == sessions_.end()) {
     // Client is mid-switch and this packet raced the redirect; its new home
@@ -772,11 +762,6 @@ void GameServer::redirect_client(ClientId client, Session& session,
 // ---------------------------------------------------------------------------
 // Matrix callbacks
 // ---------------------------------------------------------------------------
-
-void GameServer::handle_remote_packet(const TaggedPacket& packet) {
-  apply_remote_event(packet.entity, packet.client, packet.origin,
-                     packet.client_sent_at);
-}
 
 void GameServer::apply_remote_event(EntityId entity, ClientId client,
                                     Vec2 origin, SimTime sent_at) {

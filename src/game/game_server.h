@@ -166,9 +166,10 @@ class GameServer : public ProtocolNode {
  protected:
   void on_message(const Message& message, const Envelope& envelope) override;
   /// Frame fast path: forwarded TaggedPackets and ClientActions — the two
-  /// per-message hot paths — are handled from zero-copy partial parses,
-  /// skipping the Message-variant decode (neither consumes the payload
-  /// bytes: remote events update ghosts, actions re-tag a fresh payload).
+  /// per-message hot paths — are handled only here, from zero-copy partial
+  /// parses, skipping the Message-variant decode (neither consumes the
+  /// payload bytes: remote events update ghosts, actions re-tag a fresh
+  /// payload).
   bool on_frame(const Envelope& envelope) override;
   void on_timer(std::uint8_t timer, std::uint64_t epoch) override;
 
@@ -191,15 +192,12 @@ class GameServer : public ProtocolNode {
 
   // client traffic
   void handle_hello(const ClientHello& hello, const Envelope& envelope);
-  void handle_action(const ClientAction& action, const Envelope& envelope);
-  void handle_action_core(ClientId client, std::uint8_t kind_byte,
-                          Vec2 position, const std::optional<Vec2>& target,
-                          std::uint32_t seq, SimTime sent_at,
-                          const Envelope& envelope);
+  void handle_action(ClientId client, std::uint8_t kind_byte, Vec2 position,
+                     const std::optional<Vec2>& target, std::uint32_t seq,
+                     SimTime sent_at, const Envelope& envelope);
   void handle_bye(const ClientBye& bye);
 
   // Matrix callbacks
-  void handle_remote_packet(const TaggedPacket& packet);
   void apply_remote_event(EntityId entity, ClientId client, Vec2 origin,
                           SimTime sent_at);
   void handle_map_range(const MapRange& range);

@@ -1,65 +1,8 @@
 #include "sim/scenario.h"
 
+#include <algorithm>
+
 namespace matrix {
-
-// Scheduled lambdas capture the Deployment by pointer, not the Scenario:
-// a Scenario is often a short-lived script builder (see
-// schedule_hotspot_scenario) that dies long before its events fire.
-
-void Scenario::add_background_bots(SimTime at, std::size_t count) {
-  Deployment* deployment = &deployment_;
-  deployment->network().events().schedule_at(at, [deployment, count] {
-    const Rect& world = deployment->options().config.world;
-    Rng& rng = deployment->rng();
-    for (std::size_t i = 0; i < count; ++i) {
-      deployment->add_bot({rng.next_double_in(world.x0(), world.x1()),
-                           rng.next_double_in(world.y0(), world.y1())});
-    }
-  });
-}
-
-void Scenario::add_hotspot_bots(SimTime at, std::size_t count, Vec2 center,
-                                double spread) {
-  Deployment* deployment = &deployment_;
-  deployment->network().events().schedule_at(
-      at, [deployment, count, center, spread] {
-        Rng& rng = deployment->rng();
-        const Rect& world = deployment->options().config.world;
-        for (std::size_t i = 0; i < count; ++i) {
-          const Vec2 pos =
-              world.clamp(center + Vec2{rng.next_normal() * spread,
-                                        rng.next_normal() * spread});
-          deployment->add_bot(pos, center, spread);
-        }
-      });
-}
-
-void Scenario::add_surge_bots(SimTime at, std::size_t count, Vec2 center,
-                              double spread, double vip_fraction) {
-  Deployment* deployment = &deployment_;
-  deployment->network().events().schedule_at(
-      at, [deployment, count, center, spread, vip_fraction] {
-        Rng& rng = deployment->rng();
-        const Rect& world = deployment->options().config.world;
-        for (std::size_t i = 0; i < count; ++i) {
-          const Vec2 pos =
-              world.clamp(center + Vec2{rng.next_normal() * spread,
-                                        rng.next_normal() * spread});
-          const bool vip = rng.next_double() < vip_fraction;
-          deployment->add_bot(pos, center, spread, vip);
-        }
-      });
-}
-
-void Scenario::remove_bots_at(SimTime at, std::size_t count,
-                              std::optional<Vec2> near) {
-  Deployment* deployment = &deployment_;
-  deployment->network().events().schedule_at(at, [deployment, count, near] {
-    deployment->remove_bots(count, near);
-  });
-}
-
-// ---- ScenarioSpec -----------------------------------------------------------
 
 ScenarioSpec& ScenarioSpec::background(SimTime at, std::size_t count) {
   Action action;
@@ -157,81 +100,144 @@ ScenarioSpec& ScenarioSpec::run_for(SimTime duration) {
 }
 
 void ScenarioSpec::schedule(Deployment& deployment) const {
-  Scenario scenario(deployment);
-  Deployment* raw = &deployment;
+  // The closures capture the Deployment by pointer, not the spec: a spec is
+  // often a short-lived builder that dies long before its events fire.
+  Deployment* d = &deployment;
+  EventQueue& events = deployment.network().events();
   for (const Action& action : actions_) {
     switch (action.kind) {
       case Action::Kind::kBackground:
-        scenario.add_background_bots(action.at, action.count);
+        events.schedule_at(action.at, [d, count = action.count] {
+          const Rect& world = d->options().config.world;
+          Rng& rng = d->rng();
+          for (std::size_t i = 0; i < count; ++i) {
+            d->add_bot({rng.next_double_in(world.x0(), world.x1()),
+                        rng.next_double_in(world.y0(), world.y1())});
+          }
+        });
         break;
       case Action::Kind::kFlash:
-        if (action.vip_fraction > 0.0) {
-          scenario.add_surge_bots(action.at, action.count, action.center,
-                                  action.spread, action.vip_fraction);
-        } else {
-          scenario.add_hotspot_bots(action.at, action.count, action.center,
-                                    action.spread);
-        }
+        events.schedule_at(
+            action.at,
+            [d, count = action.count, center = action.center,
+             spread = action.spread, vip_fraction = action.vip_fraction] {
+              Rng& rng = d->rng();
+              const Rect& world = d->options().config.world;
+              for (std::size_t i = 0; i < count; ++i) {
+                const Vec2 pos =
+                    world.clamp(center + Vec2{rng.next_normal() * spread,
+                                              rng.next_normal() * spread});
+                // The VIP coin is drawn only for a VIP mix, so a plain
+                // hotspot wave leaves the RNG stream untouched.
+                const bool vip =
+                    vip_fraction > 0.0 && rng.next_double() < vip_fraction;
+                d->add_bot(pos, center, spread, vip);
+              }
+            });
         break;
       case Action::Kind::kDepart:
-        scenario.remove_bots_at(action.at, action.count, action.near);
+        events.schedule_at(action.at,
+                           [d, count = action.count, near = action.near] {
+                             d->remove_bots(count, near);
+                           });
         break;
       case Action::Kind::kKillMc:
-        deployment.network().events().schedule_at(
-            action.at, [raw] { raw->kill_coordinator(); });
+        events.schedule_at(action.at, [d] { d->kill_coordinator(); });
         break;
       case Action::Kind::kReviveMc:
-        deployment.network().events().schedule_at(
-            action.at, [raw] { raw->revive_coordinator(); });
+        events.schedule_at(action.at, [d] { d->revive_coordinator(); });
         break;
-      case Action::Kind::kControlLink: {
-        const LinkConfig link = action.link;
-        deployment.network().events().schedule_at(
-            action.at, [raw, link] { raw->set_control_links(link); });
+      case Action::Kind::kControlLink:
+        events.schedule_at(action.at, [d, link = action.link] {
+          d->set_control_links(link);
+        });
         break;
-      }
     }
   }
 }
 
+namespace {
+
+/// The simultaneous surges of the multi-partition and contested-pool
+/// scenarios: center `s` ramps from flash_at + s × `stagger`, then this
+/// fraction of each crowd leaves near its center.  Both options structs
+/// share these field names.
+template <typename Options>
+void schedule_multi_center(Deployment& deployment, const Options& options,
+                           SimTime stagger) {
+  ScenarioSpec spec;
+  spec.background(SimTime::from_ms(100), options.background_bots);
+  const std::size_t surges =
+      std::min(options.centers.size(), options.flash_bots.size());
+  for (std::size_t s = 0; s < surges; ++s) {
+    spec.ramp(options.flash_at + stagger * s, options.flash_bots[s],
+              options.join_batch, options.join_interval, options.centers[s],
+              options.spread, options.vip_fraction);
+  }
+  // Departures near every center, proportional to its crowd.
+  for (std::size_t s = 0; s < surges; ++s) {
+    spec.departures(options.leave_at,
+                    static_cast<std::size_t>(
+                        options.leave_fraction *
+                        static_cast<double>(options.flash_bots[s])),
+                    options.leave_batch, options.leave_interval,
+                    options.centers[s]);
+  }
+  spec.schedule(deployment);
+}
+
+/// The mega and giga surges: an hx × hy grid of flash crowds spread evenly
+/// over the world, so the crowd lands on every partition of a grid
+/// deployment at once — sustained deployment-wide message pressure rather
+/// than one collapsing partition.  Both options structs share these names.
+template <typename Options>
+void schedule_grid_surge(Deployment& deployment, const Options& options) {
+  ScenarioSpec spec;
+  spec.background(SimTime::from_ms(100), options.background_bots);
+  const Rect& world = deployment.options().config.world;
+  const double cell_w =
+      (world.x1() - world.x0()) / static_cast<double>(options.hotspots_x);
+  const double cell_h =
+      (world.y1() - world.y0()) / static_cast<double>(options.hotspots_y);
+  for (std::size_t ix = 0; ix < options.hotspots_x; ++ix) {
+    for (std::size_t iy = 0; iy < options.hotspots_y; ++iy) {
+      const Vec2 center{world.x0() + (static_cast<double>(ix) + 0.5) * cell_w,
+                        world.y0() + (static_cast<double>(iy) + 0.5) * cell_h};
+      spec.ramp(options.flash_at, options.bots_per_hotspot, options.join_batch,
+                options.join_interval, center, options.spread);
+    }
+  }
+  spec.schedule(deployment);
+}
+
+}  // namespace
+
 void schedule_hotspot_scenario(Deployment& deployment,
                                const HotspotScenarioOptions& options) {
-  Scenario scenario(deployment);
-
-  // Background population from the start.
-  scenario.add_background_bots(SimTime::from_ms(100), options.background_bots);
-
-  // First hotspot: a flash crowd joins at one point (paper: "a hotspot of
-  // 600 clients ... introduced at around the 10 second mark").
-  scenario.add_hotspot_bots(options.first_hotspot_at, options.hotspot_bots,
-                            options.first_hotspot);
-
-  // Staged dissipation: groups leave at fixed intervals (paper: "indicated
-  // by 200 clients disappearing at fixed intervals").
-  SimTime t = options.first_hotspot_at + options.hold;
-  std::size_t remaining = options.hotspot_bots;
-  while (remaining > 0) {
-    const std::size_t group = std::min(options.departure_group, remaining);
-    scenario.remove_bots_at(t, group, options.first_hotspot);
-    remaining -= group;
-    t += options.departure_interval;
-  }
-
+  constexpr double kSpread = 20.0;
+  ScenarioSpec spec;
+  // Background population from the start; then the first hotspot, a flash
+  // crowd joining at one point (paper: "a hotspot of 600 clients ...
+  // introduced at around the 10 second mark"), dissipating in groups at
+  // fixed intervals (paper: "indicated by 200 clients disappearing at fixed
+  // intervals").
+  spec.background(SimTime::from_ms(100), options.background_bots)
+      .flash(options.first_hotspot_at, options.hotspot_bots,
+             options.first_hotspot, kSpread)
+      .departures(options.first_hotspot_at + options.hold,
+                  options.hotspot_bots, options.departure_group,
+                  options.departure_interval, options.first_hotspot);
   // Second hotspot at a different location (paper: "reintroduced at a
   // different position in the world at 170 seconds").
   if (options.second_hotspot) {
-    scenario.add_hotspot_bots(options.second_hotspot_at,
-                              options.second_hotspot_bots,
-                              options.second_hotspot_center);
-    SimTime t2 = options.second_hotspot_at + options.second_hold;
-    std::size_t remaining2 = options.second_hotspot_bots;
-    while (remaining2 > 0) {
-      const std::size_t group = std::min(options.departure_group, remaining2);
-      scenario.remove_bots_at(t2, group, options.second_hotspot_center);
-      remaining2 -= group;
-      t2 += options.departure_interval;
-    }
+    spec.flash(options.second_hotspot_at, options.second_hotspot_bots,
+               options.second_hotspot_center, kSpread)
+        .departures(options.second_hotspot_at + options.second_hold,
+                    options.second_hotspot_bots, options.departure_group,
+                    options.departure_interval,
+                    options.second_hotspot_center);
   }
+  spec.schedule(deployment);
 }
 
 void schedule_overload_scenario(Deployment& deployment,
@@ -248,160 +254,44 @@ void schedule_overload_scenario(Deployment& deployment,
 
 void schedule_surge_scenario(Deployment& deployment,
                              const SurgeScenarioOptions& options) {
-  Scenario scenario(deployment);
-  scenario.add_background_bots(SimTime::from_ms(100), options.background_bots);
-
-  // Waved arrivals, exactly like the overload scenario — but with a VIP
-  // share so the queue's priority classes have something to sort.
-  SimTime t = options.flash_at;
-  for (std::size_t joined = 0; joined < options.flash_bots;) {
-    const std::size_t batch = std::min(
-        options.join_batch > 0 ? options.join_batch : options.flash_bots,
-        options.flash_bots - joined);
-    scenario.add_surge_bots(t, batch, options.center, options.spread,
-                            options.vip_fraction);
-    joined += batch;
-    t += options.join_interval;
-  }
-
-  // Recovery: departures free capacity, letting the valve relax and the
-  // waiting room drain.
-  SimTime leave_t = options.leave_at;
-  for (std::size_t left = 0; left < options.leave_bots;) {
-    const std::size_t batch = std::min(
-        options.leave_batch > 0 ? options.leave_batch : options.leave_bots,
-        options.leave_bots - left);
-    scenario.remove_bots_at(leave_t, batch, options.center);
-    left += batch;
-    leave_t += options.leave_interval;
-  }
+  // The overload ramp with a VIP share, so the queue's priority classes
+  // have something to sort; then recovery departures free capacity, letting
+  // the valve relax and the waiting room drain.
+  ScenarioSpec()
+      .background(SimTime::from_ms(100), options.background_bots)
+      .ramp(options.flash_at, options.flash_bots, options.join_batch,
+            options.join_interval, options.center, options.spread,
+            options.vip_fraction)
+      .departures(options.leave_at, options.leave_bots, options.leave_batch,
+                  options.leave_interval, options.center)
+      .schedule(deployment);
 }
 
 void schedule_multi_partition_surge_scenario(
     Deployment& deployment,
     const MultiPartitionSurgeScenarioOptions& options) {
-  Scenario scenario(deployment);
-  scenario.add_background_bots(SimTime::from_ms(100), options.background_bots);
-
-  // All surges ramp in lock-step waves, one wave per center per interval —
-  // simultaneous saturation is the point of this scenario.
-  const std::size_t surges =
-      std::min(options.centers.size(), options.flash_bots.size());
-  for (std::size_t s = 0; s < surges; ++s) {
-    SimTime t = options.flash_at;
-    for (std::size_t joined = 0; joined < options.flash_bots[s];) {
-      const std::size_t batch = std::min(
-          options.join_batch > 0 ? options.join_batch : options.flash_bots[s],
-          options.flash_bots[s] - joined);
-      scenario.add_surge_bots(t, batch, options.centers[s], options.spread,
-                              options.vip_fraction);
-      joined += batch;
-      t += options.join_interval;
-    }
-  }
-
-  // Recovery departures near every center, proportional to its crowd.
-  for (std::size_t s = 0; s < surges; ++s) {
-    const auto leave_total = static_cast<std::size_t>(
-        options.leave_fraction * static_cast<double>(options.flash_bots[s]));
-    SimTime leave_t = options.leave_at;
-    for (std::size_t left = 0; left < leave_total;) {
-      const std::size_t batch = std::min(
-          options.leave_batch > 0 ? options.leave_batch : leave_total,
-          leave_total - left);
-      scenario.remove_bots_at(leave_t, batch, options.centers[s]);
-      left += batch;
-      leave_t += options.leave_interval;
-    }
-  }
+  // All surges ramp in lock-step waves — simultaneous saturation is the
+  // point of this scenario.
+  schedule_multi_center(deployment, options, SimTime{});
 }
 
 void schedule_contested_pool_scenario(
     Deployment& deployment, const ContestedPoolScenarioOptions& options) {
-  // The arrival/churn mechanics mirror the multi-partition surge; what makes
-  // the scenario "contested" is (a) running MORE surges than the deployment
-  // parks spares (the caller's pool_size), so every PoolAcquire races the
-  // others for the same server, and (b) the per-center stagger, which
-  // decouples WHO ASKS FIRST from WHO NEEDS IT MOST.
-  Scenario scenario(deployment);
-  scenario.add_background_bots(SimTime::from_ms(100), options.background_bots);
-
-  const std::size_t surges =
-      std::min(options.centers.size(), options.flash_bots.size());
-  for (std::size_t s = 0; s < surges; ++s) {
-    SimTime t = options.flash_at + options.flash_stagger * s;
-    for (std::size_t joined = 0; joined < options.flash_bots[s];) {
-      const std::size_t batch = std::min(
-          options.join_batch > 0 ? options.join_batch : options.flash_bots[s],
-          options.flash_bots[s] - joined);
-      scenario.add_surge_bots(t, batch, options.centers[s], options.spread,
-                              options.vip_fraction);
-      joined += batch;
-      t += options.join_interval;
-    }
-  }
-
-  // Churn departures near every center, proportional to its crowd.
-  for (std::size_t s = 0; s < surges; ++s) {
-    const auto leave_total = static_cast<std::size_t>(
-        options.leave_fraction * static_cast<double>(options.flash_bots[s]));
-    SimTime leave_t = options.leave_at;
-    for (std::size_t left = 0; left < leave_total;) {
-      const std::size_t batch = std::min(
-          options.leave_batch > 0 ? options.leave_batch : leave_total,
-          leave_total - left);
-      scenario.remove_bots_at(leave_t, batch, options.centers[s]);
-      left += batch;
-      leave_t += options.leave_interval;
-    }
-  }
+  // What makes the scenario "contested" is (a) running MORE surges than the
+  // deployment parks spares (the caller's pool_size), so every PoolAcquire
+  // races the others for the same server, and (b) the per-center stagger,
+  // which decouples WHO ASKS FIRST from WHO NEEDS IT MOST.
+  schedule_multi_center(deployment, options, options.flash_stagger);
 }
 
 void schedule_mega_surge_scenario(Deployment& deployment,
                                   const MegaSurgeScenarioOptions& options) {
-  Scenario scenario(deployment);
-  scenario.add_background_bots(SimTime::from_ms(100), options.background_bots);
-
-  // Hotspot centers on an evenly-spaced grid over the world, so the crowd
-  // lands on every partition of a grid deployment at once — sustained
-  // deployment-wide message pressure rather than one collapsing partition.
-  const Rect& world = deployment.options().config.world;
-  const double cell_w =
-      (world.x1() - world.x0()) / static_cast<double>(options.hotspots_x);
-  const double cell_h =
-      (world.y1() - world.y0()) / static_cast<double>(options.hotspots_y);
-  for (std::size_t ix = 0; ix < options.hotspots_x; ++ix) {
-    for (std::size_t iy = 0; iy < options.hotspots_y; ++iy) {
-      const Vec2 center{world.x0() + (static_cast<double>(ix) + 0.5) * cell_w,
-                        world.y0() + (static_cast<double>(iy) + 0.5) * cell_h};
-      SimTime t = options.flash_at;
-      for (std::size_t joined = 0; joined < options.bots_per_hotspot;) {
-        const std::size_t batch =
-            std::min(options.join_batch > 0 ? options.join_batch
-                                            : options.bots_per_hotspot,
-                     options.bots_per_hotspot - joined);
-        scenario.add_hotspot_bots(t, batch, center, options.spread);
-        joined += batch;
-        t += options.join_interval;
-      }
-    }
-  }
+  schedule_grid_surge(deployment, options);
 }
 
 void schedule_giga_surge_scenario(Deployment& deployment,
                                   const GigaSurgeScenarioOptions& options) {
-  // Identical grid mechanics to the mega surge, rebottled at 10× the crowd.
-  MegaSurgeScenarioOptions mega;
-  mega.background_bots = options.background_bots;
-  mega.hotspots_x = options.hotspots_x;
-  mega.hotspots_y = options.hotspots_y;
-  mega.bots_per_hotspot = options.bots_per_hotspot;
-  mega.join_batch = options.join_batch;
-  mega.join_interval = options.join_interval;
-  mega.flash_at = options.flash_at;
-  mega.spread = options.spread;
-  mega.duration = options.duration;
-  schedule_mega_surge_scenario(deployment, mega);
+  schedule_grid_surge(deployment, options);
 }
 
 std::size_t deployment_capacity_clients(const Deployment& deployment) {

@@ -1,13 +1,20 @@
 // Scenario scripting — the workload generators of the evaluation.
 //
-// A Scenario schedules population changes on a Deployment's event queue:
-// background players wandering the world, hotspot flash crowds joining at a
-// point, staged departures.  HotspotScenario reproduces the paper's Fig. 2
-// timeline exactly (600-client hotspot at t=10 s, staged 200-client
-// departures, second hotspot elsewhere at t=170 s).
+// Every workload is a ScenarioSpec: a list of population changes
+// (background players wandering the world, flash crowds joining at a point,
+// staged departures) and control-plane chaos, scripted onto a Deployment's
+// event queue by schedule().  The canned schedule_*_scenario functions below
+// each build one spec; HotspotScenario reproduces the paper's Fig. 2
+// timeline (600-client hotspot at t=10 s, staged 200-client departures,
+// second hotspot elsewhere at t=170 s).
+//
+// Insertion order is firing order: schedule() issues one event per action in
+// the order the actions were added, and the event queue fires same-instant
+// events in the order they were scheduled.  Two specs that list the same
+// actions in the same order therefore produce byte-identical runs; moving an
+// action earlier or later in a spec can reorder same-instant events.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -16,39 +23,12 @@
 
 namespace matrix {
 
-/// Low-level scripting helpers; compose for custom scenarios.
-class Scenario {
- public:
-  explicit Scenario(Deployment& deployment) : deployment_(deployment) {}
-
-  /// Spawns `count` bots at uniformly random positions at time `at`.
-  void add_background_bots(SimTime at, std::size_t count);
-
-  /// Spawns `count` bots at `center` (with spread) at time `at`; they stay
-  /// attracted to the hotspot.
-  void add_hotspot_bots(SimTime at, std::size_t count, Vec2 center,
-                        double spread = 20.0);
-
-  /// Like add_hotspot_bots, but each bot is VIP with probability
-  /// `vip_fraction` — the priority-mixed arrivals of a SurgeScenario.
-  void add_surge_bots(SimTime at, std::size_t count, Vec2 center,
-                      double spread, double vip_fraction);
-
-  /// Removes `count` connected bots at time `at`, nearest to `near` first.
-  void remove_bots_at(SimTime at, std::size_t count,
-                      std::optional<Vec2> near = std::nullopt);
-
- private:
-  Deployment& deployment_;
-};
-
 /// Fluent scenario composer — the one scheduling surface shared by the
-/// canned workloads here, the control-plane chaos scenarios below, and the
-/// randomized fuzzer (src/fuzz/fuzz_scenario.cpp).  Collect arrival waves,
-/// departures, and chaos actions; schedule() then scripts them all onto a
-/// deployment in insertion order (which is also the same-instant firing
-/// order, so two specs that list the same actions produce byte-identical
-/// runs).
+/// canned workloads here, the control-plane chaos scenarios below, the
+/// benches and examples, and the randomized fuzzer
+/// (src/fuzz/fuzz_scenario.cpp).  Collect arrival waves, departures, and
+/// chaos actions; schedule() then scripts them all onto a deployment in
+/// insertion order.
 ///
 ///   ScenarioSpec()
 ///       .background(SimTime::from_ms(100), 50)
@@ -62,7 +42,8 @@ class ScenarioSpec {
   /// `count` bots spawn uniformly over the world at `at`.
   ScenarioSpec& background(SimTime at, std::size_t count);
   /// One flash wave at `center`.  A zero `vip_fraction` spawns plain
-  /// hotspot bots; non-zero mixes VIPs in (surge-queue priority classes).
+  /// hotspot bots and draws no VIP coin from the RNG; non-zero mixes VIPs
+  /// in (surge-queue priority classes).
   ScenarioSpec& flash(SimTime at, std::size_t count, Vec2 center,
                       double spread, double vip_fraction = 0.0);
   /// Waved arrival: `total` bots in `batch`-sized flashes every `interval`
@@ -230,12 +211,6 @@ struct SurgeScenarioOptions {
 void schedule_surge_scenario(Deployment& deployment,
                              const SurgeScenarioOptions& options);
 
-/// Offered clients at the crest of a SurgeScenario.
-[[nodiscard]] inline std::size_t surge_offered_clients(
-    const SurgeScenarioOptions& options) {
-  return options.background_bots + options.flash_bots;
-}
-
 /// Multi-partition surge (coordinator-led global admission,
 /// src/control/global_admission.h): SEVERAL flash crowds saturate
 /// different partitions of a multi-root deployment at once — the regime
@@ -251,8 +226,7 @@ struct MultiPartitionSurgeScenarioOptions {
 
   /// One simultaneous surge per entry: crowd size at `centers[i]`.  Only
   /// the first min(centers, flash_bots) pairs are scheduled — keep the
-  /// vectors the same length; `multi_partition_offered_clients` counts the
-  /// same pairing, so the two can never disagree about the offered crowd.
+  /// vectors the same length.
   std::vector<std::size_t> flash_bots{420, 260, 140};
   std::vector<Vec2> centers{{150.0, 150.0}, {850.0, 150.0}, {150.0, 850.0}};
 
@@ -279,17 +253,6 @@ struct MultiPartitionSurgeScenarioOptions {
 /// deployment.run_until(options.duration) afterwards.
 void schedule_multi_partition_surge_scenario(
     Deployment& deployment, const MultiPartitionSurgeScenarioOptions& options);
-
-/// Offered clients at the crest of a MultiPartitionSurgeScenario — sums
-/// exactly the surges the scheduler pairs up (min of the two vectors).
-[[nodiscard]] inline std::size_t multi_partition_offered_clients(
-    const MultiPartitionSurgeScenarioOptions& options) {
-  std::size_t total = options.background_bots;
-  const std::size_t surges =
-      std::min(options.centers.size(), options.flash_bots.size());
-  for (std::size_t s = 0; s < surges; ++s) total += options.flash_bots[s];
-  return total;
-}
 
 /// Contested-pool workload (load-policy layer, src/policy/): MORE partitions
 /// overload simultaneously than the resource pool holds spares, so every
@@ -468,16 +431,6 @@ void schedule_giga_surge_scenario(Deployment& deployment,
   options.map_objects = 640;
   options.seed = 2005;
   return options;
-}
-
-/// Offered clients at the crest of a ContestedPoolScenario.
-[[nodiscard]] inline std::size_t contested_pool_offered_clients(
-    const ContestedPoolScenarioOptions& options) {
-  std::size_t total = options.background_bots;
-  const std::size_t surges =
-      std::min(options.centers.size(), options.flash_bots.size());
-  for (std::size_t s = 0; s < surges; ++s) total += options.flash_bots[s];
-  return total;
 }
 
 // ---- control-plane chaos workloads (src/control/control_plane.h) -----------

@@ -23,9 +23,9 @@ namespace matrix {
 class InlineAction {
  public:
   /// Inline capture budget.  Sized for the fattest scheduled closure in the
-  /// simulator (Scenario::add_surge_bots: a Deployment pointer, a count, a
-  /// centre, a spread and a VIP fraction — 48 bytes); anything bigger goes
-  /// to the heap.
+  /// simulator (ScenarioSpec::schedule's flash wave: a Deployment pointer,
+  /// a count, a centre, a spread and a VIP fraction — 48 bytes); anything
+  /// bigger goes to the heap.
   static constexpr std::size_t kInlineBytes = 48;
 
   InlineAction() = default;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "control/admission.h"
+#include "control/token_bucket.h"
 #include "test_helpers.h"
 
 namespace matrix {
@@ -213,28 +214,18 @@ TEST(AdmissionHysteresis, ResetReturnsToNormal) {
 }
 
 // ---------------------------------------------------------------------------
-// The join gate (token bucket in SOFT)
+// The SOFT-mode token budget the game server's join gate spends
 // ---------------------------------------------------------------------------
 
-TEST(AdmissionGate, NormalAdmitsHardDenies) {
-  AdmissionController c(unit_config(), kOverload);
-  EXPECT_TRUE(c.try_admit(1_sec));
-  c.observe(1_sec, load(200));  // HARD
-  EXPECT_FALSE(c.try_admit(1_sec));
-  EXPECT_EQ(c.stats().hard_denied, 1u);
-}
-
-TEST(AdmissionGate, SoftSpendsTokenBudget) {
-  AdmissionController c(unit_config(), kOverload);  // rate 2/s, burst 2
-  c.observe(1_sec, load(85));  // SOFT
-  EXPECT_TRUE(c.try_admit(1_sec));
-  EXPECT_TRUE(c.try_admit(1_sec));
-  EXPECT_FALSE(c.try_admit(1_sec));  // burst spent
-  EXPECT_EQ(c.stats().soft_denied, 1u);
+TEST(TokenBucketTest, SpendsBurstThenRefillsAtRate) {
+  TokenBucket bucket(/*rate_per_sec=*/2.0, /*burst=*/2.0);
+  EXPECT_TRUE(bucket.try_take(1_sec));
+  EXPECT_TRUE(bucket.try_take(1_sec));
+  EXPECT_FALSE(bucket.try_take(1_sec));  // burst spent
   // One second later the bucket has refilled (rate 2/s, capped at burst 2).
-  EXPECT_TRUE(c.try_admit(2_sec));
-  EXPECT_TRUE(c.try_admit(2_sec));
-  EXPECT_FALSE(c.try_admit(2_sec));
+  EXPECT_TRUE(bucket.try_take(2_sec));
+  EXPECT_TRUE(bucket.try_take(2_sec));
+  EXPECT_FALSE(bucket.try_take(2_sec));
 }
 
 // ---------------------------------------------------------------------------

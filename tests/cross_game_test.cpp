@@ -53,8 +53,7 @@ TEST_P(CrossGameTest, HotspotAbsorbedAndInvariantsHold) {
   options.seed = 4242;
 
   Deployment deployment(options);
-  Scenario scenario(deployment);
-  scenario.add_hotspot_bots(1_sec, 90, {480, 480}, 80.0);
+  ScenarioSpec().flash(1_sec, 90, {480, 480}, 80.0).schedule(deployment);
   deployment.run_until(20_sec);
 
   // Splits happened and relieved the hotspot server.

@@ -44,6 +44,13 @@ constexpr std::uint64_t kGoldenHotspot = 0xf1fd0ee5b0a7fb6eULL;
 // serial, so this pins its own constant; K=1 runs reproduce the serial pins
 // above byte-for-byte through the same code path.
 constexpr std::uint64_t kGoldenShardedOverload = 0x3c4dd77adff34eacULL;
+// Shortened runs of the three canned scenarios the pins above do not reach
+// (the VIP surge with recovery departures, the multi-partition surge with
+// per-center departures, and the grid-of-hotspots mega surge that the giga
+// workload shares), recorded before their scripting moved onto ScenarioSpec.
+constexpr std::uint64_t kGoldenSurge = 0xfb5064ea09f76af7ULL;
+constexpr std::uint64_t kGoldenMultiPartition = 0x2c91f78608abd373ULL;
+constexpr std::uint64_t kGoldenMegaSurge = 0x815f81a7e8f29350ULL;
 
 DeploymentOptions golden_overload_options() {
   DeploymentOptions options;
@@ -171,6 +178,51 @@ TEST(DeterminismTest, HotspotScenarioMatchesGoldenTrace) {
                     [&](Deployment& d) { schedule_hotspot_scenario(d, scenario); });
   EXPECT_EQ(hash, kGoldenHotspot)
       << "Fig. 2 hotspot trace diverged from the pinned golden hash.";
+}
+
+TEST(DeterminismTest, SurgeScenarioMatchesGoldenTrace) {
+  DeploymentOptions options = golden_overload_options();
+  options.config.admission.priority.queue_enabled = true;
+  options.config.admission.priority.queue_capacity = 192;
+  SurgeScenarioOptions scenario;
+  scenario.flash_bots = 500;
+  scenario.leave_bots = 250;
+  scenario.leave_at = 12_sec;
+  scenario.duration = 20_sec;
+  const std::uint64_t hash =
+      trace_hash_of(std::move(options), scenario.duration,
+                    [&](Deployment& d) { schedule_surge_scenario(d, scenario); });
+  EXPECT_EQ(hash, kGoldenSurge)
+      << "SurgeScenario trace diverged from its pin.  Hash was 0x" << std::hex
+      << hash;
+}
+
+TEST(DeterminismTest, MultiPartitionSurgeScenarioMatchesGoldenTrace) {
+  MultiPartitionSurgeScenarioOptions scenario;
+  scenario.leave_fraction = 0.5;
+  scenario.leave_at = 15_sec;
+  scenario.duration = 25_sec;
+  const std::uint64_t hash = trace_hash_of(
+      golden_contested_options(), scenario.duration, [&](Deployment& d) {
+        schedule_multi_partition_surge_scenario(d, scenario);
+      });
+  EXPECT_EQ(hash, kGoldenMultiPartition)
+      << "MultiPartitionSurgeScenario trace diverged from its pin.  Hash was 0x"
+      << std::hex << hash;
+}
+
+TEST(DeterminismTest, MegaSurgeScenarioMatchesGoldenTrace) {
+  MegaSurgeScenarioOptions scenario;
+  scenario.background_bots = 300;
+  scenario.bots_per_hotspot = 100;
+  scenario.join_batch = 64;
+  scenario.duration = 5_sec;
+  const std::uint64_t hash = trace_hash_of(
+      mega_surge_deployment_options(), scenario.duration,
+      [&](Deployment& d) { schedule_mega_surge_scenario(d, scenario); });
+  EXPECT_EQ(hash, kGoldenMegaSurge)
+      << "MegaSurgeScenario trace diverged from its pin.  Hash was 0x"
+      << std::hex << hash;
 }
 
 TEST(DeterminismTest, TracingEnabledIsPassive) {

@@ -369,13 +369,14 @@ TEST(GlobalAdmissionDeploymentTest, SplitHandsOffParkedJoins) {
   options.seed = 7;
 
   Deployment deployment(options);
-  Scenario scenario(deployment);
   // A left-half hotspot: the paper's split hands the LEFT half to the
   // child, so the parked left-half joins must re-park there.  The vanguard
   // lands first so the valve is already SOFT (directive floor) when the
   // main crowd arrives and parks.
-  scenario.add_hotspot_bots(500_ms, 30, {180.0, 400.0}, 60.0);
-  scenario.add_hotspot_bots(3_sec, 100, {180.0, 400.0}, 60.0);
+  ScenarioSpec()
+      .flash(500_ms, 30, {180.0, 400.0}, 60.0)
+      .flash(3_sec, 100, {180.0, 400.0}, 60.0)
+      .schedule(deployment);
   deployment.run_until(30_sec);
 
   const AdmissionSummary summary = collect_admission(deployment);

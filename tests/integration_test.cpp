@@ -83,8 +83,7 @@ TEST(DeploymentTest, BotsReceiveDigestUpdates) {
 
 TEST(IntegrationTest, HotspotTriggersSplitAndRedistribution) {
   Deployment deployment(small_options());
-  Scenario scenario(deployment);
-  scenario.add_hotspot_bots(1_sec, 90, {200, 200});
+  ScenarioSpec().flash(1_sec, 90, {200, 200}, 20.0).schedule(deployment);
   deployment.run_until(20_sec);
 
   // 90 clients ≫ overload 40: at least one split must have happened.
@@ -113,8 +112,7 @@ TEST(IntegrationTest, HotspotTriggersSplitAndRedistribution) {
 TEST(IntegrationTest, LoadEasingReclaimsServers) {
   auto options = small_options();
   Deployment deployment(options);
-  Scenario scenario(deployment);
-  scenario.add_hotspot_bots(1_sec, 90, {200, 200});
+  ScenarioSpec().flash(1_sec, 90, {200, 200}, 20.0).schedule(deployment);
   deployment.run_until(15_sec);
   const std::size_t peak = deployment.active_server_count();
   ASSERT_GE(peak, 2u);
@@ -135,8 +133,7 @@ TEST(IntegrationTest, LoadEasingReclaimsServers) {
 TEST(IntegrationTest, StaticBaselineDoesNotSplit) {
   auto options = static_partitioning_options(small_options(), 2);
   Deployment deployment(options);
-  Scenario scenario(deployment);
-  scenario.add_hotspot_bots(1_sec, 90, {200, 200});
+  ScenarioSpec().flash(1_sec, 90, {200, 200}, 20.0).schedule(deployment);
   deployment.run_until(15_sec);
   EXPECT_EQ(deployment.active_server_count(), 2u);
   for (const MatrixServer* server : deployment.matrix_servers()) {
@@ -161,15 +158,13 @@ TEST(IntegrationTest, MatrixBeatsStaticOnQueueDepth) {
   auto matrix_options = adaptive_options(base, 1, 7);
   Deployment matrix_run(matrix_options);
   MetricsSampler matrix_metrics(matrix_run, 1_sec);
-  Scenario matrix_scenario(matrix_run);
-  matrix_scenario.add_hotspot_bots(1_sec, 90, hotspot, 80.0);
+  ScenarioSpec().flash(1_sec, 90, hotspot, 80.0).schedule(matrix_run);
   matrix_run.run_until(30_sec);
 
   auto static_options = static_partitioning_options(base, 2);
   Deployment static_run(static_options);
   MetricsSampler static_metrics(static_run, 1_sec);
-  Scenario static_scenario(static_run);
-  static_scenario.add_hotspot_bots(1_sec, 90, hotspot, 80.0);
+  ScenarioSpec().flash(1_sec, 90, hotspot, 80.0).schedule(static_run);
   static_run.run_until(30_sec);
 
   EXPECT_GE(matrix_run.active_server_count(), 2u);
@@ -247,8 +242,7 @@ TEST(IntegrationTest, MigrationFollowsWanderingBot) {
 TEST(IntegrationTest, MapObjectsConservedAcrossSplitsAndReclaims) {
   auto options = small_options();
   Deployment deployment(options);
-  Scenario scenario(deployment);
-  scenario.add_hotspot_bots(1_sec, 90, {200, 200});
+  ScenarioSpec().flash(1_sec, 90, {200, 200}, 20.0).schedule(deployment);
   deployment.run_until(15_sec);
   deployment.remove_bots(90);
   deployment.run_until(50_sec);
@@ -264,8 +258,7 @@ TEST(IntegrationTest, PoolExhaustionDegradesGracefully) {
   auto options = small_options();
   options.pool_size = 1;  // only one spare for a large hotspot
   Deployment deployment(options);
-  Scenario scenario(deployment);
-  scenario.add_hotspot_bots(1_sec, 90, {200, 200});
+  ScenarioSpec().flash(1_sec, 90, {200, 200}, 20.0).schedule(deployment);
   deployment.run_until(20_sec);
   // Both servers end up overloaded and at least one further split was
   // denied — but the game keeps running and every client stays connected.
@@ -320,8 +313,7 @@ TEST(IntegrationTest, SplitsStillWorkAfterCoordinatorFailover) {
   deployment.fail_over_coordinator();
   deployment.run_until(4_sec);
 
-  Scenario scenario(deployment);
-  scenario.add_hotspot_bots(4_sec, 90, {480, 480}, 80.0);
+  ScenarioSpec().flash(4_sec, 90, {480, 480}, 80.0).schedule(deployment);
   deployment.run_until(25_sec);
   EXPECT_GE(deployment.active_server_count(), 2u);
   EXPECT_TRUE(deployment.coordinator().partition_map().tiles(
@@ -332,8 +324,7 @@ TEST(IntegrationTest, DeterministicAcrossRuns) {
   // Same seed ⇒ identical topology evolution and traffic totals.
   auto run_once = [] {
     Deployment deployment(small_options());
-    Scenario scenario(deployment);
-    scenario.add_hotspot_bots(1_sec, 60, {200, 200});
+    ScenarioSpec().flash(1_sec, 60, {200, 200}, 20.0).schedule(deployment);
     deployment.run_until(12_sec);
     return std::tuple{deployment.active_server_count(),
                       deployment.network().total_messages(),
@@ -350,8 +341,7 @@ TEST(IntegrationTest, LinkLossDoesNotWedgeTheControlPlane) {
   options.wan.drop_probability = 0.02;
   options.lan.drop_probability = 0.002;
   Deployment deployment(options);
-  Scenario scenario(deployment);
-  scenario.add_hotspot_bots(1_sec, 90, {200, 200});
+  ScenarioSpec().flash(1_sec, 90, {200, 200}, 20.0).schedule(deployment);
   deployment.run_until(20_sec);
   EXPECT_GE(deployment.active_server_count(), 2u);
   EXPECT_TRUE(deployment.coordinator().partition_map().tiles(

@@ -600,8 +600,9 @@ TEST(ProtocolTest, NonCanonicalFramesAreRejected) {
 // ---------------------------------------------------------------------------
 // Each parse_*_frame view must agree field-for-field with the full decode of
 // the same bytes and accept exactly the frames the full decode accepts as
-// its type — the on_frame overrides that use them promise behavioral
-// identity with their on_message twins.
+// its type.  The on_frame overrides rely on that: a frame of a fast-path
+// type reaches on_message only if the full decode rejects it too, so these
+// types need no decoded-struct handler there.
 
 template <typename T>
 constexpr std::size_t index_of() {

@@ -158,10 +158,11 @@ TEST(MetricsTest, TrafficBreakdownPartitionsTotals) {
 
 TEST(ScenarioTest, EventsFireAtScheduledTimes) {
   Deployment deployment(base_options());
-  Scenario scenario(deployment);
-  scenario.add_background_bots(1_sec, 5);
-  scenario.add_hotspot_bots(3_sec, 7, {200, 200}, 30.0);
-  scenario.remove_bots_at(6_sec, 4, Vec2{200, 200});
+  ScenarioSpec()
+      .background(1_sec, 5)
+      .flash(3_sec, 7, {200, 200}, 30.0)
+      .depart(6_sec, 4, Vec2{200, 200})
+      .schedule(deployment);
 
   deployment.run_until(500_ms);
   EXPECT_EQ(deployment.bots().size(), 0u);
