@@ -96,8 +96,9 @@ void run_scheduler_microbench(JsonReport& json) {
 // engine's real pending set at the 100k-client workload's peak (~111k events
 // per shard at K=2) is 55% message deliveries, each carrying a 56-B
 // Envelope, and 45% node timers, landing ~50 ms out.  This model holds that
-// mix at that depth twice: as the engine schedules it — 16-B typed records,
-// envelopes parked in an EnvelopeSlab — and as closures of the same captures
+// mix at that depth twice: as the engine schedules it — 16-B typed records
+// inside the 32-B scheduler entries, envelopes parked in an EnvelopeSlab —
+// and as closures of the same captures
 // ([sink, dst, Envelope] and [sink, node, epoch]).  A 72-B delivery capture
 // exceeds InlineAction's inline budget, so the closure run's deliveries take
 // the heap fallback.
@@ -216,6 +217,29 @@ double balance_ratio(const Network::EngineStats& engine) {
   const double mean =
       static_cast<double>(total) / static_cast<double>(engine.shard_events.size());
   return mean > 0.0 ? static_cast<double>(busiest) / mean : 1.0;
+}
+
+/// Where a threaded sharded run's barrier time went: the stall (dispatch
+/// wall × K − Σ active), its imbalance part, and the handoff left over,
+/// per window.
+void report_barrier(JsonReport& json, const char* run,
+                    const Network::EngineStats& engine) {
+  const std::uint64_t handoff =
+      engine.window_stall_us - engine.window_imbalance_us;
+  const double per_window =
+      engine.windows > 0 ? static_cast<double>(handoff) /
+                               static_cast<double>(engine.windows)
+                         : 0.0;
+  std::printf("  %-26s %12llu\n", "barrier stall us",
+              static_cast<unsigned long long>(engine.window_stall_us));
+  std::printf("  %-26s %12llu\n", "  of which imbalance us",
+              static_cast<unsigned long long>(engine.window_imbalance_us));
+  std::printf("  %-26s %12.1f\n", "  handoff us per window", per_window);
+  json.add(run, "window_stall_us", static_cast<double>(engine.window_stall_us),
+           "us");
+  json.add(run, "window_imbalance_us",
+           static_cast<double>(engine.window_imbalance_us), "us");
+  json.add(run, "handoff_us_per_window", per_window, "us");
 }
 
 DeploymentOptions fig2_options() {
@@ -404,6 +428,7 @@ int main(int argc, char** argv) {
         std::printf("  %-26s %12.3fx busiest/mean\n", "shard balance",
                     balance);
         json.add(run, "balance_ratio", balance, "x");
+        report_barrier(json, run, r.engine);
       }
     }
     // The SKEWED giga crowd (all hotspots in the top half of the world):
@@ -420,6 +445,7 @@ int main(int argc, char** argv) {
       const double balance = balance_ratio(r.engine);
       std::printf("  %-26s %12.3fx busiest/mean\n", "shard balance", balance);
       json.add("giga_skew_4", "balance_ratio", balance, "x");
+      report_barrier(json, "giga_skew_4", r.engine);
     }
   }
 

@@ -127,6 +127,7 @@ void MatrixServer::on_message(const Message& message,
     wiring_.mc_node = announce->mc_node;
     // In-flight lookups died with the MC.
     lookup_base_ += static_cast<std::uint32_t>(lookups_.size());
+    for (ParkedLookup& slot : lookups_) clear_slot(slot);
     lookups_.clear();
     // The old MC's directive died with it: drop the floor (the standby
     // re-clamps within a digest round if pressure persists); its successor
@@ -231,7 +232,7 @@ void MatrixServer::route_tagged_frame(const TaggedPacketView& view,
     TaggedPacket forwarded = view.materialize();
     forwarded.peer_forwarded = true;
     forwarded.target = view.origin;  // ensure delivery at the owner
-    park_lookup(view.origin, std::move(forwarded));
+    park_packet(view.origin, forwarded);
     return;
   }
 
@@ -255,9 +256,27 @@ void MatrixServer::route_tagged_frame(const TaggedPacketView& view,
       ++stats_.nonproximal_lookups;
       TaggedPacket forwarded = view.materialize();
       forwarded.peer_forwarded = true;
-      park_lookup(*view.target, std::move(forwarded));
+      park_packet(*view.target, forwarded);
     }
   }
+}
+
+void MatrixServer::park_packet(Vec2 point, const TaggedPacket& packet) {
+  // Encoded now, sent verbatim on PointOwner: the same bytes the send would
+  // encode then, held in a buffer instead of a decoded packet.
+  ByteWriter writer(network()->rent_buffer());
+  ParkedFrame frame;
+  frame.zero_tail = encode_head_into(writer, packet);
+  frame.head = writer.take();
+  park_lookup(point, std::move(frame));
+}
+
+void MatrixServer::clear_slot(ParkedLookup& slot) {
+  if (auto* frame = std::get_if<ParkedFrame>(&slot.parked)) {
+    parked_frame_bytes_ -= frame->head.capacity();
+    network()->return_buffer(std::move(frame->head));
+  }
+  slot.parked = std::monostate{};
 }
 
 void MatrixServer::park_lookup(Vec2 point, ParkedLookup::Payload parked) {
@@ -269,6 +288,7 @@ void MatrixServer::park_lookup(Vec2 point, ParkedLookup::Payload parked) {
   if (!config_.fault.never_expire_lookups) {
     while (!lookups_.empty() &&
            lookups_.front().issued_at + config_.failsafe.tau1 <= now_at) {
+      clear_slot(lookups_.front());
       lookups_.pop_front();
       expired_end_ = ++lookup_base_;
       ++stats_.lookups_expired;
@@ -283,9 +303,14 @@ void MatrixServer::park_lookup(Vec2 point, ParkedLookup::Payload parked) {
   }
   const auto seq =
       lookup_base_ + static_cast<std::uint32_t>(lookups_.size());
+  if (const auto* frame = std::get_if<ParkedFrame>(&parked)) {
+    parked_frame_bytes_ += frame->head.capacity();
+  }
   lookups_.push_back({now_at, std::move(parked)});
   stats_.pending_lookups_peak =
       std::max<std::uint64_t>(stats_.pending_lookups_peak, lookups_.size());
+  stats_.pending_lookup_peak_bytes = std::max<std::uint64_t>(
+      stats_.pending_lookup_peak_bytes, parked_lookup_bytes());
   send(wiring_.mc_node, PointLookup{point, seq});
 }
 
@@ -308,7 +333,17 @@ void MatrixServer::handle_point_owner(const PointOwner& owner) {
   }
   auto parked = std::exchange(lookups_[index].parked, std::monostate{});
   drain_parked_lookups();
-  if (const auto* query = std::get_if<OwnerQuery>(&parked)) {
+  if (auto* frame = std::get_if<ParkedFrame>(&parked)) {
+    parked_frame_bytes_ -= frame->head.capacity();
+    if (!owner.found) {
+      network()->return_buffer(std::move(frame->head));
+      return;
+    }
+    // The owner is us when the lookup raced a topology change.
+    const NodeId to = owner.matrix_node != node_id() ? owner.matrix_node
+                                                     : wiring_.game_node;
+    network()->send(node_id(), to, std::move(frame->head), frame->zero_tail);
+  } else if (const auto* query = std::get_if<OwnerQuery>(&parked)) {
     OwnerReply reply;
     reply.client = query->client;
     reply.seq = query->seq;
@@ -316,13 +351,6 @@ void MatrixServer::handle_point_owner(const PointOwner& owner) {
     reply.server = owner.server;
     reply.game_node = owner.game_node;
     send(wiring_.game_node, reply);
-  } else if (const auto* packet = std::get_if<TaggedPacket>(&parked)) {
-    if (owner.found && owner.matrix_node != node_id()) {
-      send(owner.matrix_node, *packet);
-    } else if (owner.found) {
-      // We own the point ourselves (lookup raced a topology change).
-      send(wiring_.game_node, *packet);
-    }
   }
 }
 
@@ -856,9 +884,7 @@ void MatrixServer::deactivate() {
   table_versions_.clear();
   // Parked packets are abandoned; parked owner queries are still answered.
   for (ParkedLookup& slot : lookups_) {
-    if (std::holds_alternative<TaggedPacket>(slot.parked)) {
-      slot.parked = std::monostate{};
-    }
+    if (std::holds_alternative<ParkedFrame>(slot.parked)) clear_slot(slot);
   }
   drain_parked_lookups();
   last_report_ = LoadReport{};

@@ -124,6 +124,8 @@ class MatrixServer : public ProtocolNode {
     std::uint64_t late_lookup_replies = 0;
     /// High-water mark of parked_lookups(), in slots.
     std::uint64_t pending_lookups_peak = 0;
+    /// High-water mark of parked_lookup_bytes().
+    std::uint64_t pending_lookup_peak_bytes = 0;
     /// Age of the oldest lookup still parked when a new one is parked
     /// (after expiry), maximum over the run, µs; stays below tau1.
     std::uint64_t lookup_age_peak_us = 0;
@@ -164,12 +166,13 @@ class MatrixServer : public ProtocolNode {
   /// MC point lookups parked awaiting a PointOwner reply, in slots (served
   /// slots behind the oldest unanswered one included).
   [[nodiscard]] std::size_t parked_lookups() const { return lookups_.size(); }
-  /// Bytes the parked-lookup ring holds now, and at its high-water mark.
+  /// Bytes the parked-lookup ring holds now — its slots plus the heap
+  /// bytes of the parked frames — and at its high-water mark.
   [[nodiscard]] std::size_t parked_lookup_bytes() const {
-    return lookups_.size() * sizeof(ParkedLookup);
+    return lookups_.size() * sizeof(ParkedLookup) + parked_frame_bytes_;
   }
   [[nodiscard]] std::size_t parked_lookup_peak_bytes() const {
-    return stats_.pending_lookups_peak * sizeof(ParkedLookup);
+    return stats_.pending_lookup_peak_bytes;
   }
 
   /// The admission valve (src/control/); NORMAL forever unless
@@ -227,14 +230,24 @@ class MatrixServer : public ProtocolNode {
   /// Timer ids; each carries the activation_epoch_ it was armed in.
   enum Timer : std::uint8_t { kFailsafeTimer, kPeerLoadTimer };
 
+  /// A packet to forward once the MC names its owner, parked as the
+  /// encoded frame it will be sent as: the stored head, in a buffer rented
+  /// from the network's pool, and the length of its zero tail.
+  struct ParkedFrame {
+    std::vector<std::uint8_t> head;
+    std::size_t zero_tail = 0;
+  };
   /// One MC point lookup in flight (paper §3.2.4): the packet to forward,
   /// or the game server's owner query to answer, once the PointOwner reply
   /// arrives.  monostate once served or abandoned.
   struct ParkedLookup {
-    using Payload = std::variant<std::monostate, TaggedPacket, OwnerQuery>;
+    using Payload = std::variant<std::monostate, ParkedFrame, OwnerQuery>;
     SimTime issued_at;
     Payload parked;
   };
+  // Up to tau1 of lookups stay parked through an MC outage (~49k slots on
+  // the overload workload): a slot holds a frame's handle, never a packet.
+  static_assert(sizeof(ParkedLookup) <= 64);
 
   struct ChildInfo {
     ServerId server;
@@ -268,6 +281,10 @@ class MatrixServer : public ProtocolNode {
   void handle_point_owner(const PointOwner& owner);
   /// Parks `parked` and sends the MC a PointLookup for `point`.
   void park_lookup(Vec2 point, ParkedLookup::Payload parked);
+  /// Encodes `packet` into a rented buffer and parks it (park_lookup).
+  void park_packet(Vec2 point, const TaggedPacket& packet);
+  /// Empties a slot, returning a parked frame's buffer to the pool.
+  void clear_slot(ParkedLookup& slot);
   /// Pops the served/abandoned slots at the front of the ring.
   void drain_parked_lookups();
 
@@ -357,6 +374,8 @@ class MatrixServer : public ProtocolNode {
   // least tau1 before that expiry, so a reply for one that finds no slot
   // is late.
   std::uint32_t expired_end_ = 1;
+  // Heap bytes (capacity) of the frames parked in lookups_.
+  std::size_t parked_frame_bytes_ = 0;
 
   AdmissionController admission_{config_.admission, config_.overload_clients,
                                  config_.fault.skip_recover_min};

@@ -7,7 +7,7 @@
 //
 // Two interchangeable priority structures sit behind one surface:
 //
-//   * kHeap — the historical 4-ary array heap over 16-byte POD entries.
+//   * kHeap — the historical 4-ary array heap over 32-byte POD entries.
 //     O(log n) per schedule/pop on the full pending set.
 //   * kLadder (default) — a two-tier calendar/ladder queue.  A NEAR tier
 //     (the same small 4-ary heap, restricted to events inside the currently
@@ -30,17 +30,18 @@
 // The golden trace hashes therefore cannot tell the schedulers apart —
 // tests/scheduler_test.cpp pins this with a randomized differential test.
 //
-// Hot-path layout: tier entries are 16-byte PODs (when + a packed seq/slot
-// word) — sift and bucket moves are trivial copies.  A bucket folds into the
-// near heap by swapping storage, and a drained bucket or heap gives back
-// any capacity above kRetainEntries, so tier memory tracks the events
-// pending now rather than the deepest burst of the run.
+// Hot-path layout: tier entries are 32-byte PODs — (when, seq) plus the
+// event's 16-byte typed Record itself — so sift and bucket moves are
+// trivial copies, and step() reads the record from the heap top it just
+// compared, already in cache.  There is no record slab to index and no
+// slot to recycle.  A bucket folds into the near heap by swapping storage,
+// and a drained bucket or heap gives back any capacity above
+// kRetainEntries, so tier memory tracks the events pending now rather than
+// the deepest burst of the run.
 //
-// The slot indexes a slab of 16-byte typed Records (a deque, so slots never
-// move; free slots are threaded into an intrusive LIFO list).  The three
-// kinds every message and tick produces carry their few words of state
-// inline, and step() dispatches them with a switch to the queue's Target
-// (the Network):
+// The three kinds every message and tick produces carry their few words of
+// state inline, and step() dispatches them with a switch to the queue's
+// Target (the Network):
 //
 //   * kDelivery — (destination node, index of the envelope parked in the
 //     shard's in-flight EnvelopeSlab, net/envelope_slab.h);
@@ -48,7 +49,7 @@
 //   * kTimer    — (node, timer id, argument): Node::on_timer.
 //
 // Everything else — scenario scripting, metrics samplers, tests — is a cold
-// kClosure record naming a slot in a second slab of small-buffer-optimized
+// kClosure record naming a slot in a slab of small-buffer-optimized
 // InlineAction callbacks (util/inline_function.h).  Scheduling allocates
 // nothing in steady state.  This is ROSS's fixed-size event struct
 // (Carothers, Bauer & Pearce, JPDC 2002) in place of one type-erased
@@ -133,18 +134,7 @@ class EventQueue {
   /// current instant).
   void schedule_record(SimTime when, Record record) {
     if (when < now_) when = now_;
-    std::uint32_t slot = free_record_;
-    if (slot != kNoSlot) {
-      free_record_ = static_cast<std::uint32_t>(records_[slot].arg);
-    } else {
-      records_.emplace_back();
-      slot = static_cast<std::uint32_t>(records_.size() - 1);
-      // The slot index must fit the packed heap word: a loud tripwire for
-      // an impossible state, not a reachable limit.
-      assert(records_.size() <= kSlotMask + 1);
-    }
-    records_[slot] = record;
-    file_entry(HeapEntry{when, (next_seq_++ << kSlotBits) | slot});
+    file_entry(HeapEntry{when, next_seq_++, record});
     const std::size_t depth = pending();
     if (depth > peak_pending_) peak_pending_ = depth;
   }
@@ -191,10 +181,10 @@ class EventQueue {
   /// High-water mark of simultaneously pending events (all tiers).
   [[nodiscard]] std::size_t peak_pending() const { return peak_pending_; }
 
-  /// Bytes allocated for the tier entries: near heap, ring and sub-rung
-  /// buckets (vector headers plus capacity), and overflow.  Drained buckets
-  /// keep at most kRetainEntries, so this tracks pending events, not the
-  /// run's history.
+  /// Bytes allocated for the tier entries, records included: near heap,
+  /// ring and sub-rung buckets (vector headers plus capacity), and
+  /// overflow.  Drained buckets keep at most kRetainEntries, so this tracks
+  /// pending events, not the run's history.
   [[nodiscard]] std::size_t tier_bytes() const {
     std::size_t entries = heap_.capacity() + overflow_.capacity();
     for (const auto& bucket : buckets_) entries += bucket.capacity();
@@ -203,12 +193,11 @@ class EventQueue {
            (buckets_.capacity() + sub_buckets_.capacity()) *
                sizeof(std::vector<HeapEntry>);
   }
-  /// Bytes of the event slabs: one Record per slot ever allocated (the slab
-  /// grows to peak pending and recycles), plus the closure slots and their
-  /// freelist.
+  /// Bytes of the closure slab: one slot per closure ever simultaneously
+  /// pending (the slab grows to that peak and recycles), plus its
+  /// freelist.  Typed records live in the tier entries (tier_bytes()).
   [[nodiscard]] std::size_t slab_bytes() const {
-    return records_.size() * sizeof(Record) +
-           closures_.size() * sizeof(Action) +
+    return closures_.size() * sizeof(Action) +
            free_closures_.capacity() * sizeof(std::uint32_t);
   }
 
@@ -220,11 +209,7 @@ class EventQueue {
     if (heap_.empty()) settle();
     now_ = top.when;
     ++events_processed_;
-    // Copy the record out and free its slot before dispatch, so events the
-    // handler schedules may reuse it.
-    const std::uint32_t slot = top.slot();
-    const Record record = records_[slot];
-    release_record(slot);
+    const Record& record = top.record;
     assert(record.kind == Kind::kClosure || target_ != nullptr);
     switch (record.kind) {
       case Kind::kClosure: {
@@ -279,31 +264,20 @@ class EventQueue {
   }
 
  private:
-  /// Slot index width inside the packed (seq, slot) word.  2^24 concurrent
-  /// events is far past any workload here (the 100k-client one peaks near
-  /// 111k per shard); sequence numbers keep 40 bits — a trillion events per
-  /// run.
-  static constexpr std::uint64_t kSlotBits = 24;
-  static constexpr std::uint64_t kSlotMask = (1ULL << kSlotBits) - 1;
-
-  /// 16-byte tier entry: time plus (seq << 24 | slot).  Comparing the packed
-  /// word on time ties orders by sequence — the slot bits can never decide,
-  /// because sequence numbers are unique.
+  /// 32-byte tier entry: time, sequence number and the record itself.
+  /// Sequence numbers are unique, so (when, seq) is a total order.
   struct HeapEntry {
     SimTime when;
-    std::uint64_t seq_slot;
-
-    [[nodiscard]] std::uint32_t slot() const {
-      return static_cast<std::uint32_t>(seq_slot & kSlotMask);
-    }
+    std::uint64_t seq;
+    Record record;
 
     /// Min-heap order: earliest time, then lowest sequence.
     [[nodiscard]] bool before(const HeapEntry& other) const {
       if (when != other.when) return when < other.when;
-      return seq_slot < other.seq_slot;
+      return seq < other.seq;
     }
   };
-  static_assert(sizeof(HeapEntry) == 16);
+  static_assert(sizeof(HeapEntry) == 32);
 
   static constexpr std::size_t kArity = 4;
   /// Bucket-ring size.  Fixed (a power of two, ~48KB of vector headers,
@@ -325,15 +299,6 @@ class EventQueue {
   /// Width ceiling: keeps ring_end arithmetic far from SimTime overflow
   /// even for degenerate month-out timer sets.
   static constexpr std::int64_t kMaxWidthUs = 3'600'000'000;  // 1 hour
-
-  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
-
-  /// Pushes a record slot onto the intrusive free list (threaded through
-  /// the free records' arg words).
-  void release_record(std::uint32_t slot) {
-    records_[slot].arg = free_record_;
-    free_record_ = slot;
-  }
 
   /// Routes a new entry to its tier.  Near events (when < near_end_, the
   /// exclusive top of the range already folded into the near heap) take the
@@ -582,11 +547,8 @@ class EventQueue {
   // Overflow tier: unsorted events at or past ring_end, re-filed at reseed.
   std::vector<HeapEntry> overflow_;
 
-  // Record slab, indexed by HeapEntry::slot; free slots form a LIFO list
-  // from free_record_.  Closure slab, indexed by a kClosure record's arg —
-  // a deque so a running closure stays put while it schedules.
-  std::deque<Record> records_;
-  std::uint32_t free_record_ = kNoSlot;
+  // Closure slab, indexed by a kClosure record's arg — a deque so a running
+  // closure stays put while it schedules.
   std::deque<Action> closures_;
   std::vector<std::uint32_t> free_closures_;
   Target* target_ = nullptr;

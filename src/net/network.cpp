@@ -31,6 +31,55 @@ constexpr std::uint64_t kShardSeedStride = 0x9E3779B97F4A7C15ULL;
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;
 
+/// Bounds of a barrier waiter's spin budget, in pause instructions (one is
+/// ~18 ns on a Skylake-class Xeon: ~4.6 µs to ~0.6 ms).  A worker that
+/// finished its window waits for the slowest shard and then the merge step,
+/// ~0.15 ms per window on the 100k-client run at K=2, and should catch the
+/// next window spinning: a futex wake-up costs more than that gap.  But a
+/// spin only pays while the thread it waits for is running; on an
+/// oversubscribed host it burns the core that thread needs (beside three
+/// CPU hogs on four cores, a fixed ~36 µs spin ran a K=4 deployment 7x
+/// slower than parking at once).  So each waiter doubles its budget after a
+/// wait its spin satisfied and halves it after one that had to park.
+constexpr int kSpinMin = 1 << 8;
+constexpr int kSpinMax = 1 << 15;
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Waits until `word` no longer holds `old` and returns the new value:
+/// spins up to `budget` loads, then parks with std::atomic::wait, and
+/// adapts `budget` (the caller's own, see kSpinMax) to how that went.
+std::uint32_t await_change(const std::atomic<std::uint32_t>& word,
+                           std::uint32_t old, int& budget) {
+  for (int i = 0; i < budget; ++i) {
+    const std::uint32_t now = word.load(std::memory_order_acquire);
+    if (now != old) {
+      budget = std::min(budget * 2, kSpinMax);
+      return now;
+    }
+    cpu_relax();
+  }
+  budget = std::max(budget / 2, kSpinMin);
+  for (;;) {
+    word.wait(old, std::memory_order_acquire);
+    const std::uint32_t now = word.load(std::memory_order_acquire);
+    if (now != old) return now;
+  }
+}
+
+std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point start) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+}
+
 /// kFnvPrime^n (mod 2^64), by squaring.
 std::uint64_t fnv_prime_pow(std::uint64_t n) {
   std::uint64_t result = 1;
@@ -453,6 +502,13 @@ void Network::run_one_window(Shard& shard, SimTime end, bool inclusive) {
   tls_shard_ = nullptr;
 }
 
+void Network::run_timed_window(Shard& shard, SimTime end, bool inclusive) {
+  const auto start = std::chrono::steady_clock::now();
+  run_one_window(shard, end, inclusive);
+  shard.window_active_ns = elapsed_ns(start);
+  shard.active_wall_ns += shard.window_active_ns;
+}
+
 void Network::run_windows(SimTime end, bool inclusive) {
   if (!use_threads_) {
     for (auto& shard : shards_) run_one_window(*shard, end, inclusive);
@@ -460,19 +516,27 @@ void Network::run_windows(SimTime end, bool inclusive) {
   }
   start_workers();
   const auto wall_start = std::chrono::steady_clock::now();
-  {
-    std::unique_lock<std::mutex> lock(work_mutex_);
-    window_end_ = end;
-    window_inclusive_ = inclusive;
-    work_pending_ = shards_.size();
-    ++work_generation_;
-    work_cv_.notify_all();
-    done_cv_.wait(lock, [this] { return work_pending_ == 0; });
+  window_end_ = end;
+  window_inclusive_ = inclusive;
+  work_pending_.store(static_cast<std::uint32_t>(workers_.size()),
+                      std::memory_order_relaxed);
+  // The release bump publishes the window (and the pending count) to every
+  // worker that acquires the new generation.
+  work_generation_.fetch_add(1, std::memory_order_release);
+  work_generation_.notify_all();
+  run_timed_window(*shards_.front(), end, inclusive);
+  for (std::uint32_t pending = work_pending_.load(std::memory_order_acquire);
+       pending != 0;) {
+    pending = await_change(work_pending_, pending, spin_budget_);
   }
-  windows_wall_us_ += static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - wall_start)
-          .count());
+  windows_wall_ns_ += elapsed_ns(wall_start);
+  std::uint64_t slowest = 0;
+  std::uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    slowest = std::max(slowest, shard->window_active_ns);
+    total += shard->window_active_ns;
+  }
+  windows_imbalance_ns_ += slowest * shards_.size() - total;
 }
 
 void Network::merge_mailboxes() {
@@ -528,49 +592,39 @@ void Network::merge_trace_ops() {
 
 void Network::start_workers() {
   if (!workers_.empty()) return;
-  workers_.reserve(shards_.size());
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+  // Each worker starts from the generation current at its spawn: one that
+  // read it after starting could miss the first window's bump and wait for
+  // a second one that never comes.
+  const std::uint32_t spawned_at =
+      work_generation_.load(std::memory_order_relaxed);
+  spin_budget_ = kSpinMax;
+  workers_.reserve(shards_.size() - 1);
+  for (std::size_t i = 1; i < shards_.size(); ++i) {
+    workers_.emplace_back([this, i, spawned_at] { worker_loop(i, spawned_at); });
   }
 }
 
 void Network::stop_workers() {
   if (workers_.empty()) return;
-  {
-    std::lock_guard<std::mutex> lock(work_mutex_);
-    workers_stop_ = true;
-  }
-  work_cv_.notify_all();
+  workers_stop_ = true;
+  work_generation_.fetch_add(1, std::memory_order_release);
+  work_generation_.notify_all();
   for (std::thread& worker : workers_) worker.join();
   workers_.clear();
   workers_stop_ = false;
 }
 
-void Network::worker_loop(std::size_t index) {
-  std::uint64_t seen = 0;
+void Network::worker_loop(std::size_t index, std::uint32_t seen) {
+  Shard& shard = *shards_[index];
+  int spin_budget = kSpinMax;
   for (;;) {
-    SimTime end{};
-    bool inclusive = false;
-    {
-      std::unique_lock<std::mutex> lock(work_mutex_);
-      work_cv_.wait(lock, [this, seen] {
-        return workers_stop_ || work_generation_ != seen;
-      });
-      if (workers_stop_) return;
-      seen = work_generation_;
-      end = window_end_;
-      inclusive = window_inclusive_;
-    }
-    const auto active_start = std::chrono::steady_clock::now();
-    run_one_window(*shards_[index], end, inclusive);
-    const auto active_us = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - active_start)
-            .count());
-    {
-      std::lock_guard<std::mutex> lock(work_mutex_);
-      shards_[index]->active_wall_us += active_us;
-      if (--work_pending_ == 0) done_cv_.notify_one();
+    seen = await_change(work_generation_, seen, spin_budget);
+    if (workers_stop_) return;
+    run_timed_window(shard, window_end_, window_inclusive_);
+    // The last worker out wakes the calling thread if it parked; the
+    // acq_rel decrement hands it this shard's window (and its timing).
+    if (work_pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      work_pending_.notify_one();
     }
   }
 }
@@ -619,7 +673,7 @@ std::uint64_t Network::bytes_matching(
 
 Network::EngineStats Network::engine_stats() const {
   EngineStats stats;
-  std::uint64_t active_us = 0;
+  std::uint64_t active_ns = 0;
   stats.shard_events.reserve(shards_.size());
   for (const auto& shard : shards_) {
     stats.events_processed += shard->events.events_processed();
@@ -631,7 +685,7 @@ Network::EngineStats Network::engine_stats() const {
     stats.buffers_reused += shard->pool.counters().reused;
     stats.buffers_idle += shard->pool.idle();
     stats.cross_shard_messages += shard->cross_sends;
-    active_us += shard->active_wall_us;
+    active_ns += shard->active_wall_ns;
   }
   stats.events_processed += control_queue_.events_processed();
   stats.node_table_bytes = nodes_.capacity() * sizeof(NodeState);
@@ -657,9 +711,12 @@ Network::EngineStats Network::engine_stats() const {
   }
   stats.windows = windows_;
   // Stall = dispatch wall time summed over shards minus the time shards
-  // actually ran: what every core spent waiting on the slowest sibling.
-  const std::uint64_t dispatched = windows_wall_us_ * shards_.size();
-  stats.window_stall_us = dispatched > active_us ? dispatched - active_us : 0;
+  // actually ran: what every core spent waiting on the slowest sibling or
+  // on the handoff itself.
+  const std::uint64_t dispatched = windows_wall_ns_ * shards_.size();
+  stats.window_stall_us =
+      dispatched > active_ns ? (dispatched - active_ns) / 1000 : 0;
+  stats.window_imbalance_us = windows_imbalance_ns_ / 1000;
   return stats;
 }
 

@@ -23,7 +23,8 @@
 // (net/link_table.h).  Receive queues are intrusive FIFOs threaded through
 // one slab per shard, and messages on the wire are parked in a second one
 // (net/envelope_slab.h); each pending delivery, service completion and node
-// timer is a 16-byte typed event record (net/event_queue.h).  Message
+// timer is a 16-byte typed event record carried inside its scheduler entry
+// (net/event_queue.h).  Message
 // payload storage is recycled through per-shard BufferPools once the
 // receiving handler returns; only a frame's head is stored, its zero tail
 // travels as a count (net/message.h).
@@ -39,11 +40,10 @@
 // traces; any fixed K is run-to-run deterministic, threaded or not.
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -166,8 +166,9 @@ class Network : private EventQueue::Target {
   /// called before any node is attached or event scheduled; Deployment does
   /// so from Config::engine.  With one shard (the default) the engine is
   /// serial and byte-identical to the historical behavior.  `use_threads`
-  /// runs shard windows on persistent workers; results are identical either
-  /// way (the determinism contract), threads only buy wall-clock.
+  /// runs shard 0's windows on the calling thread and shards 1..K−1's on
+  /// persistent worker threads; results are identical either way (the
+  /// determinism contract), threads only buy wall-clock.
   void configure_shards(std::size_t count, bool use_threads = true);
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] bool sharded() const { return shards_.size() > 1; }
@@ -234,6 +235,10 @@ class Network : private EventQueue::Target {
   /// after the receiving handler runs.  See util/buffer_pool.h.
   [[nodiscard]] std::vector<std::uint8_t> rent_buffer() {
     return current_shard().pool.acquire();
+  }
+  /// Hands back a rented buffer that will not be sent.
+  void return_buffer(std::vector<std::uint8_t>&& buffer) {
+    current_shard().pool.release(std::move(buffer));
   }
 
   // ---- time ---------------------------------------------------------------
@@ -307,10 +312,15 @@ class Network : private EventQueue::Target {
     std::size_t buffers_idle = 0;         ///< freelist depth right now
     std::uint64_t cross_shard_messages = 0;  ///< sends merged through mailboxes
     std::uint64_t windows = 0;            ///< barrier windows executed
-    /// Wall-clock µs shards spent parked at window barriers waiting for the
-    /// slowest sibling (threaded runs only; 0 sequential).  The direct
-    /// measure of shard imbalance.
+    /// Wall-clock µs shards spent at window barriers not running their own
+    /// window: dispatch wall time × K − Σ shard active time (threaded runs
+    /// only; 0 sequential).  Imbalance plus handoff.
     std::uint64_t window_stall_us = 0;
+    /// The imbalance part of window_stall_us: Σ over windows of
+    /// (K × slowest shard's active time − Σ shard active times), what the
+    /// barrier would cost with a free handoff (threaded runs only).
+    /// window_stall_us − window_imbalance_us is the handoff itself.
+    std::uint64_t window_imbalance_us = 0;
     std::vector<std::uint64_t> shard_events;  ///< per-shard events executed
     /// Memory, in bytes of allocated capacity — a pure function of seed,
     /// Config and shard count.
@@ -436,9 +446,11 @@ class Network : private EventQueue::Target {
     /// tally and return to another's, so only the sum over shards is the
     /// in-flight total.
     std::int64_t payload_inflight_bytes = 0;
-    /// Wall-clock µs this shard spent actively running windows (threaded
-    /// runs; written under work_mutex_, read at barriers).
-    std::uint64_t active_wall_us = 0;
+    /// Wall-clock ns this shard spent actively running windows, in total
+    /// and in the last window (threaded runs; written by the shard's own
+    /// thread, read by the calling thread once the barrier has released).
+    std::uint64_t active_wall_ns = 0;
+    std::uint64_t window_active_ns = 0;
     /// outbox[k]: mail for shard k, in send order.
     std::vector<std::vector<Mail>> outbox;
   };
@@ -512,11 +524,14 @@ class Network : private EventQueue::Target {
   void run_sharded(SimTime t);
   void run_windows(SimTime end, bool inclusive);
   void run_one_window(Shard& shard, SimTime end, bool inclusive);
+  /// run_one_window, timed into the shard's active_wall_ns and
+  /// window_active_ns.
+  void run_timed_window(Shard& shard, SimTime end, bool inclusive);
   void merge_mailboxes();
   void merge_trace_ops();
   void start_workers();
   void stop_workers();
-  void worker_loop(std::size_t index);
+  void worker_loop(std::size_t index, std::uint32_t seen);
 
   // constinit: other translation units then read it directly instead of
   // through a TLS wrapper function (which UBSan flags as a null load).
@@ -531,9 +546,11 @@ class Network : private EventQueue::Target {
   EventQueue::Scheduler scheduler_ = EventQueue::Scheduler::kLadder;
   std::uint64_t seed_ = 0;
   std::uint64_t windows_ = 0;
-  /// Total wall-clock µs spent inside threaded window dispatches (control
+  /// Total wall-clock ns spent inside threaded window dispatches (calling
   /// thread measurement; engine_stats derives barrier stall from it).
-  std::uint64_t windows_wall_us_ = 0;
+  std::uint64_t windows_wall_ns_ = 0;
+  /// Σ over threaded windows of K × max − Σ shard window_active_ns.
+  std::uint64_t windows_imbalance_ns_ = 0;
 
   std::vector<NodeState> nodes_;       // dense, index = NodeId::value()
   LinkConfig default_link_;
@@ -548,15 +565,19 @@ class Network : private EventQueue::Target {
   std::vector<Mail> merge_scratch_;
 
   // ---- worker pool (sharded + threads) ------------------------------------
+  // Shard 0 runs on the calling thread; workers_[i] serves shard i + 1.
+  // One window = one generation: the calling thread publishes window_end_
+  // and window_inclusive_, sets work_pending_ to K − 1 and bumps
+  // work_generation_ (release); each worker counts work_pending_ down when
+  // its window is done.  Both sides spin briefly, then park on the atomic
+  // itself (futex-backed std::atomic::wait).
   std::vector<std::thread> workers_;
-  std::mutex work_mutex_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::uint64_t work_generation_ = 0;
-  std::size_t work_pending_ = 0;
+  std::atomic<std::uint32_t> work_generation_{0};
+  std::atomic<std::uint32_t> work_pending_{0};
   SimTime window_end_{};
   bool window_inclusive_ = false;
-  bool workers_stop_ = false;
+  bool workers_stop_ = false;  // published by a generation bump
+  int spin_budget_ = 0;  // the calling thread's (see await_change)
 };
 
 inline void Node::set_timer(SimTime delay, std::uint8_t timer,

@@ -20,6 +20,8 @@ Registry collect_registry(Deployment& deployment) {
   registry.gauge("engine.buffers_idle",
                  static_cast<double>(engine.buffers_idle));
   registry.counter("engine.window_stall_us", engine.window_stall_us, "us");
+  registry.counter("engine.window_imbalance_us", engine.window_imbalance_us,
+                   "us");
   registry.gauge("engine.mem.node_table_bytes",
                  static_cast<double>(engine.node_table_bytes), "bytes");
   registry.gauge("engine.mem.link_table_bytes",

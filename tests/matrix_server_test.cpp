@@ -730,9 +730,29 @@ TEST_F(ParkedLookupTest, LongOutageParksOnlyTheLastTau1OfLookups) {
   EXPECT_LT(stats.lookup_age_peak_us, static_cast<std::uint64_t>(tau1_.us()));
   EXPECT_EQ(stats.late_lookup_replies, 0u);
   EXPECT_GT(server(0).parked_lookup_bytes(), 0u);
-  EXPECT_EQ(server(0).parked_lookup_peak_bytes(),
-            server(0).parked_lookup_bytes() / server(0).parked_lookups() *
-                peak);
+  EXPECT_GE(server(0).parked_lookup_peak_bytes(),
+            server(0).parked_lookup_bytes());
+}
+
+TEST_F(ParkedLookupTest, RingBytesCountTheParkedFrames) {
+  // An owner query is a bare slot; a parked packet adds its encoded frame.
+  const PointLookup to_query = owner_query();
+  const std::size_t slot = server(0).parked_lookup_bytes();
+  ASSERT_GT(slot, 0u);
+  const PointLookup to_stray = stray();
+  const std::size_t with_frame = server(0).parked_lookup_bytes();
+  EXPECT_GT(with_frame, 2 * slot);
+  EXPECT_EQ(server(0).parked_lookup_peak_bytes(), with_frame);
+
+  // Served behind the unanswered query, the packet's slot stays in the ring
+  // but its frame is gone; the peak keeps the frame.
+  reply(to_stray);
+  EXPECT_EQ(game(1).count<TaggedPacket>(), 1u);
+  EXPECT_EQ(server(0).parked_lookups(), 2u);
+  EXPECT_EQ(server(0).parked_lookup_bytes(), 2 * slot);
+  EXPECT_EQ(server(0).parked_lookup_peak_bytes(), with_frame);
+  reply(to_query);
+  EXPECT_EQ(server(0).parked_lookup_bytes(), 0u);
 }
 
 TEST_F(ParkedLookupTest, ReplyInsideTheDeadlineIsServedOnEveryPath) {

@@ -8,7 +8,9 @@
 // pinned there too).  This file exercises the engine directly.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -198,6 +200,68 @@ TEST(ShardEngineTest, TraceMergeCoversMoreThanSixtyFourShards) {
 }
 
 // ---------------------------------------------------------------------------
+// The threaded barrier: shard 0 on the calling thread, K−1 workers that spin
+// and then park on a generation counter
+// ---------------------------------------------------------------------------
+
+/// One sink per shard; the sink on shard 0 pings every other sink at t=0.
+struct PingNet {
+  explicit PingNet(std::size_t shards) : sinks(shards) {
+    net.configure_shards(shards, /*use_threads=*/true);
+    const NodeConfig instant{0_us, 0_us, std::nullopt};
+    for (std::size_t i = 0; i < shards; ++i) net.attach(&sinks[i], instant, i);
+    net.set_default_link({300_us, 0.0, 0.0});
+    for (std::size_t i = 1; i < shards; ++i) {
+      net.send(sinks[0].node_id(), sinks[i].node_id(), {1});
+    }
+  }
+  Network net;
+  std::vector<Recorder> sinks;
+};
+
+TEST(ShardEngineTest, FreshWorkersServeTheRunAfterTheFirstWindow) {
+  // Workers spawn on the first window dispatch.  One that took its starting
+  // generation after that dispatch's bump would wait for a later bump
+  // forever, and the second run_until would never return.
+  for (const std::size_t shards : {2u, 4u}) {
+    for (int round = 0; round < 200; ++round) {
+      PingNet ping(shards);
+      ping.net.run_until(100_us);  // one window: spawns the workers
+      ping.net.run_until(1_ms);    // runs on the workers just spawned
+      for (std::size_t i = 1; i < shards; ++i) {
+        ASSERT_EQ(ping.sinks[i].received.size(), 1u)
+            << "K=" << shards << " round " << round << " shard " << i;
+      }
+    }
+  }
+}
+
+TEST(ShardEngineTest, ParkedWorkersStopOnReconfigureAndDestroy) {
+  // A worker parks once its spin (at most ~0.6 ms) runs out;
+  // configure_shards and the destructor must still wake and join it.
+  Network net;
+  net.configure_shards(4, /*use_threads=*/true);
+  net.run_until(1_ms);  // an empty window still spawns the workers
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  net.configure_shards(2, /*use_threads=*/true);
+  EXPECT_EQ(net.shard_count(), 2u);
+  {
+    PingNet ping(4);
+    ping.net.run_until(1_ms);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }  // destroyed with three workers parked
+  // The reconfigured network's new workers serve windows.
+  Recorder a, b;
+  net.attach(&a, {0_us, 0_us, std::nullopt}, 0);
+  net.attach(&b, {0_us, 0_us, std::nullopt}, 1);
+  net.set_default_link({300_us, 0.0, 0.0});
+  net.send(a.node_id(), b.node_id(), {1});
+  net.run_until(5_ms);
+  ASSERT_EQ(b.received.size(), 1u);
+  EXPECT_EQ(b.received[0].delivered_at, 1_ms + 300_us);
+}
+
+// ---------------------------------------------------------------------------
 // Deployment-level: full scenarios under K=4, threaded and sequential
 // ---------------------------------------------------------------------------
 
@@ -263,6 +327,9 @@ TEST(ShardEngineTest, ShardedDeploymentServesClients) {
   const Network::EngineStats stats = deployment.network().engine_stats();
   EXPECT_GT(stats.cross_shard_messages, 0u);
   EXPECT_GT(stats.windows, 0u);
+  // Each window's dispatch spans its slowest shard, so the imbalance is the
+  // part of the stall that a free handoff would leave.
+  EXPECT_LE(stats.window_imbalance_us, stats.window_stall_us);
 }
 
 }  // namespace
