@@ -19,7 +19,7 @@
 //                synchronization overhead honestly instead).
 //
 // A second hold model replays the pending-event mix of the 100k-client
-// workload at its peak depth, as typed records and as closures.
+// workload at its peak depth, as the engine schedules it: typed records.
 //
 // Alongside throughput it reports the engine counters (events processed,
 // peak event-heap depth, payload-buffer reuse rate) and the memory gauges
@@ -96,12 +96,8 @@ void run_scheduler_microbench(JsonReport& json) {
 // engine's real pending set at the 100k-client workload's peak (~111k events
 // per shard at K=2) is 55% message deliveries, each carrying a 56-B
 // Envelope, and 45% node timers, landing ~50 ms out.  This model holds that
-// mix at that depth twice: as the engine schedules it — 16-B typed records
-// inside the 32-B scheduler entries, envelopes parked in an EnvelopeSlab —
-// and as closures of the same captures
-// ([sink, dst, Envelope] and [sink, node, epoch]).  A 72-B delivery capture
-// exceeds InlineAction's inline budget, so the closure run's deliveries take
-// the heap fallback.
+// mix at that depth as the engine schedules it: 16-B typed records inside
+// the 32-B scheduler entries, envelopes parked in an EnvelopeSlab.
 constexpr std::size_t kGigaMixDepth = 111'000;
 volatile std::uint64_t g_hold_checksum = 0;
 
@@ -117,7 +113,7 @@ struct HoldSink final : EventQueue::Target {
   }
 };
 
-double giga_mix_ns_per_op(bool typed, std::uint64_t ops) {
+double giga_mix_ns_per_op(std::uint64_t ops) {
   EventQueue queue;
   HoldSink sink;
   queue.set_target(&sink);
@@ -131,25 +127,12 @@ double giga_mix_ns_per_op(bool typed, std::uint64_t ops) {
       env.src = node;
       env.dst = node;
       env.sent_at = queue.now();
-      if (typed) {
-        queue.schedule_record(
-            when, EventQueue::Record::delivery(
-                      node, sink.inflight.park(std::move(env))));
-      } else {
-        queue.schedule_at(when, [s = &sink, node, env = std::move(env)] {
-          s->sum += env.src.value() ^ node.value();
-        });
-      }
+      queue.schedule_record(
+          when, EventQueue::Record::delivery(
+                    node, sink.inflight.park(std::move(env))));
     } else {
-      const std::uint64_t epoch = rng.next_below(4);
-      if (typed) {
-        queue.schedule_record(when,
-                              EventQueue::Record::timer_tick(node, 0, epoch));
-      } else {
-        queue.schedule_at(when, [s = &sink, node, epoch] {
-          s->sum += node.value() ^ epoch;
-        });
-      }
+      queue.schedule_record(
+          when, EventQueue::Record::timer_tick(node, 0, rng.next_below(4)));
     }
   };
   for (std::size_t i = 0; i < kGigaMixDepth; ++i) schedule_one();
@@ -167,14 +150,11 @@ double giga_mix_ns_per_op(bool typed, std::uint64_t ops) {
 
 void run_giga_mix_microbench(JsonReport& json) {
   const std::uint64_t ops = 2'000'000;
-  const double typed = giga_mix_ns_per_op(true, ops);
-  const double closures = giga_mix_ns_per_op(false, ops);
+  const double typed = giga_mix_ns_per_op(ops);
   std::printf("\n[giga event mix at %zu pending: ns per pop or push]\n",
               kGigaMixDepth);
   std::printf("  %-26s %12.1f\n", "typed records", typed);
-  std::printf("  %-26s %12.1f\n", "closures", closures);
   json.add("sched_giga_mix", "typed_ns_per_op", typed, "ns");
-  json.add("sched_giga_mix", "closure_ns_per_op", closures, "ns");
 }
 
 /// The giga crowd with every hotspot confined to the TOP HALF of the world.

@@ -38,8 +38,8 @@
 // Each label also reports pending_lookup_peak_bytes: the most the matrix
 // servers' parked MC point lookups held (core/matrix_server.h), a ceiling
 // in bench/baselines/mc_outage_baseline.json.  Lookups expire after
-// failsafe.tau1 whether or not the failsafe is on, so the outage's 60 s
-// must not grow it.
+// tau1 (kFailsafeTau1) whether or not the failsafe is on, so the outage's
+// 60 s must not grow it.
 #include "bench_common.h"
 #include "control/control_plane.h"
 
@@ -103,8 +103,8 @@ DeploymentOptions deployment_options(bool failsafe_on) {
   options.config.admission.global.recover_min = 4_sec;
   options.config.admission.global.directive_interval = 1_sec;
 
-  // The knob under test.  Defaults: 1s beats, tau1 3s, tau2 8s — a dead MC
-  // is survived in under ten seconds.
+  // The knob under test.  Fixed timing: 1s beats, tau1 3s, tau2 8s — a dead
+  // MC is survived in under ten seconds.
   options.config.failsafe.enabled = failsafe_on;
 
   options.spec = bzflag_like();
@@ -183,14 +183,13 @@ RunResult run_one(bool failsafe_on, const char* label, JsonReport& report) {
                          : 0.0;
   result.admission = collect_admission(deployment);
 
-  const FailsafeConfig& failsafe = deployment.options().config.failsafe;
   const auto account = [&](const ControlPlane& plane) {
     result.failsafe_transitions += plane.transitions().size();
     for (const FailsafeTransition& t : plane.transitions()) {
       if (t.to == FailsafeState::kFallback) ++result.fallback_entries;
     }
     result.held_drops += plane.stats().held_drops;
-    if (!failsafe_timeline_valid(plane.transitions(), failsafe)) {
+    if (!failsafe_timeline_valid(plane.transitions())) {
       result.timelines_valid = false;
     }
     if (plane.state() != FailsafeState::kNormal) {

@@ -19,7 +19,7 @@ AdmissionController::AdmissionController(const AdmissionConfig& config,
                                          bool skip_recover_min)
     : config_(config),
       overload_clients_(overload_clients),
-      skip_recover_min_(skip_recover_min) {}
+      valve_(config.dwell, config.recover_min, skip_recover_min) {}
 
 AdmissionState AdmissionController::target_for(
     const AdmissionSignals& signals) const {
@@ -56,12 +56,19 @@ AdmissionState AdmissionController::target_for(
   return AdmissionState::kNormal;
 }
 
-void AdmissionController::transition(SimTime now, AdmissionState to) {
+bool AdmissionController::observe(SimTime now,
+                                  const AdmissionSignals& signals) {
+  if (!config_.enabled) return false;
+  ++observations_;
+  return valve_.step(now, target_for(signals));
+}
+
+void AdmissionHysteresis::transition(SimTime now, AdmissionState to) {
   transitions_.push_back({now, state_, to});
   if (to > state_) {
-    ++stats_.escalations;
+    ++escalations_;
   } else {
-    ++stats_.relaxations;
+    ++relaxations_;
   }
   state_ = to;
   last_transition_ = now;
@@ -69,15 +76,11 @@ void AdmissionController::transition(SimTime now, AdmissionState to) {
   calm_ = false;  // any change re-arms the stability window
 }
 
-bool AdmissionController::observe(SimTime now,
-                                  const AdmissionSignals& signals) {
-  if (!config_.enabled) return false;
-  ++stats_.observations;
-  const AdmissionState target = target_for(signals);
-
+bool AdmissionHysteresis::step(SimTime now, AdmissionState target) {
   if (target > state_) {
-    // Escalation is immediate: a saturated server must close the valve now,
-    // regardless of dwell — oscillation is prevented on the way down.
+    // Escalation is immediate: a saturated server (or deployment) must
+    // close the valve now, regardless of dwell — oscillation is prevented
+    // on the way down.
     transition(now, target);
     return true;
   }
@@ -96,9 +99,9 @@ bool AdmissionController::observe(SimTime now,
   }
   // ...and only step down (one level at a time) once that window reaches
   // recover_min and the dwell time since the last change has passed.
-  const bool dwell_ok = !ever_transitioned_ || now - last_transition_ >= config_.dwell;
-  const bool recovered = skip_recover_min_ ||
-                         now - calm_since_ >= config_.recover_min;
+  const bool dwell_ok = !ever_transitioned_ || now - last_transition_ >= dwell_;
+  const bool recovered =
+      skip_recover_min_ || now - calm_since_ >= recover_min_;
   if (dwell_ok && recovered) {
     transition(now, static_cast<AdmissionState>(
                         static_cast<std::uint8_t>(state_) - 1));
@@ -107,14 +110,13 @@ bool AdmissionController::observe(SimTime now,
   return false;
 }
 
-bool AdmissionController::lifetime_timeline_valid() const {
-  return lifetime_timeline_valid_ &&
-         admission_timeline_valid(transitions_, config_);
+bool AdmissionHysteresis::lifetime_valid() const {
+  return lifetime_valid_ &&
+         admission_timeline_valid(transitions_, dwell_, recover_min_);
 }
 
-void AdmissionController::reset(SimTime now) {
-  lifetime_timeline_valid_ =
-      lifetime_timeline_valid_ && admission_timeline_valid(transitions_, config_);
+void AdmissionHysteresis::reset(SimTime now) {
+  lifetime_valid_ = lifetime_valid();
   state_ = AdmissionState::kNormal;
   last_transition_ = now;
   calm_ = false;
@@ -123,7 +125,7 @@ void AdmissionController::reset(SimTime now) {
 }
 
 bool admission_timeline_valid(const std::vector<AdmissionTransition>& timeline,
-                              const AdmissionConfig& config) {
+                              SimTime dwell, SimTime recover_min) {
   for (std::size_t i = 0; i < timeline.size(); ++i) {
     const AdmissionTransition& t = timeline[i];
     if (t.to == t.from) return false;  // self-transitions are forbidden
@@ -138,7 +140,7 @@ bool admission_timeline_valid(const std::vector<AdmissionTransition>& timeline,
       }
       if (i > 0) {
         const SimTime gap = t.at - timeline[i - 1].at;
-        if (gap < config.dwell || gap < config.recover_min) return false;
+        if (gap < dwell || gap < recover_min) return false;
       }
     }
   }

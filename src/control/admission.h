@@ -24,7 +24,8 @@
 // `recover_min`, no transition may follow another within `dwell`, and
 // relaxation steps down one level at a time (HARD→SOFT→NORMAL).  Those three
 // rules are machine-checkable on the recorded timeline; see
-// admission_timeline_valid().
+// admission_timeline_valid().  One AdmissionHysteresis machine applies them,
+// here and for the coordinator's directive floor (global_admission.h).
 //
 // Knobs live in AdmissionConfig (core/config.h); the subsystem is disabled
 // by default so the paper-faithful benches are untouched.
@@ -93,6 +94,69 @@ struct AdmissionTransition {
   AdmissionState to = AdmissionState::kNormal;
 };
 
+/// Counts of one admission machine's life.
+struct AdmissionStats {
+  std::uint64_t observations = 0;
+  std::uint64_t escalations = 0;
+  std::uint64_t relaxations = 0;
+};
+
+/// The hysteresis machine behind every admission timeline — each server's
+/// valve and the coordinator's directive floor.  It moves toward a target
+/// severity: up at once, down one level at a time, and only after the
+/// target has sat below the current state continuously for `recover_min`
+/// and `dwell` has passed since the last transition.
+class AdmissionHysteresis {
+ public:
+  /// `skip_recover_min` plants FaultConfig::skip_recover_min (tests only):
+  /// relaxation waits out the dwell but not the calm window, while the
+  /// timeline is still judged against the real recover_min.
+  AdmissionHysteresis(SimTime dwell, SimTime recover_min,
+                      bool skip_recover_min = false)
+      : dwell_(dwell),
+        recover_min_(recover_min),
+        skip_recover_min_(skip_recover_min) {}
+
+  /// Applies the transition rules toward `target`.  Returns true when the
+  /// state changed.
+  bool step(SimTime now, AdmissionState target);
+
+  /// Returns to NORMAL with an empty timeline, folding the old timeline's
+  /// validity into lifetime_valid() first.
+  void reset(SimTime now);
+
+  [[nodiscard]] AdmissionState state() const { return state_; }
+  /// Transition timeline since construction or the last reset().
+  [[nodiscard]] const std::vector<AdmissionTransition>& transitions() const {
+    return transitions_;
+  }
+  /// Hysteresis-contract check over the machine's WHOLE life, so a
+  /// violation can never be laundered by a reset.
+  [[nodiscard]] bool lifetime_valid() const;
+  /// Transitions up and down since construction (resets included).
+  [[nodiscard]] std::uint64_t escalations() const { return escalations_; }
+  [[nodiscard]] std::uint64_t relaxations() const { return relaxations_; }
+
+ private:
+  void transition(SimTime now, AdmissionState to);
+
+  SimTime dwell_;
+  SimTime recover_min_;
+  bool skip_recover_min_;
+
+  AdmissionState state_ = AdmissionState::kNormal;
+  SimTime last_transition_{};
+  /// Start of the current continuous below-state-severity window; only
+  /// meaningful while calm_.
+  SimTime calm_since_{};
+  bool calm_ = false;
+  bool ever_transitioned_ = false;
+  bool lifetime_valid_ = true;
+  std::uint64_t escalations_ = 0;
+  std::uint64_t relaxations_ = 0;
+  std::vector<AdmissionTransition> transitions_;
+};
+
 class AdmissionController {
  public:
   /// `skip_recover_min` plants FaultConfig::skip_recover_min (tests only).
@@ -104,7 +168,7 @@ class AdmissionController {
   /// when the admission state changed.
   bool observe(SimTime now, const AdmissionSignals& signals);
 
-  [[nodiscard]] AdmissionState state() const { return state_; }
+  [[nodiscard]] AdmissionState state() const { return valve_.state(); }
 
   /// Severity the given signals map to before hysteresis — the "target"
   /// state of the Continuity mode-selection equation.  Exposed for tests.
@@ -112,43 +176,29 @@ class AdmissionController {
 
   /// Full transition timeline since construction/reset.
   [[nodiscard]] const std::vector<AdmissionTransition>& transitions() const {
-    return transitions_;
+    return valve_.transitions();
   }
 
   /// Hysteresis-contract check over the controller's WHOLE life: the
-  /// current timeline plus every pre-reset one (reset() folds the check in
-  /// before clearing, so a violation can never be laundered by re-adoption).
-  [[nodiscard]] bool lifetime_timeline_valid() const;
+  /// current timeline plus every pre-reset one.
+  [[nodiscard]] bool lifetime_timeline_valid() const {
+    return valve_.lifetime_valid();
+  }
 
-  struct Stats {
-    std::uint64_t observations = 0;
-    std::uint64_t escalations = 0;
-    std::uint64_t relaxations = 0;
-  };
-  [[nodiscard]] const Stats& stats() const { return stats_; }
+  using Stats = AdmissionStats;
+  [[nodiscard]] Stats stats() const {
+    return {observations_, valve_.escalations(), valve_.relaxations()};
+  }
 
   /// Returns to NORMAL with an empty timeline (a pooled server being
   /// re-adopted starts a fresh admission life).
-  void reset(SimTime now);
+  void reset(SimTime now) { valve_.reset(now); }
 
  private:
-  void transition(SimTime now, AdmissionState to);
-
   AdmissionConfig config_;
   std::uint32_t overload_clients_;
-  bool skip_recover_min_;
-
-  AdmissionState state_ = AdmissionState::kNormal;
-  SimTime last_transition_{};
-  /// Start of the current continuous below-state-severity window; invalid
-  /// while the signals still justify the current state.
-  SimTime calm_since_{};
-  bool calm_ = false;
-  bool ever_transitioned_ = false;
-  bool lifetime_timeline_valid_ = true;
-
-  std::vector<AdmissionTransition> transitions_;
-  Stats stats_;
+  AdmissionHysteresis valve_;
+  std::uint64_t observations_ = 0;
 };
 
 /// Checks a recorded timeline against the hysteresis contract:
@@ -157,7 +207,7 @@ class AdmissionController {
 ///     recover_min (the stability window cannot predate the last change);
 ///   * escalations may be immediate but must go strictly up.
 [[nodiscard]] bool admission_timeline_valid(
-    const std::vector<AdmissionTransition>& timeline,
-    const AdmissionConfig& config);
+    const std::vector<AdmissionTransition>& timeline, SimTime dwell,
+    SimTime recover_min);
 
 }  // namespace matrix

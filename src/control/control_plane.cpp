@@ -92,12 +92,12 @@ bool ControlPlane::tick(SimTime now) {
   // the validator accepts (the age gap is zero too).
   for (;;) {
     const SimTime age = now - last_heartbeat_;
-    if (state_ == FailsafeState::kNormal && age >= config_.tau1) {
+    if (state_ == FailsafeState::kNormal && age >= kFailsafeTau1) {
       transition(now, FailsafeState::kHold);
       changed = true;
       continue;
     }
-    if (state_ == FailsafeState::kHold && age >= config_.tau2) {
+    if (state_ == FailsafeState::kHold && age >= kFailsafeTau2) {
       transition(now, FailsafeState::kFallback);
       changed = true;
       continue;
@@ -136,8 +136,7 @@ void ControlPlane::transition(SimTime now, FailsafeState to) {
   }
 }
 
-bool failsafe_timeline_valid(const std::vector<FailsafeTransition>& timeline,
-                             const FailsafeConfig& config) {
+bool failsafe_timeline_valid(const std::vector<FailsafeTransition>& timeline) {
   FailsafeState prev_state = FailsafeState::kNormal;
   SimTime prev_at{};
   bool have_prev = false;
@@ -149,11 +148,11 @@ bool failsafe_timeline_valid(const std::vector<FailsafeTransition>& timeline,
     switch (t.to) {
       case FailsafeState::kHold:
         if (t.from != FailsafeState::kNormal) return false;
-        if (t.heartbeat_age < config.tau1) return false;
+        if (t.heartbeat_age < kFailsafeTau1) return false;
         break;
       case FailsafeState::kFallback:
         if (t.from != FailsafeState::kHold) return false;
-        if (t.heartbeat_age < config.tau2) return false;
+        if (t.heartbeat_age < kFailsafeTau2) return false;
         // The silence ran uninterrupted from the HOLD entry: wall gap ==
         // age gap (a beat in between would have recovered to NORMAL).
         if (i > 0 && timeline[i - 1].to == FailsafeState::kHold &&
@@ -164,7 +163,7 @@ bool failsafe_timeline_valid(const std::vector<FailsafeTransition>& timeline,
         break;
       case FailsafeState::kNormal:
         // Recovery only on a fresh beat, and always straight to NORMAL.
-        if (t.heartbeat_age >= config.tau1) return false;
+        if (t.heartbeat_age >= kFailsafeTau1) return false;
         break;
     }
     prev_state = t.to;

@@ -93,6 +93,26 @@ enum class ControlVerdict : std::uint8_t {
   kHeld,           ///< refused while the failsafe is degraded (HOLD/FALLBACK)
 };
 
+/// Heartbeat silence at which a server enters HOLD: the current
+/// directive/pool view is frozen — still in force, but no longer a basis
+/// for new pool-grant-seeking decisions (DirectivePolicy need drops to
+/// zero, proactive splits stop).  Also the deadline for an unanswered MC
+/// point lookup, whether or not the failsafe is enabled: a matrix server
+/// drops a lookup parked this long when it parks the next one.
+inline constexpr SimTime kFailsafeTau1 = SimTime::from_sec(3.0);
+
+/// Heartbeat silence at which a server enters FALLBACK: deterministic
+/// local-only behaviour.  The frozen directive is dropped (local valve and
+/// local token rate take back over), splits that would need a pool grant
+/// are suppressed, and reclaim turns conservative (only an empty child is
+/// merged back).
+inline constexpr SimTime kFailsafeTau2 = SimTime::from_sec(8.0);
+static_assert(kFailsafeTau2 > kFailsafeTau1);
+
+/// Cadence of the local staleness check while enabled.  Bounds how late
+/// after tau1/tau2 a transition can fire.
+inline constexpr SimTime kFailsafeCheckInterval = SimTime::from_ms(500);
+
 /// One recorded failsafe state change.  `heartbeat_age` is the silence
 /// (now − last accepted heartbeat) at the instant of the transition — the
 /// quantity the validity check judges tau1/tau2 against, so the check does
@@ -199,7 +219,6 @@ class ControlPlane {
 ///   * across a consecutive HOLD→FALLBACK pair the wall gap equals the age
 ///     gap (the silence ran uninterrupted — no beat landed in between).
 [[nodiscard]] bool failsafe_timeline_valid(
-    const std::vector<FailsafeTransition>& timeline,
-    const FailsafeConfig& config);
+    const std::vector<FailsafeTransition>& timeline);
 
 }  // namespace matrix

@@ -6,7 +6,9 @@ namespace matrix {
 
 GlobalAdmission::GlobalAdmission(const GlobalAdmissionConfig& config,
                                  std::uint32_t overload_clients)
-    : config_(config), overload_clients_(overload_clients) {}
+    : config_(config),
+      overload_clients_(overload_clients),
+      floor_(config.dwell, config.recover_min) {}
 
 bool GlobalAdmission::observe_server(SimTime now, ServerId server,
                                      const ServerDigest& digest) {
@@ -18,7 +20,7 @@ bool GlobalAdmission::observe_server(SimTime now, ServerId server,
   } else {
     it->digest = digest;
   }
-  ++stats_.observations;
+  ++observations_;
   return evaluate(now);
 }
 
@@ -27,7 +29,7 @@ bool GlobalAdmission::observe_pool(SimTime now, std::uint32_t idle,
   if (!config_.enabled) return false;
   pool_idle_ = idle;
   pool_total_ = total;
-  ++stats_.observations;
+  ++observations_;
   return evaluate(now);
 }
 
@@ -88,45 +90,9 @@ AdmissionState GlobalAdmission::target() const {
   return AdmissionState::kNormal;
 }
 
-void GlobalAdmission::transition(SimTime now, AdmissionState to) {
-  transitions_.push_back({now, floor_, to});
-  if (to > floor_) {
-    ++stats_.escalations;
-  } else {
-    ++stats_.relaxations;
-  }
-  floor_ = to;
-  last_transition_ = now;
-  ever_transitioned_ = true;
-  calm_ = false;
-}
-
 bool GlobalAdmission::evaluate(SimTime now) {
   breakdown_ = compute_pressure();
-  const AdmissionState want = target();
-
-  if (want > floor_) {
-    // Same contract as the local valve: escalation is immediate — a
-    // deployment past its pressure threshold must clamp every server now.
-    transition(now, want);
-    return true;
-  }
-  if (want == floor_) {
-    calm_ = false;
-    return false;
-  }
-  if (!calm_) {
-    calm_ = true;
-    calm_since_ = now;
-  }
-  const bool dwell_ok =
-      !ever_transitioned_ || now - last_transition_ >= config_.dwell;
-  if (dwell_ok && now - calm_since_ >= config_.recover_min) {
-    transition(now, static_cast<AdmissionState>(
-                        static_cast<std::uint8_t>(floor_) - 1));
-    return true;
-  }
-  return false;
+  return floor_.step(now, target());
 }
 
 double GlobalAdmission::share_for(ServerId server) const {
@@ -154,15 +120,6 @@ bool GlobalAdmission::broadcast_due(SimTime now) const {
   if (!active()) return false;
   if (!ever_broadcast_) return true;
   return now - last_broadcast_ >= config_.directive_interval;
-}
-
-bool GlobalAdmission::timeline_valid() const {
-  // The floor obeys the exact per-server hysteresis contract; reuse its
-  // checker with a config carrying this machine's dwell/recover windows.
-  AdmissionConfig contract;
-  contract.dwell = config_.dwell;
-  contract.recover_min = config_.recover_min;
-  return admission_timeline_valid(transitions_, contract);
 }
 
 }  // namespace matrix

@@ -13,10 +13,10 @@
 //   * a PRESSURE SCORE folding pool occupancy, mean load, the share of
 //     servers already elevated, and aggregate waiting-room depth into one
 //     deployment-wide number in [0, 1];
-//   * a FLOOR state (NORMAL/SOFT/HARD) derived from the score under the
-//     same hysteresis contract as the local valve — escalation immediate,
-//     relaxation one level at a time after dwell + recover_min of calm,
-//     machine-checked by admission_timeline_valid;
+//   * a FLOOR state (NORMAL/SOFT/HARD) derived from the score by the same
+//     AdmissionHysteresis machine as the local valve — escalation
+//     immediate, relaxation one level at a time after dwell + recover_min
+//     of calm, machine-checked by admission_timeline_valid;
 //   * per-server TOKEN-BUDGET SHARES: the deployment-wide SOFT budget is
 //     divided in proportion to each server's waiting-room depth (plus a
 //     floor share), so the most starved partitions drain first.
@@ -67,10 +67,10 @@ class GlobalAdmission {
 
   // ---- directive contents ---------------------------------------------------
 
-  [[nodiscard]] AdmissionState floor() const { return floor_; }
+  [[nodiscard]] AdmissionState floor() const { return floor_.state(); }
   /// A directive is in force while the floor is elevated.
   [[nodiscard]] bool active() const {
-    return floor_ != AdmissionState::kNormal;
+    return floor() != AdmissionState::kNormal;
   }
   /// Deployment pressure score in [0, 1] at the last evaluation.
   [[nodiscard]] double pressure() const { return breakdown_.total(); }
@@ -100,18 +100,16 @@ class GlobalAdmission {
 
   /// Floor transitions, under the exact contract of the per-server valve.
   [[nodiscard]] const std::vector<AdmissionTransition>& transitions() const {
-    return transitions_;
+    return floor_.transitions();
   }
   /// Hysteresis-contract check on the floor timeline
   /// (admission_timeline_valid with this config's dwell/recover_min).
-  [[nodiscard]] bool timeline_valid() const;
+  [[nodiscard]] bool timeline_valid() const { return floor_.lifetime_valid(); }
 
-  struct Stats {
-    std::uint64_t observations = 0;
-    std::uint64_t escalations = 0;
-    std::uint64_t relaxations = 0;
-  };
-  [[nodiscard]] const Stats& stats() const { return stats_; }
+  using Stats = AdmissionStats;
+  [[nodiscard]] Stats stats() const {
+    return {observations_, floor_.escalations(), floor_.relaxations()};
+  }
   [[nodiscard]] std::size_t tracked_servers() const { return digests_.size(); }
 
   /// Severity the current aggregate maps to before hysteresis (exposed for
@@ -128,7 +126,6 @@ class GlobalAdmission {
   /// a floor change.
   bool evaluate(SimTime now);
   [[nodiscard]] PressureBreakdown compute_pressure() const;
-  void transition(SimTime now, AdmissionState to);
 
   GlobalAdmissionConfig config_;
   std::uint32_t overload_clients_;
@@ -137,17 +134,11 @@ class GlobalAdmission {
   std::uint32_t pool_idle_ = 0;
   std::uint32_t pool_total_ = 0;  ///< 0 ⇒ pool occupancy unknown
 
-  AdmissionState floor_ = AdmissionState::kNormal;
+  AdmissionHysteresis floor_;
   PressureBreakdown breakdown_;
-  SimTime last_transition_{};
-  SimTime calm_since_{};
-  bool calm_ = false;
-  bool ever_transitioned_ = false;
   SimTime last_broadcast_{};
   bool ever_broadcast_ = false;
-
-  std::vector<AdmissionTransition> transitions_;
-  Stats stats_;
+  std::uint64_t observations_ = 0;
 };
 
 }  // namespace matrix

@@ -202,9 +202,9 @@ struct AdmissionConfig {
   SimTime recover_min = SimTime::from_sec(5.0);
 
   // ---- client guidance ------------------------------------------------------
-  /// Retry hint carried by JoinDefer (SOFT) and JoinDeny (HARD).
+  /// Retry hint carried by JoinDefer (SOFT).  JoinDeny (HARD) carries a
+  /// fixed hint, kDenyRetry in game/game_server.cpp.
   SimTime defer_retry = SimTime::from_sec(2.0);
-  SimTime deny_retry = SimTime::from_sec(10.0);
 
   // ---- surge queue ("waiting room") -----------------------------------------
   SurgePriorityConfig priority;
@@ -220,33 +220,12 @@ struct AdmissionConfig {
 /// grants through a directive it broadcast before it died.  Disabled by
 /// default: no heartbeats are sent, no ticks are scheduled, and behaviour
 /// (including every golden-trace hash) is bit-identical to a pre-failsafe
-/// deployment.
+/// deployment.  The heartbeat cadence (kHeartbeatInterval in
+/// core/coordinator.cpp) and the machine's thresholds and tick
+/// (kFailsafeTau1, kFailsafeTau2, kFailsafeCheckInterval in
+/// control/control_plane.h) are fixed.
 struct FailsafeConfig {
   bool enabled = false;
-
-  /// Coordinator → matrix-server McHeartbeat cadence (matrix servers relay
-  /// each beat to their game server, so both ends share one freshness
-  /// clock).
-  SimTime heartbeat_interval = SimTime::from_sec(1.0);
-
-  /// Heartbeat silence at which a server enters HOLD: the current
-  /// directive/pool view is frozen — still in force, but no longer a basis
-  /// for new pool-grant-seeking decisions (DirectivePolicy need drops to
-  /// zero, proactive splits stop).  Also the deadline for an unanswered
-  /// MC point lookup, whether or not the failsafe is enabled: a matrix
-  /// server drops a lookup parked this long when it parks the next one.
-  SimTime tau1 = SimTime::from_sec(3.0);
-
-  /// Heartbeat silence at which a server enters FALLBACK: deterministic
-  /// local-only behaviour.  The frozen directive is dropped (local valve
-  /// and local token rate take back over), splits that would need a pool
-  /// grant are suppressed, and reclaim turns conservative (only an empty
-  /// child is merged back).  Must be > tau1.
-  SimTime tau2 = SimTime::from_sec(8.0);
-
-  /// Cadence of the local staleness check while enabled.  Bounds how late
-  /// after tau1/tau2 a transition can fire.
-  SimTime check_interval = SimTime::from_ms(500);
 };
 
 namespace obs {
@@ -381,10 +360,6 @@ struct Config {
   /// Quiet period after any topology change during which this server will
   /// not initiate another split or reclaim (hysteresis).
   SimTime topology_cooldown = SimTime::from_sec(5.0);
-  /// Reclaim requires parent + child combined load to fit within this
-  /// fraction of the overload threshold (prevents reclaim→overload→split
-  /// oscillation).
-  double reclaim_headroom_fraction = 0.8;
 
   // ---- pool-exhaustion retry backoff ---------------------------------------
   /// Quiet period before re-asking the pool after a PoolDeny; doubles with

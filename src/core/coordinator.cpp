@@ -6,6 +6,15 @@
 
 namespace matrix {
 
+namespace {
+
+/// Coordinator → matrix-server McHeartbeat cadence while the failsafe is
+/// enabled (matrix servers relay each beat to their game server, so both
+/// ends share one freshness clock).
+constexpr SimTime kHeartbeatInterval = SimTime::from_sec(1.0);
+
+}  // namespace
+
 void Coordinator::on_message(const Message& message, const Envelope& envelope) {
   if (const auto* reg = std::get_if<ServerRegister>(&message)) {
     register_server(*reg);
@@ -89,7 +98,7 @@ void Coordinator::broadcast_heartbeat() {
 }
 
 void Coordinator::schedule_heartbeat() {
-  set_timer(config_.failsafe.heartbeat_interval, /*timer=*/0);
+  set_timer(kHeartbeatInterval, /*timer=*/0);
 }
 
 void Coordinator::on_timer(std::uint8_t, std::uint64_t) {

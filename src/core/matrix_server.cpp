@@ -287,7 +287,7 @@ void MatrixServer::park_lookup(Vec2 point, ParkedLookup::Payload parked) {
   const SimTime now_at = now();
   if (!config_.fault.never_expire_lookups) {
     while (!lookups_.empty() &&
-           lookups_.front().issued_at + config_.failsafe.tau1 <= now_at) {
+           lookups_.front().issued_at + kFailsafeTau1 <= now_at) {
       clear_slot(lookups_.front());
       lookups_.pop_front();
       expired_end_ = ++lookup_base_;
@@ -529,7 +529,7 @@ void MatrixServer::on_timer(std::uint8_t timer, std::uint64_t epoch) {
 }
 
 void MatrixServer::schedule_failsafe_tick() {
-  set_timer(config_.failsafe.check_interval, kFailsafeTimer,
+  set_timer(kFailsafeCheckInterval, kFailsafeTimer,
             activation_epoch_);
 }
 

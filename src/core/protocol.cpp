@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <tuple>
 #include <utility>
 
 namespace matrix {
@@ -137,6 +138,40 @@ auto fields(Of<McHeartbeat> auto& m, auto&& f) {
 
 template <typename M>
 concept HasFields = requires(M& m) { fields(m, [](auto&...) {}); };
+
+/// A field's type as its message stores it: a frame view's payload span
+/// stands in for the message's PayloadBytes.
+template <typename T>
+struct StoredAs {
+  using type = T;
+};
+template <>
+struct StoredAs<std::span<const std::uint8_t>> {
+  using type = PayloadBytes;
+};
+
+/// A field-list visitor that yields the visited members' types.
+struct TypesOf {
+  template <typename... F>
+  auto operator()(F&...) const {
+    return std::type_identity<
+        std::tuple<typename StoredAs<std::remove_cvref_t<F>>::type...>>{};
+  }
+};
+
+/// The member types a field list visits, in wire order.
+template <typename M>
+using FieldTypes =
+    typename decltype(fields(std::declval<M&>(), TypesOf{}))::type;
+
+// A view reads its message's list, so the two lists have the same names in
+// the same order; these pin the same arity and member types as well.
+static_assert(std::is_same_v<FieldTypes<TaggedPacketView>,
+                             FieldTypes<TaggedPacket>>);
+static_assert(std::is_same_v<FieldTypes<ClientActionView>,
+                             FieldTypes<ClientAction>>);
+static_assert(std::is_same_v<FieldTypes<ServerUpdateView>,
+                             FieldTypes<ServerUpdate>>);
 
 // ---- generic codec ---------------------------------------------------------
 //
@@ -316,12 +351,8 @@ constexpr auto kDecoders = []<std::size_t... I>(std::index_sequence<I...>) {
 
 std::vector<std::uint8_t> encode_message(const Message& message) {
   ByteWriter w;
-  encode_message_into(w, message);
-  return w.take();
-}
-
-void encode_message_into(ByteWriter& w, const Message& message) {
   std::visit([&w](const auto& body) { encode_one_into(w, body); }, message);
+  return w.take();
 }
 
 template <typename Body>

@@ -498,7 +498,7 @@ struct McAnnounce {
 
 /// Periodic coordinator liveness beacon (control-plane failsafe,
 /// src/control/control_plane.h).  Broadcast to every registered matrix
-/// server at Config::failsafe.heartbeat_interval — and relayed by each
+/// server every kHeartbeatInterval (core/coordinator.cpp) — and relayed by each
 /// matrix server to its game server — ONLY while the failsafe is enabled,
 /// so default deployments put no extra bytes on the wire.  `generation`
 /// carries the MC epoch (same counter as McAnnounce.generation); `seq`
@@ -541,11 +541,6 @@ inline constexpr std::uint8_t wire_type =
 
 /// Serializes `message` (1 type byte + body).
 [[nodiscard]] std::vector<std::uint8_t> encode_message(const Message& message);
-
-/// Serializes into `writer`, reserving the exact frame size up front.  Pair
-/// the writer with a recycled buffer (Network::rent_buffer) and steady-state
-/// encoding performs no allocation at all.
-void encode_message_into(ByteWriter& writer, const Message& message);
 
 /// Serializes a single message body (type byte + body, size-reserved)
 /// without ever constructing the Message variant — the typed fast path

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "control/control_plane.h"
 #include "obs/trace.h"
 #include "sim/scenario.h"
 #include "util/rng.h"
@@ -257,7 +258,7 @@ FuzzPlan make_fuzz_plan(std::uint64_t seed, LoadPolicyKind policy) {
     config.failsafe.enabled = true;
     FuzzChaos& chaos = plan.chaos;
     const double duration_sec = plan.duration.sec();
-    const double tau2_sec = config.failsafe.tau2.sec();
+    const double tau2_sec = kFailsafeTau2.sec();
     if (rng.next_bool(0.6)) {
       // Hard outage: the MC process dies mid-run; 70% of the time a standby
       // revives after the failsafe has had time to reach FALLBACK.

@@ -667,10 +667,8 @@ InvariantReport check_deployment(Deployment& deployment,
   // Failsafe timeline validity, everywhere a control plane lives: both
   // halves of every server pair record their own transitions, and each
   // recorded heartbeat age must justify the transition it triggered.
-  const FailsafeConfig& failsafe = deployment.options().config.failsafe;
   for (const MatrixServer* server : deployment.matrix_servers()) {
-    if (!failsafe_timeline_valid(server->control_plane().transitions(),
-                                 failsafe)) {
+    if (!failsafe_timeline_valid(server->control_plane().transitions())) {
       std::ostringstream out;
       out << "matrix server " << server->server_id().value()
           << " failsafe timeline violates the tau1/tau2 contract";
@@ -678,8 +676,7 @@ InvariantReport check_deployment(Deployment& deployment,
     }
   }
   for (const GameServer* game : deployment.game_servers()) {
-    if (!failsafe_timeline_valid(game->control_plane().transitions(),
-                                 failsafe)) {
+    if (!failsafe_timeline_valid(game->control_plane().transitions())) {
       std::ostringstream out;
       out << "game server " << game->server_id().value()
           << " failsafe timeline violates the tau1/tau2 contract";
@@ -692,12 +689,12 @@ InvariantReport check_deployment(Deployment& deployment,
   for (const MatrixServer* server : deployment.matrix_servers()) {
     const MatrixServer::Stats& s = server->stats();
     if (s.lookup_age_peak_us >=
-            static_cast<std::uint64_t>(failsafe.tau1.us()) ||
+            static_cast<std::uint64_t>(kFailsafeTau1.us()) ||
         s.late_lookup_replies > 0) {
       std::ostringstream out;
       out << "matrix server " << server->server_id().value()
           << " parked a lookup " << s.lookup_age_peak_us / 1000
-          << " ms old (tau1 " << failsafe.tau1.ms() << " ms); "
+          << " ms old (tau1 " << kFailsafeTau1.ms() << " ms); "
           << s.late_lookup_replies << " late replies";
       report.add(kInvLookupBound, out.str());
     }

@@ -36,7 +36,7 @@
 //                         NORMAL→HOLD→FALLBACK→NORMAL transitions only, no
 //                         self-loops or skipped states in the trace, and the
 //                         live planes' recorded heartbeat ages respect the
-//                         configured tau1/tau2 (failsafe_timeline_valid).
+//                         fixed tau1/tau2 (failsafe_timeline_valid).
 //   control-monotonic     applied control updates are strictly monotonic
 //                         per (node, kind) in (epoch, seq) — a stale or
 //                         duplicate coordinator message never changes state.
@@ -85,7 +85,7 @@ inline constexpr const char* kInvSetup = "setup";
 /// timeline chains legally in the trace (NORMAL→HOLD→FALLBACK→NORMAL, no
 /// self-transitions, no skipped states), and — in check_deployment — every
 /// live plane's transition record satisfies failsafe_timeline_valid against
-/// the configured tau1/tau2.
+/// the fixed kFailsafeTau1/kFailsafeTau2.
 inline constexpr const char* kInvFailsafeTimeline = "failsafe-timeline";
 /// Applied control updates are strictly monotonic per (node, kind): each
 /// kControlApplied's (epoch, seq) lexicographically exceeds the previous

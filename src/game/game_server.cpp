@@ -11,6 +11,10 @@ namespace matrix {
 
 namespace {
 
+/// Retry hint carried by JoinDeny: a HARD valve's client backs off this
+/// long before asking again.
+constexpr SimTime kDenyRetry = SimTime::from_sec(10.0);
+
 /// Round a coordinate into a visibility-radius-sized bucket (for the
 /// approximate visible-entity count used to size update digests).
 std::int64_t bucket(double v, double cell) {
@@ -219,7 +223,7 @@ bool GameServer::admit_join(const ClientHello& hello, NodeId client_node) {
       }
       ++stats_.joins_denied;
       trace_join_denied(hello.client);
-      send(client_node, JoinDeny{hello.client, config_.admission.deny_retry});
+      send(client_node, JoinDeny{hello.client, kDenyRetry});
       return false;
   }
   return true;
@@ -247,7 +251,7 @@ void GameServer::park_join(const ClientHello& hello, NodeId client_node) {
     // hard refusal (overflow is tallied in SurgeQueue::Stats).
     ++stats_.joins_denied;
     trace_join_denied(hello.client);
-    send(client_node, JoinDeny{hello.client, config_.admission.deny_retry});
+    send(client_node, JoinDeny{hello.client, kDenyRetry});
     return;
   }
   {
@@ -523,7 +527,7 @@ void GameServer::on_timer(std::uint8_t timer, std::uint64_t epoch) {
 }
 
 void GameServer::schedule_failsafe_tick() {
-  set_timer(config_.failsafe.check_interval, kFailsafeTimer, started_epoch_);
+  set_timer(kFailsafeCheckInterval, kFailsafeTimer, started_epoch_);
 }
 
 void GameServer::failsafe_tick() {

@@ -49,27 +49,26 @@
 //   * kTimer    — (node, timer id, argument): Node::on_timer.
 //
 // Everything else — scenario scripting, metrics samplers, tests — is a cold
-// kClosure record naming a slot in a slab of small-buffer-optimized
-// InlineAction callbacks (util/inline_function.h).  Scheduling allocates
-// nothing in steady state.  This is ROSS's fixed-size event struct
-// (Carothers, Bauer & Pearce, JPDC 2002) in place of one type-erased
-// closure per event.
+// kClosure record naming a slot in a slab of std::function<void()>
+// callbacks.  The hot kinds never become closures, so the typed records are
+// ROSS's fixed-size event struct (Carothers, Bauer & Pearce, JPDC 2002) in
+// place of one type-erased closure per event.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <vector>
 
 #include "util/ids.h"
-#include "util/inline_function.h"
 #include "util/sim_time.h"
 
 namespace matrix {
 
 class EventQueue {
  public:
-  using Action = InlineAction;
+  using Action = std::function<void()>;
 
   /// Which priority structure orders the pending set.  Pop order — and thus
   /// every golden trace — is identical for both; kHeap exists as the A/B
@@ -139,9 +138,8 @@ class EventQueue {
     if (depth > peak_pending_) peak_pending_ = depth;
   }
 
-  /// Schedules a cold closure to run at absolute time `when`.  The callable
-  /// is constructed directly in its slab slot — no intermediate Action
-  /// object, no relocation.
+  /// Schedules a cold closure to run at absolute time `when`, assigned into
+  /// a recycled slab slot.
   template <typename F>
   void schedule_at(SimTime when, F&& action) {
     std::uint32_t index;
@@ -152,7 +150,7 @@ class EventQueue {
       closures_.emplace_back();
       index = static_cast<std::uint32_t>(closures_.size() - 1);
     }
-    closures_[index].assign(std::forward<F>(action));
+    closures_[index] = std::forward<F>(action);
     schedule_record(when, Record{Kind::kClosure, 0, 0, index});
   }
 
@@ -195,7 +193,8 @@ class EventQueue {
   }
   /// Bytes of the closure slab: one slot per closure ever simultaneously
   /// pending (the slab grows to that peak and recycles), plus its
-  /// freelist.  Typed records live in the tier entries (tier_bytes()).
+  /// freelist.  Captures a std::function keeps on the heap are not
+  /// counted.  Typed records live in the tier entries (tier_bytes()).
   [[nodiscard]] std::size_t slab_bytes() const {
     return closures_.size() * sizeof(Action) +
            free_closures_.capacity() * sizeof(std::uint32_t);
@@ -214,10 +213,12 @@ class EventQueue {
     switch (record.kind) {
       case Kind::kClosure: {
         // Invoke in place — the closure slab is a deque, so slots stay put
-        // while the action schedules new events.  The slot is recycled only
-        // afterwards, so re-entrant scheduling never aliases it.
+        // while the action schedules new events.  The slot is cleared and
+        // recycled only afterwards, so re-entrant scheduling never aliases
+        // it.
         const auto index = static_cast<std::uint32_t>(record.arg);
-        closures_[index].invoke_and_reset();
+        closures_[index]();
+        closures_[index] = nullptr;
         free_closures_.push_back(index);
         break;
       }

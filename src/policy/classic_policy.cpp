@@ -4,6 +4,15 @@
 
 namespace matrix {
 
+namespace {
+
+/// Reclaim requires parent + child combined load to fit within this
+/// fraction of the overload threshold (prevents reclaim→overload→split
+/// oscillation).
+constexpr double kReclaimHeadroomFraction = 0.8;
+
+}  // namespace
+
 bool ClassicPolicy::below_min_extent(const Rect& range) const {
   return std::max(range.width(), range.height()) / 2.0 <
          config_.min_partition_extent;
@@ -59,7 +68,7 @@ ReclaimDecision ClassicPolicy::decide_reclaim(const LoadView& view,
   if (!config_.underloaded(child.client_count)) return {};
   const double combined = static_cast<double>(view.load.client_count) +
                           static_cast<double>(child.client_count);
-  if (combined > config_.reclaim_headroom_fraction *
+  if (combined > kReclaimHeadroomFraction *
                      static_cast<double>(config_.overload_clients)) {
     return {};
   }

@@ -185,7 +185,8 @@ TEST(AdmissionHysteresis, RelaxationStepsOneLevelAtATime) {
   EXPECT_FALSE(c.observe(8_sec, calm()));
   EXPECT_TRUE(c.observe(9_sec, calm()));
   EXPECT_EQ(c.state(), AdmissionState::kNormal);
-  EXPECT_TRUE(admission_timeline_valid(c.transitions(), unit_config()));
+  EXPECT_TRUE(admission_timeline_valid(c.transitions(), unit_config().dwell,
+                                       unit_config().recover_min));
 }
 
 TEST(AdmissionHysteresis, DwellBlocksRapidRelaxation) {
@@ -201,7 +202,8 @@ TEST(AdmissionHysteresis, DwellBlocksRapidRelaxation) {
   EXPECT_FALSE(c.observe(SimTime::from_ms(5900), calm()));
   EXPECT_TRUE(c.observe(6_sec, calm()));
   EXPECT_EQ(c.state(), AdmissionState::kNormal);
-  EXPECT_TRUE(admission_timeline_valid(c.transitions(), config));
+  EXPECT_TRUE(admission_timeline_valid(c.transitions(), config.dwell,
+                                       config.recover_min));
 }
 
 TEST(AdmissionHysteresis, ResetReturnsToNormal) {
@@ -239,7 +241,7 @@ TEST(AdmissionTimeline, AcceptsLegalTimeline) {
       {5_sec, AdmissionState::kHard, AdmissionState::kSoft},
       {6_sec, AdmissionState::kSoft, AdmissionState::kHard},  // immediate up
   };
-  EXPECT_TRUE(admission_timeline_valid(legal, config));
+  EXPECT_TRUE(admission_timeline_valid(legal, config.dwell, config.recover_min));
 }
 
 TEST(AdmissionTimeline, RejectsTwoLevelRelaxation) {
@@ -247,7 +249,8 @@ TEST(AdmissionTimeline, RejectsTwoLevelRelaxation) {
       {1_sec, AdmissionState::kNormal, AdmissionState::kHard},
       {9_sec, AdmissionState::kHard, AdmissionState::kNormal},
   };
-  EXPECT_FALSE(admission_timeline_valid(bad, unit_config()));
+  EXPECT_FALSE(admission_timeline_valid(bad, unit_config().dwell,
+                                        unit_config().recover_min));
 }
 
 TEST(AdmissionTimeline, RejectsEarlyRelaxation) {
@@ -255,7 +258,8 @@ TEST(AdmissionTimeline, RejectsEarlyRelaxation) {
       {1_sec, AdmissionState::kNormal, AdmissionState::kSoft},
       {2_sec, AdmissionState::kSoft, AdmissionState::kNormal},  // < recover
   };
-  EXPECT_FALSE(admission_timeline_valid(bad, unit_config()));
+  EXPECT_FALSE(admission_timeline_valid(bad, unit_config().dwell,
+                                        unit_config().recover_min));
 }
 
 TEST(AdmissionTimeline, RejectsBrokenChain) {
@@ -263,7 +267,8 @@ TEST(AdmissionTimeline, RejectsBrokenChain) {
       {1_sec, AdmissionState::kNormal, AdmissionState::kSoft},
       {9_sec, AdmissionState::kHard, AdmissionState::kSoft},
   };
-  EXPECT_FALSE(admission_timeline_valid(bad, unit_config()));
+  EXPECT_FALSE(admission_timeline_valid(bad, unit_config().dwell,
+                                        unit_config().recover_min));
 }
 
 // ---------------------------------------------------------------------------
@@ -351,8 +356,9 @@ TEST(AdmissionIntegration, PoolDenialStreakEscalatesAndBacksOff) {
   EXPECT_EQ(server.stats().split_denied_no_server, 4u);
   EXPECT_EQ(server.stats().pool_backoff_us, 400'000u);  // capped
 
+  const AdmissionConfig config = admission_config().admission;
   EXPECT_TRUE(admission_timeline_valid(server.admission().transitions(),
-                                       admission_config().admission));
+                                       config.dwell, config.recover_min));
 }
 
 TEST(AdmissionIntegration, CalmReportEndsDenialEpisode) {

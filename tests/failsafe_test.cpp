@@ -29,7 +29,7 @@ SimTime at_sec(double s) { return SimTime::from_sec(s); }
 FailsafeConfig enabled_config() {
   FailsafeConfig config;
   config.enabled = true;
-  return config;  // defaults: beat 1s, tau1 3s, tau2 8s
+  return config;  // fixed: beat 1s, tau1 3s, tau2 8s
 }
 
 // ---------------------------------------------------------------------------
@@ -111,7 +111,7 @@ TEST(ControlPlaneTest, SilenceDegradesAndHoldsCoordinatorPayloads) {
   ASSERT_EQ(plane.transitions().size(), 2u);
   EXPECT_EQ(plane.transitions()[0].to, FailsafeState::kHold);
   EXPECT_EQ(plane.transitions()[1].to, FailsafeState::kNormal);
-  EXPECT_TRUE(failsafe_timeline_valid(plane.transitions(), enabled_config()));
+  EXPECT_TRUE(failsafe_timeline_valid(plane.transitions()));
 }
 
 TEST(ControlPlaneTest, LateTickNeverSkipsHold) {
@@ -125,7 +125,7 @@ TEST(ControlPlaneTest, LateTickNeverSkipsHold) {
   ASSERT_EQ(plane.transitions().size(), 2u);
   EXPECT_EQ(plane.transitions()[0].to, FailsafeState::kHold);
   EXPECT_EQ(plane.transitions()[1].to, FailsafeState::kFallback);
-  EXPECT_TRUE(failsafe_timeline_valid(plane.transitions(), enabled_config()));
+  EXPECT_TRUE(failsafe_timeline_valid(plane.transitions()));
 }
 
 TEST(ControlPlaneTest, DisabledPlaneNeverDegrades) {
@@ -160,8 +160,7 @@ FailsafeTransition edge(double at_s, FailsafeState from, FailsafeState to,
 }
 
 TEST(FailsafeTimelineTest, AcceptsALegalDegradationStory) {
-  const FailsafeConfig config = enabled_config();
-  EXPECT_TRUE(failsafe_timeline_valid({}, config));
+  EXPECT_TRUE(failsafe_timeline_valid({}));
   const std::vector<FailsafeTransition> timeline = {
       edge(10.0, FailsafeState::kNormal, FailsafeState::kHold, 3.5),
       edge(15.0, FailsafeState::kHold, FailsafeState::kFallback, 8.5),
@@ -169,43 +168,35 @@ TEST(FailsafeTimelineTest, AcceptsALegalDegradationStory) {
       edge(40.0, FailsafeState::kNormal, FailsafeState::kHold, 3.0),
       edge(41.0, FailsafeState::kHold, FailsafeState::kNormal, 0.5),
   };
-  EXPECT_TRUE(failsafe_timeline_valid(timeline, config));
+  EXPECT_TRUE(failsafe_timeline_valid(timeline));
 }
 
 TEST(FailsafeTimelineTest, RejectsEachMalformedShape) {
-  const FailsafeConfig config = enabled_config();
   // Self-transition.
   EXPECT_FALSE(failsafe_timeline_valid(
-      {edge(1.0, FailsafeState::kNormal, FailsafeState::kNormal, 3.5)},
-      config));
+      {edge(1.0, FailsafeState::kNormal, FailsafeState::kNormal, 3.5)}));
   // Degradation skipping HOLD.
   EXPECT_FALSE(failsafe_timeline_valid(
-      {edge(1.0, FailsafeState::kNormal, FailsafeState::kFallback, 9.0)},
-      config));
+      {edge(1.0, FailsafeState::kNormal, FailsafeState::kFallback, 9.0)}));
   // First transition not leaving NORMAL (no chain).
   EXPECT_FALSE(failsafe_timeline_valid(
-      {edge(1.0, FailsafeState::kHold, FailsafeState::kFallback, 9.0)},
-      config));
+      {edge(1.0, FailsafeState::kHold, FailsafeState::kFallback, 9.0)}));
   // HOLD entered before tau1 of silence.
   EXPECT_FALSE(failsafe_timeline_valid(
-      {edge(1.0, FailsafeState::kNormal, FailsafeState::kHold, 1.0)},
-      config));
+      {edge(1.0, FailsafeState::kNormal, FailsafeState::kHold, 1.0)}));
   // Recovery claimed while the heartbeat is still stale.
   EXPECT_FALSE(failsafe_timeline_valid(
       {edge(10.0, FailsafeState::kNormal, FailsafeState::kHold, 3.5),
-       edge(12.0, FailsafeState::kHold, FailsafeState::kNormal, 5.5)},
-      config));
+       edge(12.0, FailsafeState::kHold, FailsafeState::kNormal, 5.5)}));
   // Time running backwards.
   EXPECT_FALSE(failsafe_timeline_valid(
       {edge(10.0, FailsafeState::kNormal, FailsafeState::kHold, 3.5),
-       edge(9.0, FailsafeState::kHold, FailsafeState::kFallback, 8.5)},
-      config));
+       edge(9.0, FailsafeState::kHold, FailsafeState::kFallback, 8.5)}));
   // HOLD→FALLBACK wall gap disagreeing with the age gap: a beat landed in
   // between, so the machine should have recovered instead.
   EXPECT_FALSE(failsafe_timeline_valid(
       {edge(10.0, FailsafeState::kNormal, FailsafeState::kHold, 3.5),
-       edge(20.0, FailsafeState::kHold, FailsafeState::kFallback, 8.5)},
-      config));
+       edge(20.0, FailsafeState::kHold, FailsafeState::kFallback, 8.5)}));
 }
 
 // ---------------------------------------------------------------------------
@@ -250,16 +241,13 @@ OverloadScenarioOptions modest_crowd() {
 /// Every started control plane (matrix and game) must satisfy the timeline
 /// contract; returns the number of planes currently in `state`.
 std::size_t count_planes_in(Deployment& deployment, FailsafeState state) {
-  const FailsafeConfig& config = deployment.options().config.failsafe;
   std::size_t n = 0;
   for (const MatrixServer* server : deployment.matrix_servers()) {
-    EXPECT_TRUE(
-        failsafe_timeline_valid(server->control_plane().transitions(), config));
+    EXPECT_TRUE(failsafe_timeline_valid(server->control_plane().transitions()));
     if (server->control_plane().state() == state) ++n;
   }
   for (const GameServer* game : deployment.game_servers()) {
-    EXPECT_TRUE(
-        failsafe_timeline_valid(game->control_plane().transitions(), config));
+    EXPECT_TRUE(failsafe_timeline_valid(game->control_plane().transitions()));
     if (game->control_plane().state() == state) ++n;
   }
   return n;

@@ -688,7 +688,7 @@ class ParkedLookupTest : public RoutingTest {
     harness_.run_for(5_ms);
   }
 
-  const SimTime tau1_ = fast_config().failsafe.tau1;
+  const SimTime tau1_ = kFailsafeTau1;
   CaptureNode fake_mc_{"fake-mc"};
   CaptureNode standby_mc_{"standby-mc"};
   NodeId fake_mc_node_;

@@ -500,7 +500,7 @@ TEST(EventQueueTest, CountsProcessedEventsAndPeakPending) {
 }
 
 TEST(EventQueueTest, OversizedCapturesStillRun) {
-  // Captures beyond InlineAction's inline budget take the heap fallback —
+  // Captures beyond std::function's small buffer live on the heap —
   // behaviour, not layout, is the contract.
   EventQueue q;
   std::array<std::uint64_t, 64> big{};

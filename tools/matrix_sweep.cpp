@@ -3,7 +3,7 @@
 //
 //   matrix_sweep ./build/bench_surge_queue ++ ./build/bench_policy_grants
 //   matrix_sweep --jobs 4 --repeat 3 ./build/bench_overload_admission
-//   matrix_sweep --out sweep.json ./build/matrix_fuzz --count 5 ++ \
+//   matrix_sweep --out sweep.json ./build/matrix_fuzz --count 5 ++
 //                ./build/matrix_fuzz --start-seed 100 --count 5
 //
 // Runs the given commands concurrently as child processes (fork/exec) and
