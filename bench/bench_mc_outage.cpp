@@ -33,7 +33,11 @@
 //     service while they steer alone;
 //   * every failsafe timeline is machine-valid (failsafe_timeline_valid),
 //     servers reached FALLBACK and recovered to NORMAL after the revival;
-//   * with the failsafe off, nothing transitions (the machine is inert).
+//   * with the failsafe off, nothing transitions (the machine is inert);
+//   * the machine runs once per co-located pair, on the matrix server: no
+//     game server's plane ever holds an update or transitions, on or off —
+//     the game obeys its matrix server's AdmissionUpdate and relayed
+//     directive, the FALLBACK rescind included.
 //
 // Each label also reports pending_lookup_peak_bytes: the most the matrix
 // servers' parked MC point lookups held (core/matrix_server.h), a ceiling
@@ -146,6 +150,9 @@ struct RunResult {
   std::uint64_t held_drops = 0;
   bool timelines_valid = true;
   bool all_normal_at_end = true;
+  /// Game-server planes (seq gates only): both must stay 0.
+  std::uint64_t game_transitions = 0;
+  std::uint64_t game_held_drops = 0;
   AdmissionSummary admission;
   std::uint64_t lookups_expired = 0;
   std::uint64_t late_lookup_replies = 0;
@@ -183,7 +190,8 @@ RunResult run_one(bool failsafe_on, const char* label, JsonReport& report) {
                          : 0.0;
   result.admission = collect_admission(deployment);
 
-  const auto account = [&](const ControlPlane& plane) {
+  for (const MatrixServer* server : deployment.matrix_servers()) {
+    const ControlPlane& plane = server->control_plane();
     result.failsafe_transitions += plane.transitions().size();
     for (const FailsafeTransition& t : plane.transitions()) {
       if (t.to == FailsafeState::kFallback) ++result.fallback_entries;
@@ -195,15 +203,13 @@ RunResult run_one(bool failsafe_on, const char* label, JsonReport& report) {
     if (plane.state() != FailsafeState::kNormal) {
       result.all_normal_at_end = false;
     }
-  };
-  for (const MatrixServer* server : deployment.matrix_servers()) {
-    account(server->control_plane());
     result.lookups_expired += server->stats().lookups_expired;
     result.late_lookup_replies += server->stats().late_lookup_replies;
     result.pending_lookup_peak_bytes += server->parked_lookup_peak_bytes();
   }
   for (const GameServer* game : deployment.game_servers()) {
-    account(game->control_plane());
+    result.game_transitions += game->control_plane().transitions().size();
+    result.game_held_drops += game->control_plane().stats().held_drops;
   }
 
   std::printf(
@@ -226,6 +232,9 @@ RunResult run_one(bool failsafe_on, const char* label, JsonReport& report) {
       static_cast<unsigned long long>(result.lookups_expired),
       static_cast<unsigned long long>(result.late_lookup_replies),
       result.pending_lookup_peak_bytes);
+  std::printf("       game planes: transitions=%llu held-drops=%llu\n",
+              static_cast<unsigned long long>(result.game_transitions),
+              static_cast<unsigned long long>(result.game_held_drops));
 
   report.add(label, "goodput", result.goodput, "fraction");
   report.add(label, "p99", result.p99_ms, "ms");
@@ -270,12 +279,17 @@ int run(const char* json_path) {
   const bool on_machine_ok = on.timelines_valid && on.fallback_entries >= 2 &&
                              on.all_normal_at_end;
   const bool off_inert_ok = off.failsafe_transitions == 0;
+  const bool games_obey_ok = on.game_transitions == 0 &&
+                             on.game_held_drops == 0 &&
+                             off.game_transitions == 0 &&
+                             off.game_held_drops == 0;
   verdict("goodput through the outage: on >= 1.1x off", goodput_ok);
   verdict("admitted clients: on > off", admitted_ok);
   verdict("admitted p99 bounded (<= max(2x off, 150ms))", p99_ok);
   verdict("failsafe timelines valid, FALLBACK reached, all recovered",
           on_machine_ok);
   verdict("failsafe off: machine inert (zero transitions)", off_inert_ok);
+  verdict("game planes never hold an update or transition", games_obey_ok);
   std::printf("  goodput       : %5.1f%% -> %5.1f%%\n", off.goodput * 100.0,
               on.goodput * 100.0);
   std::printf("  admitted      : %zu -> %zu (of %zu)\n", off.admitted,
@@ -285,7 +299,8 @@ int run(const char* json_path) {
 
   report.write(json_path);
 
-  return goodput_ok && admitted_ok && p99_ok && on_machine_ok && off_inert_ok
+  return goodput_ok && admitted_ok && p99_ok && on_machine_ok &&
+                 off_inert_ok && games_obey_ok
              ? 0
              : 1;
 }

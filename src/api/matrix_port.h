@@ -90,7 +90,6 @@ class MatrixPort {
   using AdmissionHandler = std::function<void(const AdmissionUpdate&)>;
   using DirectiveHandler = std::function<void(const AdmissionDirective&)>;
   using QueueHandoffHandler = std::function<void(const QueueHandoff&)>;
-  using HeartbeatHandler = std::function<void(const McHeartbeat&)>;
 
   /// A remote event relevant to this server's partition (range-verified by
   /// the Matrix server before delivery).
@@ -108,23 +107,22 @@ class MatrixPort {
     owner_reply_ = std::move(handler);
   }
   /// The admission valve changed state (src/control/): the game server
-  /// should start/stop gating new joins accordingly.
+  /// should start/stop gating new joins accordingly.  The state arrives
+  /// composed (local valve and coordinator directive floor), so the game
+  /// needs no control-plane logic of its own.
   void on_admission(AdmissionHandler handler) {
     admission_ = std::move(handler);
   }
   /// A coordinator-led admission directive arrived (relayed by the Matrix
-  /// server): floor state and this server's token-budget share.
+  /// server): this server's token-budget share, or a rescind restoring the
+  /// local rate (sent when the MC fails over or the Matrix server's
+  /// failsafe reaches FALLBACK).
   void on_directive(DirectiveHandler handler) {
     directive_ = std::move(handler);
   }
   /// Parked joins handed off from another server's surge queue.
   void on_queue_handoff(QueueHandoffHandler handler) {
     queue_handoff_ = std::move(handler);
-  }
-  /// A coordinator liveness beat, relayed by the co-located Matrix server
-  /// (control-plane failsafe; only sent when Config::failsafe.enabled).
-  void on_heartbeat(HeartbeatHandler handler) {
-    heartbeat_ = std::move(handler);
   }
 
   /// Routes a decoded message to the registered callback.  Returns true if
@@ -163,10 +161,6 @@ class MatrixPort {
       if (queue_handoff_) queue_handoff_(*handoff);
       return true;
     }
-    if (const auto* beat = std::get_if<McHeartbeat>(&message)) {
-      if (heartbeat_) heartbeat_(*beat);
-      return true;
-    }
     return false;
   }
 
@@ -193,7 +187,6 @@ class MatrixPort {
   AdmissionHandler admission_;
   DirectiveHandler directive_;
   QueueHandoffHandler queue_handoff_;
-  HeartbeatHandler heartbeat_;
 };
 
 }  // namespace matrix

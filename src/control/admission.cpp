@@ -59,7 +59,6 @@ AdmissionState AdmissionController::target_for(
 bool AdmissionController::observe(SimTime now,
                                   const AdmissionSignals& signals) {
   if (!config_.enabled) return false;
-  ++observations_;
   return valve_.step(now, target_for(signals));
 }
 

@@ -96,7 +96,6 @@ struct AdmissionTransition {
 
 /// Counts of one admission machine's life.
 struct AdmissionStats {
-  std::uint64_t observations = 0;
   std::uint64_t escalations = 0;
   std::uint64_t relaxations = 0;
 };
@@ -187,7 +186,7 @@ class AdmissionController {
 
   using Stats = AdmissionStats;
   [[nodiscard]] Stats stats() const {
-    return {observations_, valve_.escalations(), valve_.relaxations()};
+    return {valve_.escalations(), valve_.relaxations()};
   }
 
   /// Returns to NORMAL with an empty timeline (a pooled server being
@@ -198,7 +197,6 @@ class AdmissionController {
   AdmissionConfig config_;
   std::uint32_t overload_clients_;
   AdmissionHysteresis valve_;
-  std::uint64_t observations_ = 0;
 };
 
 /// Checks a recorded timeline against the hysteresis contract:

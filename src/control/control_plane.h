@@ -24,7 +24,9 @@
 //     brain" input the machine exists to fence off.  Only a fresh heartbeat
 //     or announce restores trust.
 //
-// The failsafe machine itself (driven by heartbeat age):
+// The failsafe machine itself (driven by heartbeat age; only matrix servers
+// start and tick it — a game server's plane is just the seq gate for the
+// updates its matrix server numbers):
 //
 //   NORMAL    fresh MC: obey directives.
 //   HOLD      heartbeat silence >= tau1: freeze the current directive and

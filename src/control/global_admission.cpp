@@ -20,7 +20,6 @@ bool GlobalAdmission::observe_server(SimTime now, ServerId server,
   } else {
     it->digest = digest;
   }
-  ++observations_;
   return evaluate(now);
 }
 
@@ -29,7 +28,6 @@ bool GlobalAdmission::observe_pool(SimTime now, std::uint32_t idle,
   if (!config_.enabled) return false;
   pool_idle_ = idle;
   pool_total_ = total;
-  ++observations_;
   return evaluate(now);
 }
 

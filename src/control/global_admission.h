@@ -108,7 +108,7 @@ class GlobalAdmission {
 
   using Stats = AdmissionStats;
   [[nodiscard]] Stats stats() const {
-    return {observations_, floor_.escalations(), floor_.relaxations()};
+    return {floor_.escalations(), floor_.relaxations()};
   }
   [[nodiscard]] std::size_t tracked_servers() const { return digests_.size(); }
 
@@ -138,7 +138,6 @@ class GlobalAdmission {
   PressureBreakdown breakdown_;
   SimTime last_broadcast_{};
   bool ever_broadcast_ = false;
-  std::uint64_t observations_ = 0;
 };
 
 }  // namespace matrix

@@ -9,8 +9,7 @@ namespace matrix {
 namespace {
 
 /// Coordinator → matrix-server McHeartbeat cadence while the failsafe is
-/// enabled (matrix servers relay each beat to their game server, so both
-/// ends share one freshness clock).
+/// enabled.
 constexpr SimTime kHeartbeatInterval = SimTime::from_sec(1.0);
 
 }  // namespace

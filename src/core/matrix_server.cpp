@@ -501,15 +501,8 @@ void MatrixServer::reset_directive() {
 
 void MatrixServer::handle_mc_heartbeat(const McHeartbeat& beat) {
   if (!config_.failsafe.enabled) return;
-  if (control_plane_.admit(now(), {ControlKind::kHeartbeat, beat.generation,
-                                   beat.seq}) != ControlVerdict::kApply) {
-    return;
-  }
-  if (!active_) return;
-  // Relay the beat to our game server: the pair shares one freshness clock,
-  // so the game's own failsafe machine degrades (and recovers) in step.
-  send(wiring_.game_node, beat);
-  ++stats_.heartbeats_relayed;
+  control_plane_.admit(now(),
+                       {ControlKind::kHeartbeat, beat.generation, beat.seq});
 }
 
 void MatrixServer::start_failsafe(SimTime at) {

@@ -38,7 +38,11 @@
 //     with each LoadReport, composes the MC's AdmissionDirective floor
 //     with its local valve (strictest wins), and relays the directive to
 //     its game server so the deployment-wide token-budget share takes
-//     effect at the join gate.
+//     effect at the join gate;
+//   * runs the pair's one control-plane failsafe machine (src/control/
+//     control_plane.h): the game server keeps no heartbeat clock of its
+//     own — on FALLBACK this server rescinds the frozen directive and
+//     pushes the relaxed composed state, and the game obeys both.
 //
 // Lifecycle: a server is either *active* (owns a partition) or *idle*
 // (parked in the resource pool awaiting an Adopt).  Roots are activated
@@ -144,8 +148,6 @@ class MatrixServer : public ProtocolNode {
     std::uint64_t admission_updates = 0;
     /// Coordinator directives accepted (stale seqs excluded).
     std::uint64_t directives_received = 0;
-    /// McHeartbeats accepted and relayed to the game server (failsafe on).
-    std::uint64_t heartbeats_relayed = 0;
     /// Load digests sent to the MC (global admission enabled only).
     std::uint64_t digests_sent = 0;
     /// Surge-queue depth ("waiting room", src/control/surge_queue.h) from

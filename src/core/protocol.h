@@ -498,9 +498,10 @@ struct McAnnounce {
 
 /// Periodic coordinator liveness beacon (control-plane failsafe,
 /// src/control/control_plane.h).  Broadcast to every registered matrix
-/// server every kHeartbeatInterval (core/coordinator.cpp) — and relayed by each
-/// matrix server to its game server — ONLY while the failsafe is enabled,
-/// so default deployments put no extra bytes on the wire.  `generation`
+/// server every kHeartbeatInterval (core/coordinator.cpp) ONLY while the
+/// failsafe is enabled, so default deployments put no extra bytes on the
+/// wire.  Matrix servers consume it; it never reaches a game server, which
+/// obeys its Matrix server's failsafe rather than keeping one.  `generation`
 /// carries the MC epoch (same counter as McAnnounce.generation); `seq`
 /// strictly increases within a generation so a delayed beat can never
 /// rewind the freshness clock.

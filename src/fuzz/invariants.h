@@ -34,9 +34,10 @@
 //                         quiesced run, no split/reclaim span leaks open.
 //   failsafe-timeline     every control-plane failsafe timeline is legal:
 //                         NORMAL→HOLD→FALLBACK→NORMAL transitions only, no
-//                         self-loops or skipped states in the trace, and the
-//                         live planes' recorded heartbeat ages respect the
-//                         fixed tau1/tau2 (failsafe_timeline_valid).
+//                         self-loops or skipped states in the trace, the
+//                         matrix planes' recorded heartbeat ages respect the
+//                         fixed tau1/tau2 (failsafe_timeline_valid), and no
+//                         game plane transitions at all.
 //   control-monotonic     applied control updates are strictly monotonic
 //                         per (node, kind) in (epoch, seq) — a stale or
 //                         duplicate coordinator message never changes state.
@@ -84,8 +85,9 @@ inline constexpr const char* kInvSetup = "setup";
 /// Control-plane failsafe (src/control/control_plane.h): every failsafe
 /// timeline chains legally in the trace (NORMAL→HOLD→FALLBACK→NORMAL, no
 /// self-transitions, no skipped states), and — in check_deployment — every
-/// live plane's transition record satisfies failsafe_timeline_valid against
-/// the fixed kFailsafeTau1/kFailsafeTau2.
+/// matrix server's transition record satisfies failsafe_timeline_valid
+/// against the fixed kFailsafeTau1/kFailsafeTau2, while every game server's
+/// plane (a seq gate, no machine) records none.
 inline constexpr const char* kInvFailsafeTimeline = "failsafe-timeline";
 /// Applied control updates are strictly monotonic per (node, kind): each
 /// kControlApplied's (epoch, seq) lexicographically exceeds the previous

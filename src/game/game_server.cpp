@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "util/hash_mix.h"
-#include "util/log.h"
 
 namespace matrix {
 
@@ -102,7 +101,6 @@ void GameServer::wire(NodeId matrix_node) {
       [this](const AdmissionDirective& d) { handle_directive(d); });
   port_->on_queue_handoff(
       [this](const QueueHandoff& h) { handle_queue_handoff(h); });
-  port_->on_heartbeat([this](const McHeartbeat& b) { handle_heartbeat(b); });
 }
 
 void GameServer::handle_admission(const AdmissionUpdate& update) {
@@ -122,12 +120,9 @@ void GameServer::handle_admission(const AdmissionUpdate& update) {
 void GameServer::handle_directive(const AdmissionDirective& directive) {
   if (control_plane_.admit(now(), {ControlKind::kDirective, 0,
                                    directive.seq}) != ControlVerdict::kApply) {
-    return;  // reordered/stale — or held while the failsafe is degraded
+    return;  // reordered/stale
   }
   directive_active_ = directive.active;
-  directive_floor_ = directive.active
-                         ? admission_state_from_wire(directive.floor)
-                         : AdmissionState::kNormal;
   // Swap the deployment-wide budget share into the join bucket; a rescind
   // (or a shareless directive) restores the local config rate.
   const double rate = directive.active && directive.token_rate > 0.0
@@ -138,7 +133,7 @@ void GameServer::handle_directive(const AdmissionDirective& directive) {
   network()->tracer().record(
       now(), obs::TraceKind::kDirectiveApplied, id_.value(), node_id().value(),
       directive.active ? static_cast<std::int64_t>(directive.floor) : 0);
-  // A lowered floor or a fatter share may make the waiting room drainable.
+  // A fatter share may make the waiting room drainable.
   if (!surge_queue_.empty()) {
     drain_surge_queue();
     if (!surge_queue_.empty()) schedule_queue_tick();
@@ -171,7 +166,7 @@ bool GameServer::admit_join(const ClientHello& hello, NodeId client_node) {
     // Redirects and boundary migrations carry a live session; the valve
     // only sheds NEW load — a resume always passes, even to a server that
     // currently owns no range (seed behaviour).
-    if (effective_admission_state() != AdmissionState::kNormal) {
+    if (admission_state_ != AdmissionState::kNormal) {
       ++stats_.resumes_admitted;
     }
     return true;
@@ -189,14 +184,14 @@ bool GameServer::admit_join(const ClientHello& hello, NodeId client_node) {
     return false;
   }
   if (config_.fault.swallow_gated_join_every != 0 &&
-      effective_admission_state() != AdmissionState::kNormal &&
+      admission_state_ != AdmissionState::kNormal &&
       ++fault_gated_seen_ % config_.fault.swallow_gated_join_every == 0) {
     // TEST-ONLY: the gated hello black-holes — no reply, no park, no trace
     // resolution.  The blackhole invariant must catch this.
     return false;
   }
   const bool waiting_room = config_.admission.priority.queue_enabled;
-  switch (effective_admission_state()) {
+  switch (admission_state_) {
     case AdmissionState::kNormal:
       return true;
     case AdmissionState::kSoft:
@@ -314,9 +309,9 @@ void GameServer::drain_surge_queue() {
   // takes the slot instead.
   const double vip_cap = config_.admission.priority.vip_drain_cap;
   while (!surge_queue_.empty() && !authority_.empty()) {
-    const AdmissionState state = effective_admission_state();
-    if (state == AdmissionState::kHard) break;
-    if (state == AdmissionState::kSoft && !join_bucket_.try_take(now())) {
+    if (admission_state_ == AdmissionState::kHard) break;
+    if (admission_state_ == AdmissionState::kSoft &&
+        !join_bucket_.try_take(now())) {
       break;
     }
     bool skip_vip = false;
@@ -493,16 +488,6 @@ void GameServer::start() {
   schedule_load_report();
   schedule_update_tick();
   control_plane_.bind(&network()->tracer_for(node_id()), node_id().value());
-  if (config_.failsafe.enabled) {
-    control_plane_.start(now());
-    schedule_failsafe_tick();
-  }
-}
-
-void GameServer::handle_heartbeat(const McHeartbeat& beat) {
-  if (!config_.failsafe.enabled) return;
-  control_plane_.admit(now(),
-                       {ControlKind::kHeartbeat, beat.generation, beat.seq});
 }
 
 void GameServer::on_timer(std::uint8_t timer, std::uint64_t epoch) {
@@ -512,9 +497,6 @@ void GameServer::on_timer(std::uint8_t timer, std::uint64_t epoch) {
   }
   if (!started_ || started_epoch_ != epoch) return;
   switch (timer) {
-    case kFailsafeTimer:
-      failsafe_tick();
-      break;
     case kLoadReportTimer:
       load_report_tick();
       break;
@@ -523,38 +505,6 @@ void GameServer::on_timer(std::uint8_t timer, std::uint64_t epoch) {
       break;
     default:
       break;
-  }
-}
-
-void GameServer::schedule_failsafe_tick() {
-  set_timer(kFailsafeCheckInterval, kFailsafeTimer, started_epoch_);
-}
-
-void GameServer::failsafe_tick() {
-  const bool was_fallback = control_plane_.fallback();
-  if (control_plane_.tick(now()) && !was_fallback &&
-      control_plane_.fallback()) {
-    on_failsafe_degraded();
-  }
-  schedule_failsafe_tick();
-}
-
-void GameServer::on_failsafe_degraded() {
-  // FALLBACK: the coordinator (or the path to it) is gone — the directive
-  // in force is a frozen snapshot that will never be rescinded.  Drop it
-  // and run on the local valve alone, restoring the local token rate the
-  // directive's budget share had displaced.
-  if (directive_active_ || directive_floor_ != AdmissionState::kNormal) {
-    directive_active_ = false;
-    directive_floor_ = AdmissionState::kNormal;
-    join_bucket_.set_rate(now(), config_.admission.token_rate_per_sec);
-    MATRIX_INFO("game", name() << " failsafe FALLBACK: dropped directive "
-                               << "floor, restored local token rate");
-    // The relaxed gate may make the waiting room drainable right away.
-    if (!surge_queue_.empty()) {
-      drain_surge_queue();
-      if (!surge_queue_.empty()) schedule_queue_tick();
-    }
   }
 }
 

@@ -29,9 +29,9 @@
 //     QueueUpdate position/ETA notifications replacing client-side
 //     defer-retry loops;
 //   * under coordinator-led global admission (src/control/
-//     global_admission.h) it composes the relayed AdmissionDirective floor
-//     with the locally pushed valve state (strictest wins), swaps the
-//     directive's token-budget share into its join bucket, bounds the VIP
+//     global_admission.h) it obeys the relayed AdmissionDirective: swaps
+//     the directive's token-budget share into its join bucket (the floor
+//     arrives already composed in AdmissionUpdate), bounds the VIP
 //     share of each drain burst (`priority.vip_drain_cap`), and — while a
 //     directive is active — hands parked joins displaced by a split or
 //     reclaim to the server that now owns their region (class and accrued
@@ -106,24 +106,20 @@ class GameServer : public ProtocolNode {
                     sizeof(std::uint32_t)};
   }
   [[nodiscard]] const GameModelSpec& spec() const { return spec_; }
-  /// Admission state last pushed by the co-located Matrix server.
+  /// Admission state last pushed by the co-located Matrix server — the
+  /// state the join gate enforces.  The Matrix server composes it (local
+  /// valve and coordinator directive floor, strictest wins) before pushing.
   [[nodiscard]] AdmissionState admission_state() const {
     return admission_state_;
   }
-  /// The state the join gate actually enforces: the pushed valve state
-  /// composed with the coordinator's directive floor, strictest wins.
-  [[nodiscard]] AdmissionState effective_admission_state() const {
-    return compose_admission(admission_state_, directive_floor_);
-  }
   /// True while a coordinator directive is in force here.
   [[nodiscard]] bool directive_active() const { return directive_active_; }
-  /// This server's control-plane failsafe view (freshness is driven by
-  /// McHeartbeats relayed through the co-located Matrix server).
+  /// The seq gate for the two streams the co-located Matrix server numbers
+  /// (AdmissionUpdate, relayed AdmissionDirective).  Never started or
+  /// ticked: the pair's one failsafe machine runs on the Matrix server, so
+  /// this plane stays NORMAL and never holds an update.
   [[nodiscard]] const ControlPlane& control_plane() const {
     return control_plane_;
-  }
-  [[nodiscard]] FailsafeState failsafe_state() const {
-    return control_plane_.state();
   }
   /// The surge queue ("waiting room"); empty forever unless
   /// Config::admission.priority.queue_enabled.
@@ -178,7 +174,6 @@ class GameServer : public ProtocolNode {
   /// armed in, so a stop (or stop + restart) silences them.
   enum Timer : std::uint8_t {
     kQueueTimer,
-    kFailsafeTimer,
     kLoadReportTimer,
     kUpdateTimer,
   };
@@ -205,15 +200,11 @@ class GameServer : public ProtocolNode {
   void handle_client_state(const ClientStateTransfer& transfer);
   void handle_owner_reply(const OwnerReply& reply);
   void handle_admission(const AdmissionUpdate& update);
+  /// Swaps a relayed directive's token share into join_bucket_, or
+  /// restores the local rate on a rescind.  The Matrix server's failsafe
+  /// decides what to relay and when to rescind.
   void handle_directive(const AdmissionDirective& directive);
   void handle_queue_handoff(const QueueHandoff& handoff);
-  // Control-plane failsafe (src/control/control_plane.h): heartbeat intake,
-  // the degradation tick, and the FALLBACK entry hook that rescinds frozen
-  // coordinator state in favour of the local valve.
-  void handle_heartbeat(const McHeartbeat& beat);
-  void schedule_failsafe_tick();
-  void failsafe_tick();
-  void on_failsafe_degraded();
   /// The admission gate for a fresh (non-resume) join; true ⇒ admit.
   [[nodiscard]] bool admit_join(const ClientHello& hello, NodeId client_node);
   /// Trace-layer bookkeeping (src/obs/) for a refused join: records the
@@ -332,13 +323,9 @@ class GameServer : public ProtocolNode {
   TokenBucket join_bucket_{config_.admission.token_rate_per_sec,
                            config_.admission.token_burst};
   // Coordinator-led global admission (src/control/global_admission.h):
-  // floor composed into the gate, token share swapped into join_bucket_.
-  AdmissionState directive_floor_ = AdmissionState::kNormal;
+  // the directive's token share is swapped into join_bucket_.
   bool directive_active_ = false;
-  /// Epoch/seq admission for every coordinator-originated state flip
-  /// (AdmissionUpdate, AdmissionDirective, relayed McHeartbeat) plus the
-  /// heartbeat-freshness failsafe state machine.  Replaces the old ad-hoc
-  /// admission_seq_seen_ / directive_seq_seen_ watermarks.
+  /// Seq admission for AdmissionUpdate and relayed AdmissionDirective.
   ControlPlane control_plane_{config_.failsafe};
   // Surge queue (src/control/surge_queue.h): the server-owned waiting room
   // replacing client-side defer-retry when enabled.

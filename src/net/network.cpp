@@ -257,11 +257,6 @@ void Network::set_link(NodeId src, NodeId dst, LinkConfig config) {
   }
 }
 
-void Network::set_node_config(NodeId id, NodeConfig config) {
-  NodeState* state = find_state(id);
-  if (state != nullptr) state->config = config;
-}
-
 std::size_t Network::send(NodeId src, NodeId dst,
                           std::vector<std::uint8_t> payload,
                           std::size_t zero_tail) {

@@ -220,8 +220,6 @@ class Network : private EventQueue::Target {
     return record != nullptr ? config_of(*record) : default_link_;
   }
 
-  void set_node_config(NodeId id, NodeConfig config);
-
   // ---- data plane ---------------------------------------------------------
 
   /// Sends the frame `payload` followed by `zero_tail` zero bytes (stored

@@ -12,13 +12,11 @@ MetricsSampler::MetricsSampler(Deployment& deployment, SimTime interval)
   clients_.reserve(n);
   queues_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    std::ostringstream cname, qname, aname;
+    std::ostringstream cname, qname;
     cname << "server" << (i + 1) << "_clients";
     qname << "server" << (i + 1) << "_queue";
-    aname << "server" << (i + 1) << "_admission";
     clients_.emplace_back(cname.str());
     queues_.emplace_back(qname.str());
-    admission_.emplace_back(aname.str());
   }
   schedule();
 }
@@ -41,14 +39,6 @@ void MetricsSampler::sample() {
     queues_[i].record(
         t, active ? static_cast<double>(
                         deployment_.network().queue_length(games[i]->node_id()))
-                  : 0.0);
-    // The COMPOSED state (local valve + directive floor) — what the join
-    // gate actually enforces; identical to the local state unless
-    // coordinator-led global admission is active.
-    admission_[i].record(
-        t, active ? static_cast<double>(static_cast<std::uint8_t>(
-                        deployment_.matrix_servers()[i]
-                            ->effective_admission_state()))
                   : 0.0);
   }
   active_.record(t, static_cast<double>(deployment_.active_server_count()));

@@ -3,8 +3,8 @@
 // MetricsSampler polls the deployment on a fixed cadence and produces the
 // exact series the paper's Figure 2 plots: clients per server over time
 // (2a) and receive-queue length per server over time (2b), plus the active
-// server count, pool occupancy, admission-state timelines (src/control/),
-// and traffic-by-category totals used by the other benches.
+// server count, pool occupancy, and traffic-by-category totals used by the
+// other benches.
 #pragma once
 
 #include <cstdint>
@@ -35,12 +35,6 @@ class MetricsSampler {
   [[nodiscard]] const TimeSeries& active_servers() const { return active_; }
   [[nodiscard]] const TimeSeries& total_clients() const { return total_; }
   [[nodiscard]] const TimeSeries& pool_idle() const { return pool_idle_; }
-  /// One admission-state series per server slot (0=NORMAL 1=SOFT 2=HARD;
-  /// inactive servers sample as 0).  Samples the COMPOSED state — local
-  /// valve + global directive floor, strictest wins.
-  [[nodiscard]] const std::vector<TimeSeries>& admission_per_server() const {
-    return admission_;
-  }
 
   /// Peak queue length seen on any server.
   [[nodiscard]] double max_queue() const;
@@ -56,7 +50,6 @@ class MetricsSampler {
   bool running_ = true;
   std::vector<TimeSeries> clients_;
   std::vector<TimeSeries> queues_;
-  std::vector<TimeSeries> admission_;
   TimeSeries active_{"active_servers"};
   TimeSeries total_{"total_clients"};
   TimeSeries pool_idle_{"pool_idle"};

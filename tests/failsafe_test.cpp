@@ -238,8 +238,10 @@ OverloadScenarioOptions modest_crowd() {
   return load;
 }
 
-/// Every started control plane (matrix and game) must satisfy the timeline
-/// contract; returns the number of planes currently in `state`.
+/// Every matrix plane must satisfy the timeline contract, and every game
+/// plane must stay NORMAL with no transitions (the pair's one failsafe
+/// machine runs on the matrix server); returns the number of planes,
+/// game planes included, currently in `state`.
 std::size_t count_planes_in(Deployment& deployment, FailsafeState state) {
   std::size_t n = 0;
   for (const MatrixServer* server : deployment.matrix_servers()) {
@@ -247,7 +249,8 @@ std::size_t count_planes_in(Deployment& deployment, FailsafeState state) {
     if (server->control_plane().state() == state) ++n;
   }
   for (const GameServer* game : deployment.game_servers()) {
-    EXPECT_TRUE(failsafe_timeline_valid(game->control_plane().transitions()));
+    EXPECT_TRUE(game->control_plane().transitions().empty());
+    EXPECT_EQ(game->control_plane().state(), FailsafeState::kNormal);
     if (game->control_plane().state() == state) ++n;
   }
   return n;
@@ -275,9 +278,10 @@ TEST(FailsafeIntegrationTest, McOutageDrivesEveryServerIntoFallback) {
   EXPECT_EQ(root->control_plane().state(), FailsafeState::kHold);
   deployment.run_until(scenario.load.duration);
   EXPECT_EQ(root->control_plane().state(), FailsafeState::kFallback);
-  // The root's matrix AND game plane both degraded (the beat relay shares
-  // one freshness clock); parked spares never started and stay NORMAL.
-  EXPECT_GE(count_planes_in(deployment, FailsafeState::kFallback), 2u);
+  // The root's matrix plane degraded; its game plane stays NORMAL (it has
+  // no heartbeat clock — the matrix decides for the pair), and parked
+  // spares never started and stay NORMAL too.
+  EXPECT_GE(count_planes_in(deployment, FailsafeState::kFallback), 1u);
 
   // The run still quiesces (login and leave never traverse the MC) and
   // every invariant holds — including the failsafe timelines, re-checked
@@ -361,20 +365,36 @@ TEST(FailsafeIntegrationTest, ControlPartitionDegradesThenHeals) {
   EXPECT_TRUE(report.ok()) << report.summary();
 }
 
-TEST(FailsafeIntegrationTest, HeartbeatsReachGameServersThroughTheRelay) {
+TEST(FailsafeIntegrationTest, GameServersObeyTheirMatrixFallbackRescind) {
+  // One failsafe machine per co-located pair, on the matrix server: its
+  // FALLBACK rescinds the frozen directive, and the game obeys the rescind
+  // instead of holding it behind a second, game-side copy of the machine.
   Deployment deployment(failsafe_options());
-  ScenarioSpec()
-      .background(100_ms, 10)
-      .run_for(at_sec(8.0))
-      .schedule(deployment);
-  deployment.run_until(at_sec(8.0));
-  ASSERT_FALSE(deployment.game_servers().empty());
-  const GameServer* game = deployment.game_servers().front();
-  // The co-located matrix relays every accepted beat: the game's plane
-  // shares the freshness clock and never degrades while the MC is healthy.
-  EXPECT_GT(game->control_plane().stats().heartbeats, 3u);
-  EXPECT_EQ(game->control_plane().state(), FailsafeState::kNormal);
-  EXPECT_TRUE(game->control_plane().transitions().empty());
+  McOutageScenarioOptions scenario;
+  scenario.load = modest_crowd();
+  scenario.load.flash_bots = 240;  // past the pool: the MC raises a floor
+  scenario.load.join_batch = 60;
+  scenario.kill_at = at_sec(10.0);  // dead for the rest of the run
+  schedule_mc_outage_scenario(deployment, scenario);
+
+  deployment.run_until(scenario.kill_at);
+  std::size_t games_under_directive = 0;
+  for (const GameServer* game : deployment.game_servers()) {
+    if (game->directive_active()) ++games_under_directive;
+  }
+  ASSERT_GT(games_under_directive, 0u) << "no directive in force at the kill";
+
+  deployment.run_until(scenario.load.duration);
+  const MatrixServer* root = deployment.matrix_servers().front();
+  EXPECT_EQ(root->control_plane().state(), FailsafeState::kFallback);
+  for (const GameServer* game : deployment.game_servers()) {
+    SCOPED_TRACE(game->name());
+    const ControlPlane& plane = game->control_plane();
+    EXPECT_TRUE(plane.transitions().empty());
+    EXPECT_EQ(plane.state(), FailsafeState::kNormal);
+    EXPECT_EQ(plane.stats().held_drops, 0u);
+    EXPECT_FALSE(game->directive_active());
+  }
 }
 
 TEST(FailsafeIntegrationTest, OutageRunIsDeterministicWithFailsafeOn) {

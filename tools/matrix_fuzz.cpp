@@ -191,8 +191,7 @@ int main(int argc, char** argv) {
   std::cout << "\n";
 
   // Sweep tallies in the same matrix_bench_json shape the benches emit, so
-  // `matrix_sweep` (which appends `--json tmpfile` to every child) can
-  // aggregate fuzz jobs alongside bench jobs.
+  // one reader handles fuzz and bench reports alike.
   if (!args.json_path.empty()) {
     std::ofstream out(args.json_path);
     if (!out) {
