@@ -123,7 +123,7 @@ RunResult run_one(bool admission_on, std::size_t crowd, const char* label) {
   return result;
 }
 
-void run(const char* json_path) {
+int run(const char* json_path) {
   header("OverloadAdmission",
          "beyond-capacity flash crowd: admission on vs off");
   std::printf("  capacity = %zu servers x %u clients = %zu; crowd = %zu\n\n",
@@ -136,18 +136,21 @@ void run(const char* json_path) {
 
   std::printf("\n[criteria]\n");
   const double bound = 2.0 * baseline.p99_ms;
+  const bool held = on.p99_ms <= bound;
+  const bool collapsed = off.p99_ms > bound;
+  const bool shed =
+      on.admission.joins_deferred + on.admission.joins_denied > 0;
+  const bool timelines_ok = on.admission.timelines_valid;
   std::printf("  admitted-client p99 bound (2x baseline) : %.1f ms\n", bound);
   std::printf("  admission ON  p99 %8.1f ms  -> %s\n", on.p99_ms,
-              on.p99_ms <= bound ? "PASS (held)" : "FAIL");
+              held ? "PASS (held)" : "FAIL");
   std::printf("  admission OFF p99 %8.1f ms  -> %s\n", off.p99_ms,
-              off.p99_ms > bound ? "PASS (collapsed, as predicted)"
-                                 : "FAIL (did not collapse)");
+              collapsed ? "PASS (collapsed, as predicted)"
+                        : "FAIL (did not collapse)");
   std::printf("  excess shed at the valve (ON)           : %s\n",
-              on.admission.joins_deferred + on.admission.joins_denied > 0
-                  ? "PASS"
-                  : "FAIL");
+              shed ? "PASS" : "FAIL");
   std::printf("  hysteresis timelines valid (ON)         : %s\n",
-              on.admission.timelines_valid ? "PASS" : "FAIL");
+              timelines_ok ? "PASS" : "FAIL");
   std::printf("  goodput ON vs OFF (delivered fraction)  : %.1f%% vs %.1f%%\n",
               on.delivery * 100.0, off.delivery * 100.0);
 
@@ -162,12 +165,13 @@ void run(const char* json_path) {
                "clients");
   }
   report.write(json_path);
+
+  return held && collapsed && shed && timelines_ok ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace matrix::bench
 
 int main(int argc, char** argv) {
-  matrix::bench::run(matrix::bench::json_report_path(argc, argv));
-  return 0;
+  return matrix::bench::run(matrix::bench::json_report_path(argc, argv));
 }

@@ -1,12 +1,13 @@
-// Need-weighted pool grants + proactive splits (DirectivePolicy) vs FCFS
-// (ClassicPolicy) when more partitions overload than the pool holds spares.
+// Need-weighted pool grants + proactive splits (the directive load rules) vs
+// FCFS (the classic rules) when more partitions overload than the pool holds
+// spares.
 //
-// The load-policy layer (src/policy/) made WHO WINS A CONTESTED POOL SERVER
-// a first-class, swappable decision.  Under ClassicPolicy the pool answers
+// The load rules (policy/load_rules.h) make WHO WINS A CONTESTED POOL SERVER
+// a decision of its own.  Under the classic rules the pool answers
 // PoolAcquire in strict arrival order: when four partitions saturate over
 // one spare, the grant goes to whichever server's retry timer happened to
 // fire first — frequently a lightly-crowded partition whose split relieves
-// little, while the deepest waiting room keeps starving.  DirectivePolicy
+// little, while the deepest waiting room keeps starving.  The directive rules
 // routes the same decision through the coordinator's vantage point: while
 // an AdmissionDirective is active, PoolAcquire carries a need hint scored
 // from the signals the MC's pressure score weights (load fraction +
@@ -31,7 +32,8 @@
 // machinery benchmarked in bench_global_admission.
 //
 // Claims under test (ISSUE 4 acceptance criteria):
-//   * worst-partition censored time-to-admit improves under DirectivePolicy;
+//   * worst-partition censored time-to-admit improves under the directive
+//     rules;
 //   * cross-partition goodput spread (max−min over surge centers) shrinks;
 //   * crowd-wide goodput is preserved and admitted-client p99 is unharmed;
 //   * hysteresis timelines stay valid (servers + directive floor);
@@ -131,7 +133,6 @@ DeploymentOptions deployment_options(LoadPolicyKind kind) {
   options.config.policy.kind = kind;
   options.config.policy.grant_window = 2500_ms;
   options.config.policy.proactive_load_fraction = 0.70;
-  options.config.policy.proactive_min_waiting = 8;
 
   options.spec = quake_like();
   options.config.visibility_radius = options.spec.visibility_radius;

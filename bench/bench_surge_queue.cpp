@@ -211,11 +211,13 @@ RunResult run_one(bool waiting_room, const char* label) {
   return result;
 }
 
-void verdict(const char* what, bool pass) {
+/// Prints one criterion and folds it into `all_pass`.
+void verdict(const char* what, bool pass, bool& all_pass) {
   std::printf("  %-44s: %s\n", what, pass ? "PASS" : "FAIL");
+  all_pass = all_pass && pass;
 }
 
-void run(const char* json_path) {
+int run(const char* json_path) {
   header("SurgeQueue",
          "waiting-room drain vs PR-1 defer-retry under a 3x flash crowd");
   std::printf("  capacity = %zu servers x %u clients = %zu; crowd = %zu "
@@ -226,24 +228,29 @@ void run(const char* json_path) {
   const RunResult queue = run_one(true, "queue");
 
   std::printf("\n[criteria]\n");
+  bool all_pass = true;
   verdict("goodput: queue > defer (strict)",
-          queue.goodput > defer.goodput);
+          queue.goodput > defer.goodput, all_pass);
   verdict("admitted into play: queue >= defer",
-          queue.admitted >= defer.admitted);
+          queue.admitted >= defer.admitted, all_pass);
   // Time-to-admit uses the CENSORED mean (never-admitted bots count their
   // whole wait): defer-retry's JoinDeny give-ups must not be dropped from
   // its average just because they never got in.
   verdict("mean time-to-admit VIP: queue < defer",
-          queue.vip.mean_censored_ms() < defer.vip.mean_censored_ms());
+          queue.vip.mean_censored_ms() < defer.vip.mean_censored_ms(),
+          all_pass);
   verdict("mean time-to-admit NORMAL: queue < defer",
-          queue.normal.mean_censored_ms() < defer.normal.mean_censored_ms());
+          queue.normal.mean_censored_ms() < defer.normal.mean_censored_ms(),
+          all_pass);
   verdict("VIP drains ahead of NORMAL (queue waits)",
           queue.admission.mean_queue_wait_ms(1) <=
-              queue.admission.mean_queue_wait_ms(2));
+              queue.admission.mean_queue_wait_ms(2),
+          all_pass);
   verdict("admitted p99 within 2x of defer-retry",
-          queue.p99_ms <= 2.0 * defer.p99_ms);
+          queue.p99_ms <= 2.0 * defer.p99_ms, all_pass);
   verdict("hysteresis timelines valid (both runs)",
-          defer.admission.timelines_valid && queue.admission.timelines_valid);
+          defer.admission.timelines_valid && queue.admission.timelines_valid,
+          all_pass);
   std::printf("  time-to-admit VIP   : %6.0f ms -> %6.0f ms  (censored mean)\n",
               defer.vip.mean_censored_ms(), queue.vip.mean_censored_ms());
   std::printf("  time-to-admit NORMAL: %6.0f ms -> %6.0f ms  (censored mean)\n",
@@ -266,12 +273,13 @@ void run(const char* json_path) {
                runs[i]->normal.mean_censored_ms(), "ms");
   }
   report.write(json_path);
+
+  return all_pass ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace matrix::bench
 
 int main(int argc, char** argv) {
-  matrix::bench::run(matrix::bench::json_report_path(argc, argv));
-  return 0;
+  return matrix::bench::run(matrix::bench::json_report_path(argc, argv));
 }

@@ -21,8 +21,7 @@ AdmissionController::AdmissionController(const AdmissionConfig& config,
       overload_clients_(overload_clients),
       valve_(config.dwell, config.recover_min, skip_recover_min) {}
 
-AdmissionState AdmissionController::target_for(
-    const AdmissionSignals& signals) const {
+AdmissionState AdmissionController::target_for(const LoadView& view) const {
   // Round to nearest so 0.29 × 100 = 28.999... still means 29 ("reach this
   // fraction"), not a silent truncation to 28.
   const auto load_at = [this](double fraction) {
@@ -30,25 +29,25 @@ AdmissionState AdmissionController::target_for(
         fraction * static_cast<double>(overload_clients_)));
   };
 
-  if (signals.load.client_count >= load_at(config_.hard_load_fraction) ||
-      signals.load.queue_length >= config_.hard_queue_length ||
+  if (view.load.client_count >= load_at(config_.hard_load_fraction) ||
+      view.load.queue_length >= config_.hard_queue_length ||
       (config_.hard_denied_streak > 0 &&
-       signals.split_denied_streak >= config_.hard_denied_streak) ||
+       view.split_denied_streak >= config_.hard_denied_streak) ||
       (config_.hard_waiting_count > 0 &&
-       signals.load.waiting_count >= config_.hard_waiting_count)) {
+       view.load.waiting_count >= config_.hard_waiting_count)) {
     return AdmissionState::kHard;
   }
 
   const bool pool_pressure =
-      signals.pool_idle_fraction >= 0.0 &&
-      signals.pool_idle_fraction <= config_.soft_pool_idle_fraction &&
-      signals.load.client_count >= load_at(config_.pool_pressure_load_fraction);
-  if (signals.load.client_count >= load_at(config_.soft_load_fraction) ||
-      signals.load.queue_length >= config_.soft_queue_length ||
+      view.pool_idle_fraction >= 0.0 &&
+      view.pool_idle_fraction <= config_.soft_pool_idle_fraction &&
+      view.load.client_count >= load_at(config_.pool_pressure_load_fraction);
+  if (view.load.client_count >= load_at(config_.soft_load_fraction) ||
+      view.load.queue_length >= config_.soft_queue_length ||
       (config_.soft_denied_streak > 0 &&
-       signals.split_denied_streak >= config_.soft_denied_streak) ||
+       view.split_denied_streak >= config_.soft_denied_streak) ||
       (config_.soft_waiting_count > 0 &&
-       signals.load.waiting_count >= config_.soft_waiting_count) ||
+       view.load.waiting_count >= config_.soft_waiting_count) ||
       pool_pressure) {
     return AdmissionState::kSoft;
   }
@@ -56,10 +55,9 @@ AdmissionState AdmissionController::target_for(
   return AdmissionState::kNormal;
 }
 
-bool AdmissionController::observe(SimTime now,
-                                  const AdmissionSignals& signals) {
+bool AdmissionController::observe(SimTime now, const LoadView& view) {
   if (!config_.enabled) return false;
-  return valve_.step(now, target_for(signals));
+  return valve_.step(now, target_for(view));
 }
 
 void AdmissionHysteresis::transition(SimTime now, AdmissionState to) {

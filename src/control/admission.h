@@ -40,12 +40,8 @@
 
 namespace matrix {
 
-enum class AdmissionState : std::uint8_t {
-  kNormal = 0,
-  kSoft = 1,
-  kHard = 2,
-};
-
+// AdmissionState itself is declared in policy/load_view.h, next to the
+// LoadView the valve reads.
 [[nodiscard]] const char* admission_state_name(AdmissionState state);
 
 /// Maps a wire byte (AdmissionUpdate.state, AdmissionDirective.floor) back
@@ -69,23 +65,6 @@ enum class AdmissionState : std::uint8_t {
     AdmissionState local, AdmissionState floor) {
   return local > floor ? local : floor;
 }
-
-/// One load observation, assembled by the Matrix server from its game
-/// server's LoadReport, direct queue observation, its own split-denied
-/// streak, and the coordinator's pool-pressure broadcasts.  The load triple
-/// is the shared LoadSignals vocabulary (policy/load_view.h) — the same
-/// snapshot the load-policy layer and the coordinator's global-admission
-/// aggregate consume.
-struct AdmissionSignals {
-  /// Client count, receive-queue depth, and surge-queue ("waiting room")
-  /// depth; waiting_count is only consulted when the
-  /// soft/hard_waiting_count thresholds are non-zero.
-  LoadSignals load;
-  /// Consecutive PoolDeny answers since the last successful grant.
-  std::uint32_t split_denied_streak = 0;
-  /// Idle fraction of the deployment's spare pool; negative ⇒ unknown.
-  double pool_idle_fraction = -1.0;
-};
 
 /// One recorded state change, for metrics and invariant checking.
 struct AdmissionTransition {
@@ -164,14 +143,15 @@ class AdmissionController {
                       bool skip_recover_min = false);
 
   /// Feeds one observation and applies the transition rules.  Returns true
-  /// when the admission state changed.
-  bool observe(SimTime now, const AdmissionSignals& signals);
+  /// when the admission state changed.  The valve reads the view's load
+  /// triple, split_denied_streak and pool_idle_fraction.
+  bool observe(SimTime now, const LoadView& view);
 
   [[nodiscard]] AdmissionState state() const { return valve_.state(); }
 
-  /// Severity the given signals map to before hysteresis — the "target"
+  /// Severity the given view maps to before hysteresis — the "target"
   /// state of the Continuity mode-selection equation.  Exposed for tests.
-  [[nodiscard]] AdmissionState target_for(const AdmissionSignals& signals) const;
+  [[nodiscard]] AdmissionState target_for(const LoadView& view) const;
 
   /// Full transition timeline since construction/reset.
   [[nodiscard]] const std::vector<AdmissionTransition>& transitions() const {

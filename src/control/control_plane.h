@@ -32,7 +32,7 @@
 //   HOLD      heartbeat silence >= tau1: freeze the current directive and
 //             pool view rather than acting on them — the directive stays in
 //             force, but no new pool-grant-seeking decisions are derived
-//             from coordinator state (DirectivePolicy need drops to zero).
+//             from coordinator state (the directive need hint drops to 0).
 //   FALLBACK  silence >= tau2: deterministic local-only behaviour — the
 //             frozen directive is dropped (local valve and local token rate
 //             take back over), splits needing pool grants are suppressed,
@@ -97,7 +97,7 @@ enum class ControlVerdict : std::uint8_t {
 
 /// Heartbeat silence at which a server enters HOLD: the current
 /// directive/pool view is frozen — still in force, but no longer a basis
-/// for new pool-grant-seeking decisions (DirectivePolicy need drops to
+/// for new pool-grant-seeking decisions (the directive need hint drops to
 /// zero, proactive splits stop).  Also the deadline for an unanswered MC
 /// point lookup, whether or not the failsafe is enabled: a matrix server
 /// drops a lookup parked this long when it parks the next one.
@@ -166,7 +166,6 @@ class ControlPlane {
   [[nodiscard]] std::uint64_t last_seq(ControlKind kind) const {
     return last_seq_[static_cast<std::size_t>(kind)];
   }
-  [[nodiscard]] SimTime last_heartbeat() const { return last_heartbeat_; }
 
   /// Full failsafe transition timeline since construction.
   [[nodiscard]] const std::vector<FailsafeTransition>& transitions() const {

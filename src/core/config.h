@@ -107,12 +107,12 @@ struct GlobalAdmissionConfig {
   bool queue_handoff = true;
 };
 
-/// Which LoadPolicy implementation (src/policy/) a deployment runs.
+/// Which load-rule set (policy/load_rules.h) a deployment runs.
 enum class LoadPolicyKind : std::uint8_t {
-  /// Bit-for-bit port of the historical inline decision logic: threshold +
-  /// hysteresis splits, headroom-gated reclaims, FCFS pool grants.
+  /// The historical decision logic: threshold + hysteresis splits,
+  /// headroom-gated reclaims, FCFS pool grants.
   kClassic = 0,
-  /// ClassicPolicy plus the coordinator-directive extensions: need-weighted
+  /// kClassic plus the coordinator-directive extensions: need-weighted
   /// pool-grant arbitration and directive-driven proactive load-aware
   /// splits.  Identical to kClassic while no directive is in force.
   kDirective = 1,
@@ -121,41 +121,33 @@ enum class LoadPolicyKind : std::uint8_t {
 /// Process-level default for PolicyConfig::kind.  Reads the
 /// MATRIX_LOAD_POLICY environment variable once ("classic" / "directive";
 /// unset or unrecognized ⇒ kClassic), so CI's policy-matrix leg can run the
-/// whole test suite under DirectivePolicy without touching any test code.
+/// whole test suite under the directive rules without touching any test
+/// code.
 [[nodiscard]] LoadPolicyKind default_load_policy_kind();
 
 [[nodiscard]] const char* load_policy_kind_name(LoadPolicyKind kind);
 
-/// Knobs for the pluggable load-policy layer (src/policy/): the one place
-/// deciding when/where a partition splits, when a child is reclaimed, and
-/// which requester wins a contested pool server.  The default ClassicPolicy
-/// reproduces the pre-policy-layer behavior bit-for-bit; every knob below
-/// it only takes effect under DirectivePolicy.
+/// Knobs for the load rules (policy/load_rules.h): when/where a partition
+/// splits, when a child is reclaimed, and which requester wins a contested
+/// pool server.  Every knob below `kind` only takes effect under
+/// kDirective.
 struct PolicyConfig {
   LoadPolicyKind kind = default_load_policy_kind();
 
-  // ---- need-weighted pool grants (DirectivePolicy) -------------------------
+  // ---- need-weighted pool grants ------------------------------------------
   /// How long the resource pool holds a need-tagged PoolAcquire before
   /// arbitrating, so simultaneous requesters contend on need instead of
-  /// message arrival order.  Requests with need 0 (ClassicPolicy, or no
+  /// message arrival order.  Requests with need 0 (kClassic, or no
   /// directive in force) are never held — grant/deny stays immediate.
   SimTime grant_window = SimTime::from_ms(250);
-  /// Weight of the waiting-room depth in the need score, relative to the
-  /// load fraction (the MC's pressure score weights starvation the same
-  /// way: the deepest line is the most starved partition).
-  double need_waiting_weight = 2.0;
 
-  // ---- directive-driven proactive splits (DirectivePolicy) -----------------
+  // ---- directive-driven proactive splits ---------------------------------
   /// While a coordinator directive is active, split as soon as reported
   /// clients reach this fraction of overload_clients — before the valve
   /// ever reaches HARD — instead of waiting out the full overload +
   /// sustain hysteresis.  The cut is load-aware (median) regardless of
   /// split_policy: a proactive split exists to shed the hotspot.
   double proactive_load_fraction = 0.80;
-  /// A proactive split also requires this many parked joins: an empty
-  /// waiting room means the valve is coping and the split can wait for the
-  /// ordinary thresholds.
-  std::uint32_t proactive_min_waiting = 8;
 };
 
 /// Knobs for the admission & overload-protection subsystem (src/control/).
@@ -376,7 +368,7 @@ struct Config {
   // ---- control-plane failsafe (src/control/control_plane.h) -----------------
   FailsafeConfig failsafe;
 
-  // ---- pluggable load-policy layer (src/policy/) ----------------------------
+  // ---- load rules (src/policy/load_rules.h) ---------------------------------
   PolicyConfig policy;
 
   // ---- observability (src/obs/) ---------------------------------------------

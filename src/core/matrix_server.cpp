@@ -59,8 +59,7 @@ void MatrixServer::on_message(const Message& message,
     stats_.pool_backoff_us = denial_episode_.backoff_us();
     // A denied split is also an admission signal: the pool is exhausted
     // and this server is still hot.
-    observe_admission(last_report_.client_count, last_report_.queue_length,
-                      last_report_.waiting_count);
+    observe_admission();
   } else if (const auto* pressure = std::get_if<PoolPressure>(&message)) {
     // While the failsafe is degraded the pool view stays FROZEN: a pressure
     // broadcast that limped in from a possibly-dead MC must not steer the
@@ -84,8 +83,7 @@ void MatrixServer::on_message(const Message& message,
       }
     }
     if (active_) {
-      observe_admission(last_report_.client_count, last_report_.queue_length,
-                        last_report_.waiting_count);
+      observe_admission();
     }
   } else if (const auto* directive = std::get_if<AdmissionDirective>(&message)) {
     handle_admission_directive(*directive);
@@ -388,13 +386,8 @@ void MatrixServer::handle_load_report(const LoadReport& report) {
          ReclaimRequest{children_.back().adoption_token});
   }
 
-  // "explicit load messages from the game server or via system performance
-  // measurements": combine the reported queue with what we can observe.
-  const auto observed_queue = static_cast<std::uint32_t>(
-      network()->queue_length(wiring_.game_node));
-  const std::uint32_t queue_len = std::max(report.queue_length, observed_queue);
-
-  const bool overloaded = config_.overloaded(report.client_count, queue_len);
+  const bool overloaded =
+      config_.overloaded(report.client_count, receive_queue_length());
 
   // A calm report ends the pool-denial episode: the streak and its backoff
   // describe the *current* run of denied splits, and with the overload gone
@@ -403,17 +396,16 @@ void MatrixServer::handle_load_report(const LoadReport& report) {
   // block reclaim forever.
   if (!overloaded) clear_pool_denial_episode();
 
-  observe_admission(report.client_count, queue_len, report.waiting_count);
+  observe_admission();
 
   if (overloaded) {
     ++consecutive_overload_;
   } else {
     consecutive_overload_ = 0;
   }
-  // The policy layer decides: maybe_split consults it on EVERY report (a
-  // DirectivePolicy may split proactively below the overload threshold;
-  // ClassicPolicy only fires on sustained overload), reclaim only on calm
-  // reports, exactly as before.
+  // The load rules decide: maybe_split consults them on EVERY report (the
+  // directive rules may split proactively below the overload threshold),
+  // reclaim only on calm reports.
   maybe_split();
   if (!overloaded) maybe_reclaim();
 }
@@ -422,22 +414,9 @@ void MatrixServer::handle_load_report(const LoadReport& report) {
 // Admission control (src/control/)
 // ---------------------------------------------------------------------------
 
-void MatrixServer::observe_admission(std::uint32_t clients,
-                                     std::uint32_t queue_len,
-                                     std::uint32_t waiting_count) {
+void MatrixServer::observe_admission() {
   if (!config_.admission.enabled) return;
-  AdmissionSignals signals;
-  signals.load.client_count = clients;
-  // Always fold in the directly observed receive queue: callers outside
-  // the LoadReport path (PoolDeny, PoolPressure) would otherwise escalate
-  // on a queue figure up to one report interval stale.
-  signals.load.queue_length = std::max(
-      queue_len, static_cast<std::uint32_t>(
-                     network()->queue_length(wiring_.game_node)));
-  signals.load.waiting_count = waiting_count;
-  signals.split_denied_streak = denial_episode_.streak();
-  signals.pool_idle_fraction = pool_idle_fraction_;
-  if (admission_.observe(now(), signals)) push_admission_to_game();
+  if (admission_.observe(now(), build_load_view())) push_admission_to_game();
 }
 
 void MatrixServer::handle_admission_directive(
@@ -465,8 +444,6 @@ void MatrixServer::apply_admission_directive(
   directive_floor_ = directive.active
                          ? admission_state_from_wire(directive.floor)
                          : AdmissionState::kNormal;
-  directive_pressure_ = directive.active ? directive.pressure : 0.0;
-  directive_waiting_total_ = directive.active ? directive.waiting_total : 0;
   ++stats_.directives_received;
   if (!active_) return;  // parked in the pool: remember seq, enforce nothing
   // The game server needs the directive itself (token-budget share,
@@ -483,8 +460,6 @@ void MatrixServer::reset_directive() {
   const bool was_active = directive_active_;
   directive_floor_ = AdmissionState::kNormal;
   directive_active_ = false;
-  directive_pressure_ = 0.0;
-  directive_waiting_total_ = 0;
   // The game server of this pair latched the old directive; rescind it so
   // a fresh life (re-adoption, MC fail-over) starts unclamped.
   if (was_active && config_.admission.global.enabled) {
@@ -539,8 +514,8 @@ void MatrixServer::on_failsafe_degraded() {
   // FALLBACK entry: deterministic local-only behaviour.  The frozen
   // directive is dropped — reset_directive() also relays a rescind so the
   // game server restores its local token rate — and the local valve takes
-  // back over.  Split/reclaim conservatism is enforced in maybe_split /
-  // maybe_reclaim.
+  // back over.  Split/reclaim conservatism is enforced by the load rules
+  // (policy/load_rules.h).
   const AdmissionState before = effective_admission_state();
   reset_directive();
   if (active_ && config_.admission.enabled &&
@@ -585,34 +560,36 @@ bool MatrixServer::can_change_topology() const {
          !being_reclaimed_ && now() >= cooldown_until_;
 }
 
+std::uint32_t MatrixServer::receive_queue_length() const {
+  // "explicit load messages from the game server or via system performance
+  // measurements": the reported queue, or what we observe now if deeper —
+  // between reports (PoolDeny, PoolPressure) the report is up to one
+  // interval stale.
+  return std::max(last_report_.queue_length,
+                  static_cast<std::uint32_t>(
+                      network()->queue_length(wiring_.game_node)));
+}
+
 LoadView MatrixServer::build_load_view() const {
   LoadView view;
   view.load.client_count = last_report_.client_count;
-  view.load.queue_length = last_report_.queue_length;
+  view.load.queue_length = receive_queue_length();
   view.load.waiting_count = last_report_.waiting_count;
   view.median_position = last_report_.median_position;
   view.range = range_;
   view.consecutive_overload = consecutive_overload_;
   view.split_denied_streak = denial_episode_.streak();
   view.pool_idle_fraction = pool_idle_fraction_;
-  view.local_valve = static_cast<std::uint8_t>(admission_.state());
-  view.directive_floor = static_cast<std::uint8_t>(directive_floor_);
-  view.effective_valve =
-      static_cast<std::uint8_t>(effective_admission_state());
+  view.effective_valve = effective_admission_state();
   view.directive_active = directive_active_;
-  view.directive_pressure = directive_pressure_;
-  view.directive_waiting_total = directive_waiting_total_;
-  view.failsafe = static_cast<std::uint8_t>(control_plane_.state());
+  view.failsafe = control_plane_.state();
   return view;
 }
 
 void MatrixServer::maybe_split() {
   if (!can_change_topology()) return;
-  // FALLBACK forbids decisions that need a pool grant: a split's child must
-  // register with the MC to become routable, and the MC is presumed dead.
-  if (control_plane_.fallback()) return;
   const LoadView view = build_load_view();
-  const SplitDecision decision = policy_->decide_split(view);
+  const SplitDecision decision = decide_split(config_, view);
   if (!decision.split) return;
   split_pending_ = true;
   split_started_at_ = now();
@@ -620,7 +597,7 @@ void MatrixServer::maybe_split() {
   if (decision.proactive) ++stats_.proactive_splits;
   // The need hint rides the request so the pool can arbitrate a contested
   // spare toward the most starved partition (0 ⇒ classic FCFS).
-  const auto need = policy_->pool_need(view);
+  const auto need = pool_need(config_, view);
   obs::Tracer& tracer = network()->tracer();
   tracer.record(now(), obs::TraceKind::kSplitRequested, id_.value(), 0,
                 decision.proactive ? 1 : 0, need);
@@ -647,7 +624,7 @@ void MatrixServer::handle_pool_grant(const PoolGrant& grant) {
   network()->tracer().record(now(), obs::TraceKind::kPoolGranted, id_.value(),
                              grant.server.value());
 
-  const auto [give_away, keep] = policy_->split_ranges(build_load_view());
+  const auto [give_away, keep] = split_ranges(config_, build_load_view());
   ++topology_epoch_;
   range_ = keep;
 
@@ -757,15 +734,7 @@ void MatrixServer::maybe_reclaim() {
   child_view.client_count = child.last_clients;
   child_view.child_count = child.last_children;
   child_view.load_known = child.load_known;
-  // FALLBACK reclaims conservatively: only a provably EMPTY child is merged
-  // back.  A populated merge mid-outage would concentrate load with no MC
-  // to re-split it across the deployment afterwards.
-  if (control_plane_.fallback() &&
-      (!child.load_known || child.last_clients != 0 ||
-       child.last_children != 0)) {
-    return;
-  }
-  if (!policy_->decide_reclaim(build_load_view(), child_view).reclaim) return;
+  if (!decide_reclaim(config_, build_load_view(), child_view)) return;
   reclaim_pending_ = true;
   reclaim_started_at_ = now();
   reclaim_retry_at_ = now() + config_.topology_cooldown * 2;

@@ -13,20 +13,17 @@
 //     transfer and client handoff;
 //   * reclaims its most recent child when both are underloaded, returning
 //     the child to the pool;
-//   * delegates WHEN/WHERE those split/reclaim decisions fire — and the
-//     need hint that biases contested pool grants — to the pluggable
-//     LoadPolicy layer (src/policy/): every LoadReport is condensed into
-//     one LoadView snapshot and the policy answers with typed decisions.
-//     The default ClassicPolicy reproduces the historical inline logic
-//     bit-for-bit (bar the deliberate denial-episode fix noted below);
-//     DirectivePolicy adds coordinator-directive-driven proactive splits
-//     and need-weighted grants;
+//   * builds one LoadView snapshot per decision (build_load_view) and asks
+//     the load rules (src/policy/load_rules.h) WHEN/WHERE to split, when
+//     to reclaim, and what need hint biases a contested pool grant;
+//     every decision rule, the degraded-control-plane ones included,
+//     lives in that one file;
 //   * applies hysteresis (sustained overload, topology cooldown, reclaim
 //     headroom, pool-denial backoff episodes) to prevent split/reclaim
 //     oscillation — the paper's "simple heuristics ... to ensure
 //     stability".  The mechanism (cooldowns, pending flags, the denial
 //     episode's doubling backoff) stays here; the thresholds live in the
-//     policy;
+//     load rules;
 //   * runs the admission controller (src/control/): every load observation
 //     (LoadReport, queue depth, pool denials, the MC's pool-pressure
 //     broadcasts) feeds the NORMAL/SOFT/HARD valve, state changes are
@@ -51,7 +48,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <string>
 #include <variant>
@@ -63,7 +59,7 @@
 #include "core/overlap.h"
 #include "core/protocol_node.h"
 #include "policy/denial_episode.h"
-#include "policy/load_policy.h"
+#include "policy/load_rules.h"
 
 namespace matrix {
 
@@ -136,7 +132,7 @@ class MatrixServer : public ProtocolNode {
     std::uint64_t splits_initiated = 0;
     std::uint64_t splits_completed = 0;
     /// Splits initiated below the overload threshold on the strength of an
-    /// active coordinator directive (DirectivePolicy only).
+    /// active coordinator directive (directive rules only).
     std::uint64_t proactive_splits = 0;
     std::uint64_t split_denied_no_server = 0;
     /// Consecutive PoolDeny answers since the last successful grant.
@@ -208,10 +204,8 @@ class MatrixServer : public ProtocolNode {
     return control_plane_.state();
   }
 
-  /// The load policy steering split/reclaim/grant decisions (src/policy/).
-  [[nodiscard]] const LoadPolicy& policy() const { return *policy_; }
-  /// The consolidated decision input the policy sees right now — exposed so
-  /// tests can assert on exactly what the policy is being asked.
+  /// The one snapshot the load rules and the admission valve read right
+  /// now — exposed so tests can assert on exactly what they are asked.
   [[nodiscard]] LoadView build_load_view() const;
 
   /// Consistency-set lookup for `point` in radius class `rc` — exposed for
@@ -291,8 +285,10 @@ class MatrixServer : public ProtocolNode {
   void drain_parked_lookups();
 
   // admission control (src/control/)
-  void observe_admission(std::uint32_t clients, std::uint32_t queue_len,
-                         std::uint32_t waiting_count);
+  void observe_admission();
+  /// The game server's receive-queue depth: the latest reported figure or
+  /// the directly observed one, whichever is deeper.
+  [[nodiscard]] std::uint32_t receive_queue_length() const;
   void push_admission_to_game();
   void clear_pool_denial_episode();
   void handle_admission_directive(const AdmissionDirective& directive);
@@ -306,7 +302,7 @@ class MatrixServer : public ProtocolNode {
   void failsafe_tick();
   void on_failsafe_degraded();
 
-  // split / reclaim machinery (decisions delegated to policy_)
+  // split / reclaim machinery (decisions by the load rules)
   void maybe_split();
   void maybe_reclaim();
   [[nodiscard]] bool can_change_topology() const;
@@ -347,10 +343,6 @@ class MatrixServer : public ProtocolNode {
   // the directive floor composes with the local valve, strictest wins.
   AdmissionState directive_floor_ = AdmissionState::kNormal;
   bool directive_active_ = false;
-  /// Pressure score / deployment-wide waiting total carried by the latest
-  /// accepted directive (LoadView inputs for the policy).
-  double directive_pressure_ = 0.0;
-  std::uint32_t directive_waiting_total_ = 0;
   /// Seq space of directives relayed to OUR game server (survives MC
   /// fail-over, unlike the MC's own numbering).
   std::uint64_t game_directive_seq_ = 0;
@@ -387,8 +379,6 @@ class MatrixServer : public ProtocolNode {
   /// epoch and every per-kind seq live in exactly one place.
   ControlPlane control_plane_{config_.failsafe};
 
-  /// Pluggable decision layer (src/policy/); ClassicPolicy by default.
-  std::unique_ptr<LoadPolicy> policy_ = make_load_policy(config_);
   /// Pool-retry backoff episode (policy/denial_episode.h); mirrored into
   /// Stats::split_denied_streak / pool_backoff_us.
   PoolDenialEpisode denial_episode_{config_};

@@ -334,8 +334,8 @@ struct PointOwner {
 // ---------------------------------------------------------------------------
 
 /// Matrix server → pool: "I want to split; give me a spare."  `need` is the
-/// requester's starvation score from the load-policy layer (src/policy/):
-/// 0 under ClassicPolicy (or while no coordinator directive is in force) —
+/// requester's starvation score from the load rules (policy/load_rules.h):
+/// 0 under the classic rules (or while no coordinator directive is in force) —
 /// the pool answers immediately, FCFS — while a positive need asks the pool
 /// to hold the request for `Config::policy.grant_window` and arbitrate a
 /// contested spare toward the highest need (the partition the

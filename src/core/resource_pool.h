@@ -9,21 +9,21 @@
 // servers nearing overload can pre-emptively throttle joins when no spare
 // capacity remains.
 //
-// Grant arbitration is delegated to the load-policy layer (src/policy/):
-// a PoolAcquire with need == 0 (ClassicPolicy, or no coordinator directive
-// in force) is answered the instant it arrives — strict FCFS, the
-// historical behavior.  A positive need asks the pool to HOLD the request
-// for the policy's grant window, collect competing requesters, and hand
-// the contested spares to the highest need first (the partition the
-// global-admission pressure score says is most starved), denying the rest.
+// Grant arbitration follows the load rules (policy/load_rules.h): a
+// PoolAcquire with need == 0 (the classic rules, or no coordinator
+// directive in force) is answered the instant it arrives — strict FCFS, the
+// historical behavior.  Under the directive rules a positive need asks the
+// pool to HOLD the request for policy.grant_window, collect competing
+// requesters, and hand the contested spares to the highest need first (the
+// partition the global-admission pressure score says is most starved),
+// denying the rest.
 #pragma once
 
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "core/protocol_node.h"
-#include "policy/load_policy.h"
+#include "policy/load_rules.h"
 
 namespace matrix {
 
@@ -37,10 +37,10 @@ class ResourcePool : public ProtocolNode {
 
   [[nodiscard]] std::string name() const override { return "pool"; }
 
-  /// Installs the deployment's config (and with it the grant-arbitration
-  /// policy).  Optional: an unconfigured pool runs ClassicPolicy semantics
-  /// for need-0 requests either way, and only ever holds need-tagged ones.
-  void configure(const Config& config) { policy_ = make_load_policy(config); }
+  /// Installs the deployment's config, whose policy.kind and grant_window
+  /// steer arbitration.  Optional: an unconfigured pool keeps a default
+  /// Config, and answers need-0 requests at once either way.
+  void configure(const Config& config) { config_ = config; }
 
   /// Points occupancy reports at the MC.  Optional: an unwired pool (unit
   /// harnesses, the static baseline) simply never reports.
@@ -79,7 +79,7 @@ class ResourcePool : public ProtocolNode {
       request.reply_to = envelope.src;
       request.need = acquire->need;
       request.arrival = ++arrival_counter_;
-      const SimTime hold = policy().grant_hold(request);
+      const SimTime hold = grant_hold(config_, request);
       if (hold.us() <= 0) {
         answer_now(request);
         return;
@@ -98,7 +98,7 @@ class ResourcePool : public ProtocolNode {
   }
 
   /// The arbitration timer (the pool's only one).
-  void on_timer(std::uint8_t, std::uint64_t) override { arbitrate(); }
+  void on_timer(std::uint8_t, std::uint64_t) override { close_window(); }
 
  private:
   /// The immediate (classic / need-0) path: grant the oldest idle spare or
@@ -117,9 +117,9 @@ class ResourcePool : public ProtocolNode {
     push_status();
   }
 
-  /// Window close: the policy orders the held requests; grants walk that
+  /// Window close: the load rules order the held requests; grants walk that
   /// order until the idle list runs dry, everyone else is denied.
-  void arbitrate() {
+  void close_window() {
     arbitration_scheduled_ = false;
     std::vector<PoolRequest> requests;
     requests.swap(pending_);
@@ -130,21 +130,16 @@ class ResourcePool : public ProtocolNode {
     if (requests.size() > 1 && requests.size() > idle_.size()) {
       ++contested_rounds_;
     }
-    const PoolGrantDecision decision = policy().arbitrate(requests);
-    if (!decision.order.empty()) {
-      const PoolRequest& winner = requests[decision.order.front()];
+    const std::vector<std::size_t> order = arbitrate(config_, requests);
+    if (!order.empty()) {
+      const PoolRequest& winner = requests[order.front()];
       network()->tracer().record(
           now(), obs::TraceKind::kPoolArbitrated, winner.requester.value(), 0,
           static_cast<std::int64_t>(requests.size()), winner.need);
     }
-    for (std::size_t index : decision.order) {
+    for (std::size_t index : order) {
       answer_now(requests[index]);
     }
-  }
-
-  [[nodiscard]] const LoadPolicy& policy() {
-    if (policy_ == nullptr) policy_ = make_load_policy(Config{});
-    return *policy_;
   }
 
   void push_status() {
@@ -156,7 +151,7 @@ class ResourcePool : public ProtocolNode {
   std::deque<Entry> idle_;
   std::size_t total_ = 0;
   NodeId mc_node_;
-  std::unique_ptr<LoadPolicy> policy_;
+  Config config_;
   std::vector<PoolRequest> pending_;
   bool arbitration_scheduled_ = false;
   std::uint64_t arrival_counter_ = 0;

@@ -133,8 +133,6 @@ class BotClient : public ProtocolNode {
   /// client (whose session must never be cut) from one that was denied or
   /// is still deferred at the valve.
   [[nodiscard]] bool ever_connected() const { return ever_connected_; }
-  /// True while a JoinDefer retry is scheduled.
-  [[nodiscard]] bool defer_pending() const { return defer_pending_; }
   /// True while parked in a server-side surge queue (QueueUpdate received,
   /// Welcome still pending).
   [[nodiscard]] bool queue_pending() const { return queued_; }

@@ -242,9 +242,6 @@ class GameServer : public ProtocolNode {
 
   void redirect_client(ClientId client, Session& session, NodeId to_game,
                        ServerId to_server);
-  void broadcast_event(Vec2 origin, double radius, SimTime origin_sent_at,
-                       std::uint8_t kind, ClientId actor,
-                       std::uint32_t actor_seq);
   void maybe_migrate(ClientId client, Session& session);
   void schedule_load_report();
   void load_report_tick();

@@ -25,9 +25,6 @@ class Rect {
   [[nodiscard]] static constexpr Rect from_corners(Vec2 lo, Vec2 hi) {
     return Rect(lo.x, lo.y, hi.x, hi.y);
   }
-  [[nodiscard]] static Rect from_center(Vec2 c, double half_w, double half_h) {
-    return Rect(c.x - half_w, c.y - half_h, c.x + half_w, c.y + half_h);
-  }
 
   [[nodiscard]] constexpr double x0() const { return x0_; }
   [[nodiscard]] constexpr double y0() const { return y0_; }

@@ -99,17 +99,19 @@ Registry collect_registry(Deployment& deployment) {
   registry.gauge("topology.active_servers",
                  static_cast<double>(deployment.active_server_count()));
 
-  // ---- parked MC point lookups (summed over Matrix servers) -----------------
-  std::uint64_t lookups_expired = 0, late_lookup_replies = 0;
+  // ---- strays and parked MC point lookups (summed over Matrix servers) ------
+  std::uint64_t strays = 0, lookups_expired = 0, late_lookup_replies = 0;
   std::uint64_t lookups_peak = 0, lookup_bytes = 0, lookup_peak_bytes = 0;
   for (const MatrixServer* server : deployment.matrix_servers()) {
     const MatrixServer::Stats& s = server->stats();
+    strays += s.origin_outside_range;
     lookups_expired += s.lookups_expired;
     late_lookup_replies += s.late_lookup_replies;
     lookups_peak += s.pending_lookups_peak;
     lookup_bytes += server->parked_lookup_bytes();
     lookup_peak_bytes += server->parked_lookup_peak_bytes();
   }
+  registry.counter("core.route.strays", strays, "packets");
   registry.counter("core.route.lookups_expired", lookups_expired);
   registry.counter("core.route.late_lookup_replies", late_lookup_replies);
   registry.gauge("core.route.pending_lookups_peak",

@@ -1,39 +1,42 @@
-// Consolidated load signals — the single input surface of the load-policy
-// layer (src/policy/).
-//
-// Before this layer existed, the same few signals (client count, receive
-// queue, waiting-room depth, pool occupancy, valve/directive state) were
-// re-derived independently in matrix_server.cpp, global_admission.cpp, and
-// game_server.cpp, and every adaptive decision consumed a private ad-hoc
-// slice of them.  These structs are the one shared vocabulary:
+// Consolidated load signals — the one snapshot every load decision reads.
 //
 //   * LoadSignals      — one server's instantaneous load triple, as observed
 //                        by the game server and carried by LoadReport and
 //                        LoadDigest;
-//   * LoadView         — the full decision input a Matrix server assembles
-//                        for its LoadPolicy: its own LoadSignals plus range,
-//                        split hysteresis, pool occupancy, and the local
-//                        valve / coordinator-directive state;
+//   * LoadView         — what a Matrix server knows when it decides: its own
+//                        LoadSignals plus range, split hysteresis, pool
+//                        occupancy, valve and failsafe state.  Built by
+//                        MatrixServer::build_load_view() and read by the
+//                        load rules (policy/load_rules.h) and the admission
+//                        valve (control/admission.h) alike;
 //   * ChildView        — the parent-visible slice of one child (reclaim
 //                        decisions);
 //   * PressureBreakdown — the global-admission pressure score split into its
-//                        weighted terms, so policies (and tests) can see WHY
-//                        the deployment is pressured, not just how much.
+//                        weighted terms, so tests can see WHY the deployment
+//                        is pressured, not just how much.
 //
-// This header is deliberately dependency-light (geometry only): it is
-// included by control/, core/, game/, and policy/ alike.
+// AdmissionState is declared here, not in control/admission.h, because the
+// valve reads this view: admission.h includes this header.
 #pragma once
 
 #include <cstdint>
 
+#include "control/control_plane.h"
 #include "geometry/rect.h"
 #include "geometry/vec2.h"
 
 namespace matrix {
 
+/// The admission valve's three states (control/admission.h).
+enum class AdmissionState : std::uint8_t {
+  kNormal = 0,
+  kSoft = 1,
+  kHard = 2,
+};
+
 /// One server's instantaneous load, as its game server observes it.  The
 /// triple every control-plane consumer reads: the admission valve, the
-/// load-policy layer, and the coordinator's global-admission aggregate.
+/// load rules, and the coordinator's global-admission aggregate.
 struct LoadSignals {
   std::uint32_t client_count = 0;
   /// Receive-queue depth (messages) — the paper's "system performance
@@ -59,11 +62,13 @@ struct PressureBreakdown {
   }
 };
 
-/// Everything a LoadPolicy may consult when deciding splits, reclaims, and
-/// pool-grant need.  Assembled by MatrixServer::build_load_view() from the
-/// latest LoadReport, the MC's broadcasts, and local hysteresis state —
-/// one snapshot, one place, instead of each decision re-reading members.
+/// Everything the load rules and the admission valve consult.  Assembled
+/// by MatrixServer::build_load_view() from the latest LoadReport, the
+/// directly observed receive queue, the MC's broadcasts, and local
+/// hysteresis state.
 struct LoadView {
+  /// The latest LoadReport's triple; queue_length is the larger of the
+  /// reported and the directly observed receive-queue depth.
   LoadSignals load;
   /// Median client coordinate from the latest LoadReport (load-aware cuts).
   Vec2 median_position;
@@ -75,39 +80,16 @@ struct LoadView {
   std::uint32_t split_denied_streak = 0;
   /// Idle fraction of the deployment's spare pool; negative ⇒ never heard.
   double pool_idle_fraction = -1.0;
-
-  // ---- valve / directive state (control/) ----------------------------------
-  /// Local admission valve (0 NORMAL, 1 SOFT, 2 HARD — numeric to keep this
-  /// header free of control/ includes; compare via the constants below).
-  std::uint8_t local_valve = 0;
-  /// Coordinator directive floor, same encoding.
-  std::uint8_t directive_floor = 0;
-  /// Composed state (strictest of the two) — what the join gate enforces.
-  std::uint8_t effective_valve = 0;
+  /// Local valve composed with the coordinator's directive floor (strictest
+  /// wins) — what the join gate enforces.
+  AdmissionState effective_valve = AdmissionState::kNormal;
   /// True while a coordinator AdmissionDirective is in force.
   bool directive_active = false;
-  /// Deployment pressure score carried by the latest directive.
-  double directive_pressure = 0.0;
-  /// Deployment-wide parked joins carried by the latest directive.
-  std::uint32_t directive_waiting_total = 0;
-  /// Control-plane failsafe state (0 NORMAL, 1 HOLD, 2 FALLBACK — numeric
-  /// to keep this header free of control/ includes; see the constants
-  /// below).  Non-NORMAL means coordinator-derived state above is FROZEN:
-  /// policies must not derive new pool-grant-seeking decisions from it.
-  std::uint8_t failsafe = 0;
+  /// Control-plane failsafe state.  Non-NORMAL means coordinator-derived
+  /// state above is FROZEN: no rule derives a new pool-grant-seeking
+  /// decision from it.
+  FailsafeState failsafe = FailsafeState::kNormal;
 };
-
-/// Numeric valve states as carried in LoadView (mirrors AdmissionState
-/// without pulling control/admission.h into this header).
-inline constexpr std::uint8_t kValveNormal = 0;
-inline constexpr std::uint8_t kValveSoft = 1;
-inline constexpr std::uint8_t kValveHard = 2;
-
-/// Numeric failsafe states as carried in LoadView (mirrors FailsafeState
-/// without pulling control/control_plane.h into this header).
-inline constexpr std::uint8_t kFailsafeNormal = 0;
-inline constexpr std::uint8_t kFailsafeHold = 1;
-inline constexpr std::uint8_t kFailsafeFallback = 2;
 
 /// The parent-visible slice of one child server, for reclaim decisions
 /// (fed by the child's PeerLoad heartbeats).

@@ -254,14 +254,14 @@ struct MultiPartitionSurgeScenarioOptions {
 void schedule_multi_partition_surge_scenario(
     Deployment& deployment, const MultiPartitionSurgeScenarioOptions& options);
 
-/// Contested-pool workload (load-policy layer, src/policy/): MORE partitions
+/// Contested-pool workload (load rules, policy/load_rules.h): MORE partitions
 /// overload simultaneously than the resource pool holds spares, so every
 /// PoolAcquire is a contest — the regime where grant ARBITRATION (who gets
 /// the spare) decides the deployment's worst-partition experience, not just
 /// whether a split happens.  Crowd sizes are deliberately unequal: under
 /// FCFS the spare goes to whichever partition's retry happens to land
 /// first (often a small crowd's), while need-weighted arbitration
-/// (DirectivePolicy) hands it to the most starved partition.  Pair it with
+/// (the directive rules) hands it to the most starved partition.  Pair it with
 /// a deployment whose pool_size < centers.size(); mid-run churn keeps
 /// releasing and re-contesting the spares so the arbitration fires
 /// repeatedly, not once.  `bench_policy_grants` runs exactly this head-to-

@@ -36,9 +36,9 @@ AdmissionConfig unit_config() {
   return config;
 }
 
-AdmissionSignals calm() { return {}; }
-AdmissionSignals load(std::uint32_t clients) {
-  AdmissionSignals s;
+LoadView calm() { return {}; }
+LoadView load(std::uint32_t clients) {
+  LoadView s;
   s.load.client_count = clients;
   return s;
 }
@@ -57,7 +57,7 @@ TEST(AdmissionTarget, LoadThresholds) {
 
 TEST(AdmissionTarget, QueueThresholds) {
   AdmissionController c(unit_config(), kOverload);
-  AdmissionSignals s;
+  LoadView s;
   s.load.queue_length = 99;
   EXPECT_EQ(c.target_for(s), AdmissionState::kNormal);
   s.load.queue_length = 100;
@@ -73,7 +73,7 @@ TEST(AdmissionTarget, WaitingCountThresholds) {
   config.soft_waiting_count = 50;
   config.hard_waiting_count = 200;
   AdmissionController c(config, kOverload);
-  AdmissionSignals s;
+  LoadView s;
   s.load.waiting_count = 49;
   EXPECT_EQ(c.target_for(s), AdmissionState::kNormal);
   s.load.waiting_count = 50;
@@ -85,14 +85,14 @@ TEST(AdmissionTarget, WaitingCountThresholds) {
 TEST(AdmissionTarget, WaitingCountDisabledByDefault) {
   // Thresholds default to 0 = off: PR-2 behaviour is bit-identical.
   AdmissionController c(unit_config(), kOverload);
-  AdmissionSignals s;
+  LoadView s;
   s.load.waiting_count = 100000;
   EXPECT_EQ(c.target_for(s), AdmissionState::kNormal);
 }
 
 TEST(AdmissionTarget, DeniedStreakEscalates) {
   AdmissionController c(unit_config(), kOverload);
-  AdmissionSignals s;
+  LoadView s;
   s.split_denied_streak = 1;
   EXPECT_EQ(c.target_for(s), AdmissionState::kSoft);
   s.split_denied_streak = 3;
@@ -101,7 +101,7 @@ TEST(AdmissionTarget, DeniedStreakEscalates) {
 
 TEST(AdmissionTarget, PoolPressurePreEscalatesLoadedServer) {
   AdmissionController c(unit_config(), kOverload);
-  AdmissionSignals s;
+  LoadView s;
   s.load.client_count = 50;  // at pool_pressure_load_fraction × overload
   s.pool_idle_fraction = 0.2;
   EXPECT_EQ(c.target_for(s), AdmissionState::kSoft);

@@ -5,14 +5,14 @@
 // net/network.h, the codec fast paths) is exactly where a perf change could
 // silently reorder events or alter one wire byte — so these tests hash the
 // COMPLETE message trace (time, src, dst, drop flag, every payload byte of
-// every send) of three macro scenarios under ClassicPolicy and compare
+// every send) of three macro scenarios under the classic rules and compare
 // against hashes pinned from the pre-overhaul engine (PR 5).  A mismatch
 // means behaviour changed, not just speed: find out why before re-pinning.
 //
 // The deployment/scenario builders here deliberately force
 // `policy.kind = kClassic` so the pins also hold under CI's
 // MATRIX_LOAD_POLICY=directive test leg (directives change decisions, and
-// decisions change traces; ClassicPolicy is the pinned contract).
+// decisions change traces; the classic rules are the pinned contract).
 #include <gtest/gtest.h>
 
 #include "sim/deployment.h"

@@ -341,6 +341,14 @@ TEST(CollectRegistryTest, SnapshotsADeploymentUnderOneNamespace) {
   EXPECT_DOUBLE_EQ(registry.value("clients.connected"), 8.0);
   EXPECT_GT(registry.value("clients.hellos"), 0.0);
   EXPECT_TRUE(registry.has("latency.self.p99_ms"));
+  // Routing strays: packets whose origin lay outside the sender's range.
+  std::uint64_t strays = 0;
+  for (const MatrixServer* server : deployment.matrix_servers()) {
+    strays += server->stats().origin_outside_range;
+  }
+  EXPECT_TRUE(registry.has("core.route.strays"));
+  EXPECT_DOUBLE_EQ(registry.value("core.route.strays"),
+                   static_cast<double>(strays));
 
   // Tracing was on, so the trace.* namespace is populated and spans paired:
   // 8 fresh admits measured end to end.

@@ -1,6 +1,6 @@
-// Tests for the pluggable load-policy layer (src/policy/): ClassicPolicy's
-// bit-for-bit port of the historical thresholds, DirectivePolicy's
-// proactive-split and need-hint extensions, pool-grant arbitration, the
+// Tests for the load rules (src/policy/load_rules.h): the classic
+// thresholds, the directive rules' proactive-split and need-hint
+// extensions, the degraded-control-plane rules, pool-grant arbitration, the
 // load-aware cut under degenerate client distributions, and the
 // pool-denial episode's backoff semantics ("a calm report ends the
 // episode"; idle spares allow a prompt retry WITHOUT forgetting the
@@ -10,9 +10,8 @@
 #include <cstdlib>
 #include <string_view>
 
-#include "policy/classic_policy.h"
 #include "policy/denial_episode.h"
-#include "policy/directive_policy.h"
+#include "policy/load_rules.h"
 #include "test_helpers.h"
 
 namespace matrix {
@@ -20,8 +19,10 @@ namespace {
 
 using namespace time_literals;
 
+/// The classic rules, whatever MATRIX_LOAD_POLICY says.
 Config policy_config() {
   Config config;
+  config.policy.kind = LoadPolicyKind::kClassic;
   config.world = Rect(0, 0, 1000, 1000);
   config.overload_clients = 100;
   config.underload_clients = 50;
@@ -40,40 +41,32 @@ LoadView view_with(std::uint32_t clients, std::uint32_t overloads,
 }
 
 // ---------------------------------------------------------------------------
-// Selection: Config::policy.kind, factory, env override
+// Selection: Config::policy.kind, env override
 // ---------------------------------------------------------------------------
 
 TEST(PolicySelection, DefaultKindFollowsEnvironment) {
   // The CI policy-matrix leg runs the whole suite with
   // MATRIX_LOAD_POLICY=directive; a default Config must follow the process
-  // override and fall back to ClassicPolicy otherwise.
+  // override and fall back to the classic rules otherwise.
   const char* env = std::getenv("MATRIX_LOAD_POLICY");
   const LoadPolicyKind expected =
       env != nullptr && std::string_view(env) == "directive"
           ? LoadPolicyKind::kDirective
           : LoadPolicyKind::kClassic;
   EXPECT_EQ(Config{}.policy.kind, expected);
-}
-
-TEST(PolicySelection, FactoryHonorsExplicitKind) {
-  Config config = policy_config();
-  config.policy.kind = LoadPolicyKind::kClassic;
-  EXPECT_STREQ(make_load_policy(config)->name(), "classic");
-  config.policy.kind = LoadPolicyKind::kDirective;
-  EXPECT_STREQ(make_load_policy(config)->name(), "directive");
   EXPECT_STREQ(load_policy_kind_name(LoadPolicyKind::kClassic), "classic");
   EXPECT_STREQ(load_policy_kind_name(LoadPolicyKind::kDirective), "directive");
 }
 
 // ---------------------------------------------------------------------------
-// ClassicPolicy: the historical thresholds, verbatim
+// Classic rules: the historical thresholds, verbatim
 // ---------------------------------------------------------------------------
 
 TEST(ClassicPolicyTest, SplitRequiresSustainedOverload) {
-  ClassicPolicy policy(policy_config());
-  EXPECT_FALSE(policy.decide_split(view_with(400, 0)).split);
-  EXPECT_FALSE(policy.decide_split(view_with(400, 1)).split);
-  const SplitDecision decision = policy.decide_split(view_with(400, 2));
+  const Config config = policy_config();
+  EXPECT_FALSE(decide_split(config, view_with(400, 0)).split);
+  EXPECT_FALSE(decide_split(config, view_with(400, 1)).split);
+  const SplitDecision decision = decide_split(config, view_with(400, 2));
   EXPECT_TRUE(decision.split);
   EXPECT_FALSE(decision.proactive);  // classic never splits proactively
 }
@@ -83,35 +76,32 @@ TEST(ClassicPolicyTest, SustainZeroBehavesLikeOne) {
   // one overloaded report; a knob of 0 must not mean "split while calm".
   Config config = policy_config();
   config.sustain_reports_to_split = 0;
-  ClassicPolicy policy(config);
-  EXPECT_FALSE(policy.decide_split(view_with(10, 0)).split);
-  EXPECT_TRUE(policy.decide_split(view_with(400, 1)).split);
+  EXPECT_FALSE(decide_split(config, view_with(10, 0)).split);
+  EXPECT_TRUE(decide_split(config, view_with(400, 1)).split);
 }
 
 TEST(ClassicPolicyTest, SplitRefusedBelowMinExtent) {
   Config config = policy_config();
   config.min_partition_extent = 400.0;
-  ClassicPolicy policy(config);
   // 1000-wide halves to 500 ≥ 400: allowed.
-  EXPECT_TRUE(policy.decide_split(view_with(400, 2)).split);
+  EXPECT_TRUE(decide_split(config, view_with(400, 2)).split);
   // 500-wide would halve to 250 < 400: refused.
   EXPECT_FALSE(
-      policy.decide_split(view_with(400, 2, Rect(0, 0, 500, 500))).split);
+      decide_split(config, view_with(400, 2, Rect(0, 0, 500, 500))).split);
   // Degenerate empty range: extent 0, always refused.
-  EXPECT_FALSE(policy.decide_split(view_with(400, 2, Rect{})).split);
+  EXPECT_FALSE(decide_split(config, view_with(400, 2, Rect{})).split);
 }
 
 TEST(ClassicPolicyTest, SplitDisabledByConfig) {
   Config config = policy_config();
   config.allow_split = false;
-  ClassicPolicy policy(config);
-  EXPECT_FALSE(policy.decide_split(view_with(4000, 10)).split);
+  EXPECT_FALSE(decide_split(config, view_with(4000, 10)).split);
 }
 
 TEST(ClassicPolicyTest, SplitRangesHalveByDefault) {
-  ClassicPolicy policy(policy_config());
+  const Config config = policy_config();
   LoadView view = view_with(400, 2, Rect(0, 0, 1000, 600));
-  const auto [give_away, keep] = policy.split_ranges(view);
+  const auto [give_away, keep] = split_ranges(config, view);
   // Wide rect: vertical cut at the midpoint, left piece handed away.
   EXPECT_EQ(give_away, Rect(0, 0, 500, 600));
   EXPECT_EQ(keep, Rect(500, 0, 1000, 600));
@@ -120,15 +110,14 @@ TEST(ClassicPolicyTest, SplitRangesHalveByDefault) {
 TEST(ClassicPolicyTest, LoadAwareCutsAtMedian) {
   Config config = policy_config();
   config.split_policy = SplitPolicy::kLoadAware;
-  ClassicPolicy policy(config);
   LoadView view = view_with(80, 2, Rect(0, 0, 1000, 600));
   view.median_position = {300.0, 100.0};
-  const auto [give_away, keep] = policy.split_ranges(view);
+  const auto [give_away, keep] = split_ranges(config, view);
   EXPECT_EQ(give_away, Rect(0, 0, 300, 600));
   EXPECT_EQ(keep, Rect(300, 0, 1000, 600));
   // With zero clients there is no median to trust: halve instead.
   view.load.client_count = 0;
-  EXPECT_EQ(policy.split_ranges(view).first, Rect(0, 0, 500, 600));
+  EXPECT_EQ(split_ranges(config, view).first, Rect(0, 0, 500, 600));
 }
 
 // ---------------------------------------------------------------------------
@@ -138,14 +127,13 @@ TEST(ClassicPolicyTest, LoadAwareCutsAtMedian) {
 TEST(LoadAwareDegenerateTest, AllClientsAtOnePointStillYieldsTwoPieces) {
   Config config = policy_config();
   config.split_policy = SplitPolicy::kLoadAware;
-  ClassicPolicy policy(config);
   const Rect range(0, 0, 1000, 600);
   // Every client stacked exactly on the range's low corner: the raw cut
   // fraction is 0, which Rect::split_at clamps — both pieces must stay
   // non-degenerate and tile the parent.
   LoadView view = view_with(80, 2, range);
   view.median_position = {0.0, 0.0};
-  const auto [give_away, keep] = policy.split_ranges(view);
+  const auto [give_away, keep] = split_ranges(config, view);
   EXPECT_FALSE(give_away.empty());
   EXPECT_FALSE(keep.empty());
   EXPECT_EQ(give_away.x1(), keep.x0());
@@ -159,16 +147,15 @@ TEST(LoadAwareDegenerateTest, MedianOutsideRangeClamps) {
   // changed between report and grant).  The cut must stay inside the range.
   Config config = policy_config();
   config.split_policy = SplitPolicy::kLoadAware;
-  ClassicPolicy policy(config);
   const Rect range(500, 0, 1000, 400);
   LoadView view = view_with(80, 2, range);
   view.median_position = {120.0, 200.0};  // far left of the range
-  const auto low = policy.split_ranges(view);
+  const auto low = split_ranges(config, view);
   EXPECT_FALSE(low.first.empty());
   EXPECT_FALSE(low.second.empty());
   EXPECT_EQ(Rect::bounding(low.first, low.second), range);
   view.median_position = {4000.0, 200.0};  // far right
-  const auto high = policy.split_ranges(view);
+  const auto high = split_ranges(config, view);
   EXPECT_FALSE(high.first.empty());
   EXPECT_FALSE(high.second.empty());
   EXPECT_EQ(Rect::bounding(high.first, high.second), range);
@@ -177,71 +164,66 @@ TEST(LoadAwareDegenerateTest, MedianOutsideRangeClamps) {
 TEST(LoadAwareDegenerateTest, TallRangeCutsHorizontally) {
   Config config = policy_config();
   config.split_policy = SplitPolicy::kLoadAware;
-  ClassicPolicy policy(config);
   const Rect range(0, 0, 200, 1000);
   LoadView view = view_with(80, 2, range);
   view.median_position = {100.0, 900.0};
-  const auto [give_away, keep] = policy.split_ranges(view);
+  const auto [give_away, keep] = split_ranges(config, view);
   EXPECT_EQ(give_away, Rect(0, 0, 200, 900));
   EXPECT_EQ(keep, Rect(0, 900, 200, 1000));
 }
 
 // ---------------------------------------------------------------------------
-// ClassicPolicy: reclaim rules
+// Classic rules: reclaim
 // ---------------------------------------------------------------------------
 
 TEST(ClassicPolicyTest, ReclaimRules) {
-  ClassicPolicy policy(policy_config());
+  const Config config = policy_config();
   ChildView child;
   child.client_count = 10;
   child.child_count = 0;
   child.load_known = true;
 
   // Parent and child underloaded with headroom: reclaim.
-  EXPECT_TRUE(policy.decide_reclaim(view_with(20, 0), child).reclaim);
+  EXPECT_TRUE(decide_reclaim(config, view_with(20, 0), child));
   // Parent not underloaded.
-  EXPECT_FALSE(policy.decide_reclaim(view_with(60, 0), child).reclaim);
+  EXPECT_FALSE(decide_reclaim(config, view_with(60, 0), child));
   // Child's load unknown (no heartbeat yet).
   child.load_known = false;
-  EXPECT_FALSE(policy.decide_reclaim(view_with(20, 0), child).reclaim);
+  EXPECT_FALSE(decide_reclaim(config, view_with(20, 0), child));
   child.load_known = true;
   // Child has its own children: subtree must collapse first.
   child.child_count = 1;
-  EXPECT_FALSE(policy.decide_reclaim(view_with(20, 0), child).reclaim);
+  EXPECT_FALSE(decide_reclaim(config, view_with(20, 0), child));
   child.child_count = 0;
   // Combined load over the headroom fraction (0.8 × 100 = 80).
   child.client_count = 45;
-  EXPECT_FALSE(policy.decide_reclaim(view_with(40, 0), child).reclaim);
+  EXPECT_FALSE(decide_reclaim(config, view_with(40, 0), child));
 }
 
 TEST(ClassicPolicyTest, ReclaimGatedByElevatedValve) {
   Config config = policy_config();
   config.admission.enabled = true;
-  ClassicPolicy policy(config);
   ChildView child;
   child.client_count = 10;
   child.load_known = true;
   LoadView view = view_with(20, 0);
-  view.effective_valve = kValveSoft;
-  EXPECT_FALSE(policy.decide_reclaim(view, child).reclaim);
-  view.effective_valve = kValveNormal;
-  EXPECT_TRUE(policy.decide_reclaim(view, child).reclaim);
+  view.effective_valve = AdmissionState::kSoft;
+  EXPECT_FALSE(decide_reclaim(config, view, child));
+  view.effective_valve = AdmissionState::kNormal;
+  EXPECT_TRUE(decide_reclaim(config, view, child));
   // With the admission subsystem off the valve fields are ignored.
-  ClassicPolicy no_admission(policy_config());
-  view.effective_valve = kValveHard;
-  EXPECT_TRUE(no_admission.decide_reclaim(view, child).reclaim);
+  view.effective_valve = AdmissionState::kHard;
+  EXPECT_TRUE(decide_reclaim(policy_config(), view, child));
 }
 
 // ---------------------------------------------------------------------------
-// DirectivePolicy: proactive splits + need hints
+// Directive rules: proactive splits + need hints
 // ---------------------------------------------------------------------------
 
 Config directive_config() {
   Config config = policy_config();
   config.policy.kind = LoadPolicyKind::kDirective;
   config.policy.proactive_load_fraction = 0.80;  // 80 clients
-  config.policy.proactive_min_waiting = 8;
-  config.policy.need_waiting_weight = 2.0;
   return config;
 }
 
@@ -254,85 +236,143 @@ LoadView directive_view(std::uint32_t clients, std::uint32_t waiting) {
 }
 
 TEST(DirectivePolicyTest, ProactiveSplitBelowOverloadThreshold) {
-  DirectivePolicy policy(directive_config());
-  const SplitDecision decision = policy.decide_split(directive_view(85, 20));
+  const Config config = directive_config();
+  const SplitDecision decision = decide_split(config, directive_view(85, 20));
   EXPECT_TRUE(decision.split);
   EXPECT_TRUE(decision.proactive);
 }
 
 TEST(DirectivePolicyTest, ProactiveNeedsDirectiveLoadWaitingAndIdlePool) {
-  DirectivePolicy policy(directive_config());
+  const Config config = directive_config();
   // No directive: pure classic (85 < overload, 0 sustained ⇒ defer).
   LoadView no_directive = directive_view(85, 20);
   no_directive.directive_active = false;
-  EXPECT_FALSE(policy.decide_split(no_directive).split);
+  EXPECT_FALSE(decide_split(config, no_directive).split);
   // Below the proactive load fraction.
-  EXPECT_FALSE(policy.decide_split(directive_view(79, 20)).split);
+  EXPECT_FALSE(decide_split(config, directive_view(79, 20)).split);
   // Waiting room too shallow: the valve is coping.
-  EXPECT_FALSE(policy.decide_split(directive_view(85, 7)).split);
+  EXPECT_FALSE(decide_split(config, directive_view(85, 7)).split);
   // Pool dry (or unknown): a denied ask would only escalate the valve.
   LoadView dry = directive_view(85, 20);
   dry.pool_idle_fraction = 0.0;
-  EXPECT_FALSE(policy.decide_split(dry).split);
+  EXPECT_FALSE(decide_split(config, dry).split);
   dry.pool_idle_fraction = -1.0;
-  EXPECT_FALSE(policy.decide_split(dry).split);
+  EXPECT_FALSE(decide_split(config, dry).split);
   // Ordinary overload still splits through the classic path regardless.
   LoadView overloaded = directive_view(400, 0);
   overloaded.pool_idle_fraction = -1.0;
   overloaded.consecutive_overload = 2;
-  EXPECT_TRUE(policy.decide_split(overloaded).split);
-  EXPECT_FALSE(policy.decide_split(overloaded).proactive);
+  EXPECT_TRUE(decide_split(config, overloaded).split);
+  EXPECT_FALSE(decide_split(config, overloaded).proactive);
 }
 
 TEST(DirectivePolicyTest, DirectiveSplitsCutAtMedian) {
   // Under a directive the cut is load-aware even with kSplitToLeft
   // configured: a proactive split exists to shed the hotspot.
-  DirectivePolicy policy(directive_config());
+  const Config config = directive_config();
   LoadView view = directive_view(85, 20);
   view.range = Rect(0, 0, 1000, 600);
   view.median_position = {250.0, 100.0};
-  EXPECT_EQ(policy.split_ranges(view).first, Rect(0, 0, 250, 600));
+  EXPECT_EQ(split_ranges(config, view).first, Rect(0, 0, 250, 600));
   // Without a directive: back to the configured (halving) policy.
   view.directive_active = false;
-  EXPECT_EQ(policy.split_ranges(view).first, Rect(0, 0, 500, 600));
+  EXPECT_EQ(split_ranges(config, view).first, Rect(0, 0, 500, 600));
 }
 
 TEST(DirectivePolicyTest, NeedHintWeighsLoadAndStarvation) {
-  DirectivePolicy policy(directive_config());
-  ClassicPolicy classic(policy_config());
+  const Config config = directive_config();
   // Classic never biases; directive only under an active directive.
-  EXPECT_EQ(classic.pool_need(directive_view(90, 50)), 0.0);
+  EXPECT_EQ(pool_need(policy_config(), directive_view(90, 50)), 0.0);
   LoadView inactive = directive_view(90, 50);
   inactive.directive_active = false;
-  EXPECT_EQ(policy.pool_need(inactive), 0.0);
+  EXPECT_EQ(pool_need(config, inactive), 0.0);
   // Active: positive, monotone in both load and waiting-room depth, and
   // the waiting depth dominates at equal load (weight 2).
-  const double calm = policy.pool_need(directive_view(0, 0));
+  const double calm = pool_need(config, directive_view(0, 0));
   EXPECT_GT(calm, 0.0);
-  EXPECT_GT(policy.pool_need(directive_view(90, 0)), calm);
-  EXPECT_GT(policy.pool_need(directive_view(90, 50)),
-            policy.pool_need(directive_view(90, 10)));
-  EXPECT_GT(policy.pool_need(directive_view(50, 100)),
-            policy.pool_need(directive_view(100, 50)));
+  EXPECT_GT(pool_need(config, directive_view(90, 0)), calm);
+  EXPECT_GT(pool_need(config, directive_view(90, 50)),
+            pool_need(config, directive_view(90, 10)));
+  EXPECT_GT(pool_need(config, directive_view(50, 100)),
+            pool_need(config, directive_view(100, 50)));
 }
 
 TEST(DirectivePolicyTest, ArbitrationOrdersByNeedThenArrival) {
-  DirectivePolicy policy(directive_config());
+  const Config config = directive_config();
   std::vector<PoolRequest> requests;
   requests.push_back({ServerId(1), NodeId(1), 2.0, 1});
   requests.push_back({ServerId(2), NodeId(2), 5.0, 2});
   requests.push_back({ServerId(3), NodeId(3), 5.0, 3});
   requests.push_back({ServerId(4), NodeId(4), 0.5, 4});
-  const PoolGrantDecision decision = policy.arbitrate(requests);
-  ASSERT_EQ(decision.order.size(), 4u);
-  EXPECT_EQ(decision.order[0], 1u);  // need 5.0, earlier arrival
-  EXPECT_EQ(decision.order[1], 2u);  // need 5.0, later arrival
-  EXPECT_EQ(decision.order[2], 0u);
-  EXPECT_EQ(decision.order[3], 3u);
+  const std::vector<std::size_t> order = arbitrate(config, requests);
+  ASSERT_EQ(order.size(), 4u);
+  EXPECT_EQ(order[0], 1u);  // need 5.0, earlier arrival
+  EXPECT_EQ(order[1], 2u);  // need 5.0, later arrival
+  EXPECT_EQ(order[2], 0u);
+  EXPECT_EQ(order[3], 3u);
   // Classic ignores need entirely: strict arrival order.
-  ClassicPolicy classic(policy_config());
-  const PoolGrantDecision fcfs = classic.arbitrate(requests);
-  EXPECT_EQ(fcfs.order, (std::vector<std::size_t>{0, 1, 2, 3}));
+  EXPECT_EQ(arbitrate(policy_config(), requests),
+            (std::vector<std::size_t>{0, 1, 2, 3}));
+}
+
+// ---------------------------------------------------------------------------
+// Degraded control plane (control/control_plane.h): frozen coordinator
+// state is held, never acted on
+// ---------------------------------------------------------------------------
+
+TEST(DegradedControlPlaneTest, NoProactiveSplitUnderHoldOrFallback) {
+  const Config config = directive_config();
+  LoadView view = directive_view(85, 20);
+  ASSERT_TRUE(decide_split(config, view).proactive);
+  view.failsafe = FailsafeState::kHold;
+  EXPECT_FALSE(decide_split(config, view).split);
+  view.failsafe = FailsafeState::kFallback;
+  EXPECT_FALSE(decide_split(config, view).split);
+}
+
+TEST(DegradedControlPlaneTest, NeedIsZeroUnderHoldOrFallback) {
+  // A zero need is never held: the pool answers at once, FCFS.
+  const Config config = directive_config();
+  LoadView view = directive_view(90, 50);
+  ASSERT_GT(pool_need(config, view), 0.0);
+  for (const FailsafeState state :
+       {FailsafeState::kHold, FailsafeState::kFallback}) {
+    view.failsafe = state;
+    const double need = pool_need(config, view);
+    EXPECT_EQ(need, 0.0);
+    EXPECT_EQ(grant_hold(config, {ServerId(1), NodeId(1), need, 1}),
+              SimTime{});
+  }
+}
+
+TEST(DegradedControlPlaneTest, NoSplitAtAllUnderFallback) {
+  // Sustained overload still splits under HOLD; FALLBACK refuses even that
+  // (the child would have to register with a presumed-dead MC).
+  const Config config = policy_config();
+  LoadView view = view_with(400, 2);
+  view.failsafe = FailsafeState::kHold;
+  EXPECT_TRUE(decide_split(config, view).split);
+  view.failsafe = FailsafeState::kFallback;
+  EXPECT_FALSE(decide_split(config, view).split);
+}
+
+TEST(DegradedControlPlaneTest, FallbackReclaimsOnlyAnEmptyLeafChild) {
+  const Config config = policy_config();
+  ChildView child;
+  child.client_count = 10;
+  child.load_known = true;
+  LoadView view = view_with(20, 0);
+  view.failsafe = FailsafeState::kHold;
+  EXPECT_TRUE(decide_reclaim(config, view, child));
+  view.failsafe = FailsafeState::kFallback;
+  EXPECT_FALSE(decide_reclaim(config, view, child));  // populated
+  child.client_count = 0;
+  EXPECT_TRUE(decide_reclaim(config, view, child));   // empty leaf
+  child.child_count = 1;
+  EXPECT_FALSE(decide_reclaim(config, view, child));  // not a leaf
+  child.child_count = 0;
+  child.load_known = false;
+  EXPECT_FALSE(decide_reclaim(config, view, child));  // load unknown
 }
 
 // ---------------------------------------------------------------------------
@@ -374,8 +414,8 @@ TEST(PoolArbitrationTest, ContestedSpareGoesToHighestNeed) {
 }
 
 TEST(PoolArbitrationTest, NeedZeroIsAnsweredImmediately) {
-  // A need-0 request (ClassicPolicy, or no directive in force) must never
-  // be held, even when the pool runs DirectivePolicy.
+  // A need-0 request (the classic rules, or no directive in force) must
+  // never be held, even when the pool runs the directive rules.
   Config config = directive_config();
   config.policy.grant_window = 10_sec;
   Network network(1);

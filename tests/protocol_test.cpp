@@ -327,7 +327,7 @@ Message random_message(std::size_t index, Rng& rng) {
       return m;
     }
     case 24:
-      // Includes the policy layer's need hint (0 = classic FCFS; positive
+      // Includes the load rules' need hint (0 = classic FCFS; positive
       // values bias contested-grant arbitration).
       return PoolAcquire{rnd_id<ServerId>(rng),
                          rng.next_bool(0.5) ? 0.0
