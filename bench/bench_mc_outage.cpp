@@ -36,8 +36,8 @@
 //   * with the failsafe off, nothing transitions (the machine is inert);
 //   * the machine runs once per co-located pair, on the matrix server: no
 //     game server's plane ever holds an update or transitions, on or off —
-//     the game obeys its matrix server's AdmissionUpdate and relayed
-//     directive, the FALLBACK rescind included.
+//     the game obeys its matrix server's one AdmissionUpdate stream, the
+//     FALLBACK rescind included.
 //
 // Each label also reports pending_lookup_peak_bytes: the most the matrix
 // servers' parked MC point lookups held (core/matrix_server.h), a ceiling

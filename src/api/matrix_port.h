@@ -88,7 +88,6 @@ class MatrixPort {
   using ClientStateHandler = std::function<void(const ClientStateTransfer&)>;
   using OwnerReplyHandler = std::function<void(const OwnerReply&)>;
   using AdmissionHandler = std::function<void(const AdmissionUpdate&)>;
-  using DirectiveHandler = std::function<void(const AdmissionDirective&)>;
   using QueueHandoffHandler = std::function<void(const QueueHandoff&)>;
 
   /// A remote event relevant to this server's partition (range-verified by
@@ -106,19 +105,14 @@ class MatrixPort {
   void on_owner_reply(OwnerReplyHandler handler) {
     owner_reply_ = std::move(handler);
   }
-  /// The admission valve changed state (src/control/): the game server
-  /// should start/stop gating new joins accordingly.  The state arrives
-  /// composed (local valve and coordinator directive floor), so the game
-  /// needs no control-plane logic of its own.
+  /// What the game server must enforce for admission changed
+  /// (src/control/): the valve state, composed from the local valve and
+  /// the coordinator directive floor; the join-bucket token rate (the
+  /// directive's budget share, or the local rate again on a rescind); and
+  /// whether a directive is in force.  All of it arrives in this one
+  /// update, so the game needs no control-plane logic of its own.
   void on_admission(AdmissionHandler handler) {
     admission_ = std::move(handler);
-  }
-  /// A coordinator-led admission directive arrived (relayed by the Matrix
-  /// server): this server's token-budget share, or a rescind restoring the
-  /// local rate (sent when the MC fails over or the Matrix server's
-  /// failsafe reaches FALLBACK).
-  void on_directive(DirectiveHandler handler) {
-    directive_ = std::move(handler);
   }
   /// Parked joins handed off from another server's surge queue.
   void on_queue_handoff(QueueHandoffHandler handler) {
@@ -153,10 +147,6 @@ class MatrixPort {
       if (admission_) admission_(*update);
       return true;
     }
-    if (const auto* directive = std::get_if<AdmissionDirective>(&message)) {
-      if (directive_) directive_(*directive);
-      return true;
-    }
     if (const auto* handoff = std::get_if<QueueHandoff>(&message)) {
       if (queue_handoff_) queue_handoff_(*handoff);
       return true;
@@ -185,7 +175,6 @@ class MatrixPort {
   ClientStateHandler client_state_;
   OwnerReplyHandler owner_reply_;
   AdmissionHandler admission_;
-  DirectiveHandler directive_;
   QueueHandoffHandler queue_handoff_;
 };
 

@@ -26,7 +26,7 @@
 //
 // The failsafe machine itself (driven by heartbeat age; only matrix servers
 // start and tick it — a game server's plane is just the seq gate for the
-// updates its matrix server numbers):
+// one AdmissionUpdate stream its matrix server numbers):
 //
 //   NORMAL    fresh MC: obey directives.
 //   HOLD      heartbeat silence >= tau1: freeze the current directive and
@@ -71,7 +71,7 @@ enum class FailsafeState : std::uint8_t {
 enum class ControlKind : std::uint8_t {
   kAnnounce = 0,    ///< McAnnounce: epoch-stamped, unsequenced
   kHeartbeat,       ///< McHeartbeat: epoch-stamped + sequenced
-  kDirective,       ///< AdmissionDirective (MC → matrix, matrix → game relay)
+  kDirective,       ///< AdmissionDirective (MC → matrix only)
   kAdmissionUpdate, ///< AdmissionUpdate (matrix → game; local, never gated)
   kPoolPressure,    ///< PoolPressure: unsequenced, gated while degraded
   kCount,

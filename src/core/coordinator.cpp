@@ -58,8 +58,6 @@ void Coordinator::send_directive(ServerId server, NodeId matrix_node) {
   directive.active = global_admission_.active();
   directive.token_rate =
       directive.active ? global_admission_.share_for(server) : 0.0;
-  directive.pressure = global_admission_.pressure();
-  directive.waiting_total = global_admission_.waiting_total();
   send(matrix_node, directive);
   ++directives_broadcast_;
   network()->tracer().record(now(), obs::TraceKind::kDirectiveBroadcast,

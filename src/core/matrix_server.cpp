@@ -86,7 +86,7 @@ void MatrixServer::on_message(const Message& message,
       observe_admission();
     }
   } else if (const auto* directive = std::get_if<AdmissionDirective>(&message)) {
-    handle_admission_directive(*directive);
+    handle_mc_directive(*directive);
   } else if (const auto* beat = std::get_if<McHeartbeat>(&message)) {
     handle_mc_heartbeat(*beat);
   } else if (const auto* adopt = std::get_if<Adopt>(&message)) {
@@ -130,13 +130,11 @@ void MatrixServer::on_message(const Message& message,
     // The old MC's directive died with it: drop the floor (the standby
     // re-clamps within a digest round if pressure persists); its successor
     // numbers directives from 1 in the new epoch.
-    const AdmissionState before = effective_admission_state();
     reset_directive();
-    if (active_ && config_.admission.enabled &&
-        effective_admission_state() != before) {
-      push_admission_to_game();
+    if (active_) {
+      sync_game_admission();
+      register_with_mc();
     }
-    if (active_) register_with_mc();
   }
 }
 
@@ -416,11 +414,10 @@ void MatrixServer::handle_load_report(const LoadReport& report) {
 
 void MatrixServer::observe_admission() {
   if (!config_.admission.enabled) return;
-  if (admission_.observe(now(), build_load_view())) push_admission_to_game();
+  if (admission_.observe(now(), build_load_view())) sync_game_admission();
 }
 
-void MatrixServer::handle_admission_directive(
-    const AdmissionDirective& directive) {
+void MatrixServer::handle_mc_directive(const AdmissionDirective& directive) {
   if (!config_.admission.enabled || !config_.admission.global.enabled) return;
   // One staleness rule, one place: reordered/stale seqs (and, with the
   // failsafe degraded, anything from an untrusted MC) die here.
@@ -428,46 +425,34 @@ void MatrixServer::handle_admission_directive(
                                    directive.seq}) != ControlVerdict::kApply) {
     return;
   }
-  apply_admission_directive(directive);
+  apply_mc_directive(directive);
   if (config_.fault.stale_directive_replay &&
       control_plane_.admit(now(), {ControlKind::kDirective, 0,
                                    directive.seq}) == ControlVerdict::kApply) {
     // Planted bug (docs/TESTING.md): the same directive acts twice.
-    apply_admission_directive(directive);
+    apply_mc_directive(directive);
   }
 }
 
-void MatrixServer::apply_admission_directive(
-    const AdmissionDirective& directive) {
-  const AdmissionState before = effective_admission_state();
+void MatrixServer::apply_mc_directive(const AdmissionDirective& directive) {
   directive_active_ = directive.active;
   directive_floor_ = directive.active
                          ? admission_state_from_wire(directive.floor)
                          : AdmissionState::kNormal;
+  directive_token_rate_ = directive.active ? directive.token_rate : 0.0;
   ++stats_.directives_received;
   if (!active_) return;  // parked in the pool: remember seq, enforce nothing
-  // The game server needs the directive itself (token-budget share,
-  // active flag for queue handoff), not just the composed state.  Relayed
-  // under OUR monotonic seq: the MC's numbering restarts on fail-over,
-  // the pair's must not.
-  AdmissionDirective relayed = directive;
-  relayed.seq = ++game_directive_seq_;
-  send(wiring_.game_node, relayed);
-  if (effective_admission_state() != before) push_admission_to_game();
+  ++stats_.directives_applied;
+  network()->tracer().record(
+      now(), obs::TraceKind::kDirectiveApplied, id_.value(), 0,
+      directive.active ? static_cast<std::int64_t>(directive.floor) : 0);
+  sync_game_admission();
 }
 
 void MatrixServer::reset_directive() {
-  const bool was_active = directive_active_;
   directive_floor_ = AdmissionState::kNormal;
   directive_active_ = false;
-  // The game server of this pair latched the old directive; rescind it so
-  // a fresh life (re-adoption, MC fail-over) starts unclamped.
-  if (was_active && config_.admission.global.enabled) {
-    AdmissionDirective rescind;
-    rescind.seq = ++game_directive_seq_;
-    rescind.active = false;
-    send(wiring_.game_node, rescind);
-  }
+  directive_token_rate_ = 0.0;
 }
 
 // ---------------------------------------------------------------------------
@@ -512,16 +497,12 @@ void MatrixServer::failsafe_tick() {
 
 void MatrixServer::on_failsafe_degraded() {
   // FALLBACK entry: deterministic local-only behaviour.  The frozen
-  // directive is dropped — reset_directive() also relays a rescind so the
-  // game server restores its local token rate — and the local valve takes
-  // back over.  Split/reclaim conservatism is enforced by the load rules
+  // directive is dropped — the game server hears the relaxed state and its
+  // local token rate back in one update — and the local valve takes back
+  // over.  Split/reclaim conservatism is enforced by the load rules
   // (policy/load_rules.h).
-  const AdmissionState before = effective_admission_state();
   reset_directive();
-  if (active_ && config_.admission.enabled &&
-      effective_admission_state() != before) {
-    push_admission_to_game();
-  }
+  if (active_) sync_game_admission();
   MATRIX_INFO("matrix", name() << " failsafe -> FALLBACK (MC silent)");
 }
 
@@ -539,13 +520,22 @@ void MatrixServer::clear_pool_denial_episode() {
   stats_.pool_backoff_us = 0;
 }
 
-void MatrixServer::push_admission_to_game() {
-  // The game server enforces the COMPOSED state: local valve and the
-  // coordinator's directive floor, strictest wins.
+void MatrixServer::sync_game_admission(bool force) {
+  // The game server enforces the COMPOSED state (local valve and the
+  // coordinator's directive floor, strictest wins), the directive's token
+  // share — or the local rate — and the directive flag: all of it rides one
+  // update, sent only when it differs from the last one sent.
   const AdmissionState effective = effective_admission_state();
   AdmissionUpdate update;
   update.state = static_cast<std::uint8_t>(effective);
-  update.seq = ++admission_seq_;
+  update.seq = game_update_.seq;
+  update.token_rate = directive_token_rate_ > 0.0
+                          ? directive_token_rate_
+                          : config_.admission.token_rate_per_sec;
+  update.directive_active = directive_active_;
+  if (!force && update == game_update_) return;
+  ++update.seq;
+  game_update_ = update;
   send(wiring_.game_node, update);
   ++stats_.admission_updates;
   network()->tracer().record(now(), obs::TraceKind::kAdmissionTransition,
@@ -674,13 +664,14 @@ void MatrixServer::handle_adopt(const Adopt& adopt) {
   cooldown_until_ = now() + config_.topology_cooldown;
   ++activation_epoch_;
   // A re-granted pool server starts a fresh admission life (and tells its
-  // game server so: the pair may have parted in SOFT/HARD last time).
-  // The MC re-sends any directive in force on the registration below.
+  // game server so: the pair may have parted in SOFT/HARD, or under a
+  // directive, last time).  The MC re-sends any directive in force on the
+  // registration below.
   clear_pool_denial_episode();
   reset_directive();
   if (config_.admission.enabled) {
     admission_.reset(now());
-    push_admission_to_game();
+    sync_game_admission(/*force=*/true);
   }
   network()->tracer().record(now(), obs::TraceKind::kAdopted, id_.value(),
                              parent_.value());
@@ -852,7 +843,11 @@ void MatrixServer::deactivate() {
   last_report_ = LoadReport{};
   clear_pool_denial_episode();
   admission_.reset(now());
+  // A directive the game latched is rescinded; nothing else is sent to a
+  // parking pair (its next Adopt re-sends the whole state).
+  const bool directive_was_active = directive_active_;
   reset_directive();
+  if (directive_was_active) sync_game_admission();
   ++activation_epoch_;
 }
 

@@ -33,13 +33,13 @@
 //   * under coordinator-led global admission (src/control/
 //     global_admission.h) it additionally reports a LoadDigest to the MC
 //     with each LoadReport, composes the MC's AdmissionDirective floor
-//     with its local valve (strictest wins), and relays the directive to
-//     its game server so the deployment-wide token-budget share takes
-//     effect at the join gate;
+//     with its local valve (strictest wins), and folds the directive's
+//     token-budget share and active flag into the same AdmissionUpdate, so
+//     the deployment-wide share takes effect at the join gate;
 //   * runs the pair's one control-plane failsafe machine (src/control/
 //     control_plane.h): the game server keeps no heartbeat clock of its
-//     own — on FALLBACK this server rescinds the frozen directive and
-//     pushes the relaxed composed state, and the game obeys both.
+//     own — on FALLBACK this server drops the frozen directive and sends
+//     the relaxed state and the local token rate in one update.
 //
 // Lifecycle: a server is either *active* (owns a partition) or *idle*
 // (parked in the resource pool awaiting an Adopt).  Roots are activated
@@ -140,10 +140,13 @@ class MatrixServer : public ProtocolNode {
     /// Current pool-retry backoff (µs); 0 when not backing off.  Doubles
     /// per consecutive denial up to Config::pool_backoff_max.
     std::uint64_t pool_backoff_us = 0;
-    /// Admission state changes pushed to the game server.
+    /// AdmissionUpdates sent to the game server.
     std::uint64_t admission_updates = 0;
     /// Coordinator directives accepted (stale seqs excluded).
     std::uint64_t directives_received = 0;
+    /// Of those, the ones applied while active (a parked server only
+    /// remembers its directive).
+    std::uint64_t directives_applied = 0;
     /// Load digests sent to the MC (global admission enabled only).
     std::uint64_t digests_sent = 0;
     /// Surge-queue depth ("waiting room", src/control/surge_queue.h) from
@@ -289,10 +292,13 @@ class MatrixServer : public ProtocolNode {
   /// The game server's receive-queue depth: the latest reported figure or
   /// the directly observed one, whichever is deeper.
   [[nodiscard]] std::uint32_t receive_queue_length() const;
-  void push_admission_to_game();
+  /// Sends the game server an AdmissionUpdate when what it must enforce —
+  /// composed state, join-bucket rate, directive flag — differs from what
+  /// it was last sent (always, with `force`).
+  void sync_game_admission(bool force = false);
   void clear_pool_denial_episode();
-  void handle_admission_directive(const AdmissionDirective& directive);
-  void apply_admission_directive(const AdmissionDirective& directive);
+  void handle_mc_directive(const AdmissionDirective& directive);
+  void apply_mc_directive(const AdmissionDirective& directive);
   void reset_directive();
 
   // control-plane failsafe (src/control/control_plane.h)
@@ -338,14 +344,17 @@ class MatrixServer : public ProtocolNode {
   /// Idle fraction of the deployment pool, per the MC's latest
   /// PoolPressure; negative ⇒ never heard.
   double pool_idle_fraction_ = -1.0;
-  std::uint64_t admission_seq_ = 0;
   // Coordinator-led global admission (src/control/global_admission.h):
   // the directive floor composes with the local valve, strictest wins.
   AdmissionState directive_floor_ = AdmissionState::kNormal;
   bool directive_active_ = false;
-  /// Seq space of directives relayed to OUR game server (survives MC
-  /// fail-over, unlike the MC's own numbering).
-  std::uint64_t game_directive_seq_ = 0;
+  /// The directive's token-budget share; 0 ⇒ the local config rate.
+  double directive_token_rate_ = 0.0;
+  /// The last AdmissionUpdate sent to OUR game server — what it enforces
+  /// now (sync_game_admission).  Its seq numbers the pair's stream, which
+  /// survives MC fail-over, unlike the MC's directive numbering.
+  AdmissionUpdate game_update_{.token_rate =
+                                   config_.admission.token_rate_per_sec};
   SimTime split_started_at_{};
   SimTime reclaim_started_at_{};
   /// While reclaim_pending_: when to re-send the request (lost-message

@@ -113,7 +113,7 @@ auto fields(Of<JoinDeny, JoinDefer> auto& m, auto&& f) {
   return f(m.client, m.retry_after);
 }
 auto fields(Of<AdmissionUpdate> auto& m, auto&& f) {
-  return f(m.state, m.seq);
+  return f(m.state, m.seq, m.token_rate, m.directive_active);
 }
 auto fields(Of<PoolStatus, PoolPressure> auto& m, auto&& f) {
   return f(m.idle, m.total);
@@ -126,8 +126,7 @@ auto fields(Of<LoadDigest> auto& m, auto&& f) {
            m.admission_state);
 }
 auto fields(Of<AdmissionDirective> auto& m, auto&& f) {
-  return f(m.seq, m.floor, m.active, m.token_rate, m.pressure,
-           m.waiting_total);
+  return f(m.seq, m.floor, m.active, m.token_rate);
 }
 auto fields(Of<QueueHandoff> auto& m, auto&& f) {
   return f(m.from_server, m.to_game, m.entries);

@@ -11,8 +11,7 @@
 //   game    → client  : Welcome, ServerUpdate, Redirect, JoinDeny, JoinDefer,
 //                       QueueUpdate
 //   game    → matrix  : TaggedPacket, LoadReport, ShedDone
-//   matrix  → game    : TaggedPacket (verified), MapRange, AdmissionUpdate,
-//                       AdmissionDirective (relay)
+//   matrix  → game    : TaggedPacket (verified), MapRange, AdmissionUpdate
 //   matrix  ↔ matrix  : TaggedPacket (peer forward), Adopt, PeerLoad,
 //                       ReclaimRequest, ReclaimDone, StateTransfer (relay),
 //                       ClientStateTransfer (relay), QueueHandoff (relay)
@@ -385,13 +384,19 @@ struct JoinDefer {
   bool operator==(const JoinDefer&) const = default;
 };
 
-/// Matrix server → its game server: the admission state changed.  `state`
-/// carries the numeric AdmissionState (the wire stays independent of
-/// control/ headers); `seq` is monotonic so a reordered update can never
-/// roll the valve back.
+/// Matrix server → its game server: everything the game enforces for
+/// admission, sent whenever any of it changes.  `state` carries the numeric
+/// AdmissionState (the wire stays independent of control/ headers), composed
+/// from the local valve and the coordinator's directive floor; `token_rate`
+/// is the join-bucket refill rate (the directive's budget share while one is
+/// in force, the local config rate otherwise); `directive_active` gates the
+/// queue handoff.  `seq` is monotonic so a reordered update can never roll
+/// any of them back.
 struct AdmissionUpdate {
   std::uint8_t state = 0;
   std::uint64_t seq = 0;
+  double token_rate = 0.0;        ///< joins/s the join bucket refills at
+  bool directive_active = false;  ///< a coordinator directive is in force
   bool operator==(const AdmissionUpdate&) const = default;
 };
 
@@ -431,21 +436,20 @@ struct LoadDigest {
   bool operator==(const LoadDigest&) const = default;
 };
 
-/// MC → Matrix server (relayed matrix → game): coordinator-led global
-/// admission directive.  `floor` is the minimum AdmissionState every server
-/// must hold (each server composes it with its local valve — strictest
-/// wins); `token_rate` is THIS server's share of the deployment-wide SOFT
-/// budget, weighted by waiting-room depth so starved partitions drain
-/// first (0 ⇒ use the local config rate).  `active == false` rescinds the
-/// directive (global pressure relaxed to NORMAL).  `seq` is monotonic so a
-/// reordered directive can never roll the floor back.
+/// MC → Matrix server: coordinator-led global admission directive.
+/// `floor` is the minimum AdmissionState every server must hold (each
+/// server composes it with its local valve — strictest wins); `token_rate`
+/// is THIS server's share of the deployment-wide SOFT budget, weighted by
+/// waiting-room depth so starved partitions drain first (0 ⇒ use the local
+/// config rate).  `active == false` rescinds the directive (global pressure
+/// relaxed to NORMAL).  `seq` is monotonic so a reordered directive can
+/// never roll the floor back.  The Matrix server folds what its game server
+/// needs into its AdmissionUpdate; no directive travels matrix → game.
 struct AdmissionDirective {
   std::uint64_t seq = 0;
-  std::uint8_t floor = 0;           ///< numeric AdmissionState
+  std::uint8_t floor = 0;   ///< numeric AdmissionState
   bool active = false;
-  double token_rate = 0.0;          ///< joins/s granted to this server
-  double pressure = 0.0;            ///< deployment pressure score (observability)
-  std::uint32_t waiting_total = 0;  ///< deployment-wide parked joins
+  double token_rate = 0.0;  ///< joins/s granted to this server
   bool operator==(const AdmissionDirective&) const = default;
 };
 

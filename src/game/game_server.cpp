@@ -97,8 +97,6 @@ void GameServer::wire(NodeId matrix_node) {
   port_->on_owner_reply([this](const OwnerReply& r) { handle_owner_reply(r); });
   port_->on_admission(
       [this](const AdmissionUpdate& u) { handle_admission(u); });
-  port_->on_directive(
-      [this](const AdmissionDirective& d) { handle_directive(d); });
   port_->on_queue_handoff(
       [this](const QueueHandoff& h) { handle_queue_handoff(h); });
 }
@@ -109,31 +107,16 @@ void GameServer::handle_admission(const AdmissionUpdate& update) {
     return;  // reordered/stale update
   }
   admission_state_ = admission_state_from_wire(update.state);
-  // A relaxed valve is a drain opportunity: NORMAL empties the waiting room
-  // outright, SOFT lets it spend whatever the bucket has accrued.
-  if (!surge_queue_.empty()) {
-    drain_surge_queue();
-    if (!surge_queue_.empty()) schedule_queue_tick();
+  // The directive's budget share, or the local rate back on a rescind.
+  // Only a real change touches the bucket: set_rate settles accrual at
+  // `now`, and an update that only moves the state must not.
+  if (update.token_rate != join_bucket_.rate()) {
+    join_bucket_.set_rate(now(), update.token_rate);
   }
-}
-
-void GameServer::handle_directive(const AdmissionDirective& directive) {
-  if (control_plane_.admit(now(), {ControlKind::kDirective, 0,
-                                   directive.seq}) != ControlVerdict::kApply) {
-    return;  // reordered/stale
-  }
-  directive_active_ = directive.active;
-  // Swap the deployment-wide budget share into the join bucket; a rescind
-  // (or a shareless directive) restores the local config rate.
-  const double rate = directive.active && directive.token_rate > 0.0
-                          ? directive.token_rate
-                          : config_.admission.token_rate_per_sec;
-  join_bucket_.set_rate(now(), rate);
-  ++stats_.directives_applied;
-  network()->tracer().record(
-      now(), obs::TraceKind::kDirectiveApplied, id_.value(), node_id().value(),
-      directive.active ? static_cast<std::int64_t>(directive.floor) : 0);
-  // A fatter share may make the waiting room drainable.
+  directive_active_ = update.directive_active;
+  // A relaxed valve or a fatter share is a drain opportunity: NORMAL
+  // empties the waiting room outright, SOFT lets it spend whatever the
+  // bucket has accrued.
   if (!surge_queue_.empty()) {
     drain_surge_queue();
     if (!surge_queue_.empty()) schedule_queue_tick();

@@ -29,10 +29,10 @@
 //     QueueUpdate position/ETA notifications replacing client-side
 //     defer-retry loops;
 //   * under coordinator-led global admission (src/control/
-//     global_admission.h) it obeys the relayed AdmissionDirective: swaps
-//     the directive's token-budget share into its join bucket (the floor
-//     arrives already composed in AdmissionUpdate), bounds the VIP
-//     share of each drain burst (`priority.vip_drain_cap`), and — while a
+//     global_admission.h) the same AdmissionUpdate carries the directive's
+//     token-budget share, swapped into its join bucket, and active flag
+//     (the floor arrives already composed into the state); it bounds the
+//     VIP share of each drain burst (`priority.vip_drain_cap`), and — while a
 //     directive is active — hands parked joins displaced by a split or
 //     reclaim to the server that now owns their region (class and accrued
 //     age preserved) instead of flushing them to client-side retry.
@@ -114,10 +114,13 @@ class GameServer : public ProtocolNode {
   }
   /// True while a coordinator directive is in force here.
   [[nodiscard]] bool directive_active() const { return directive_active_; }
-  /// The seq gate for the two streams the co-located Matrix server numbers
-  /// (AdmissionUpdate, relayed AdmissionDirective).  Never started or
-  /// ticked: the pair's one failsafe machine runs on the Matrix server, so
-  /// this plane stays NORMAL and never holds an update.
+  /// The join bucket's refill rate: the directive's token-budget share
+  /// while one is in force, the local config rate otherwise.
+  [[nodiscard]] double join_token_rate() const { return join_bucket_.rate(); }
+  /// The seq gate for the one AdmissionUpdate stream the co-located Matrix
+  /// server numbers.  Never started or ticked: the pair's one failsafe
+  /// machine runs on the Matrix server, so this plane stays NORMAL and
+  /// never holds an update.
   [[nodiscard]] const ControlPlane& control_plane() const {
     return control_plane_;
   }
@@ -149,8 +152,6 @@ class GameServer : public ProtocolNode {
     // Surge queue (src/control/surge_queue.h); parked/drained/overflow
     // tallies live in SurgeQueue::Stats (see surge_queue()).
     std::uint64_t queue_updates_sent = 0;
-    /// Coordinator directives applied (global admission).
-    std::uint64_t directives_applied = 0;
     /// Cross-server queue handoffs: messages sent on split/reclaim, and
     /// entries from received handoffs this server could not adopt
     /// (fell back to JoinDefer).
@@ -199,11 +200,9 @@ class GameServer : public ProtocolNode {
   void handle_state_transfer(const StateTransfer& transfer);
   void handle_client_state(const ClientStateTransfer& transfer);
   void handle_owner_reply(const OwnerReply& reply);
+  /// Applies the Matrix server's admission decision in one step: state,
+  /// join-bucket rate, directive flag, then one waiting-room drain.
   void handle_admission(const AdmissionUpdate& update);
-  /// Swaps a relayed directive's token share into join_bucket_, or
-  /// restores the local rate on a rescind.  The Matrix server's failsafe
-  /// decides what to relay and when to rescind.
-  void handle_directive(const AdmissionDirective& directive);
   void handle_queue_handoff(const QueueHandoff& handoff);
   /// The admission gate for a fresh (non-resume) join; true ⇒ admit.
   [[nodiscard]] bool admit_join(const ClientHello& hello, NodeId client_node);
@@ -320,9 +319,9 @@ class GameServer : public ProtocolNode {
   TokenBucket join_bucket_{config_.admission.token_rate_per_sec,
                            config_.admission.token_burst};
   // Coordinator-led global admission (src/control/global_admission.h):
-  // the directive's token share is swapped into join_bucket_.
+  // the directive's token share arrives in AdmissionUpdate.token_rate.
   bool directive_active_ = false;
-  /// Seq admission for AdmissionUpdate and relayed AdmissionDirective.
+  /// Seq admission for AdmissionUpdate.
   ControlPlane control_plane_{config_.failsafe};
   // Surge queue (src/control/surge_queue.h): the server-owned waiting room
   // replacing client-side defer-retry when enabled.

@@ -144,7 +144,6 @@ AdmissionSummary collect_admission(const Deployment& deployment) {
     summary.queue_handed_off += queue.handed_off;
     summary.queue_adopted += queue.adopted;
     summary.queue_vip_capped += queue.vip_capped;
-    summary.directives_applied += game->stats().directives_applied;
     summary.max_queue_depth = std::max(summary.max_queue_depth,
                                        queue.max_depth);
     for (std::size_t cls = 0; cls < 3; ++cls) {
@@ -159,6 +158,7 @@ AdmissionSummary collect_admission(const Deployment& deployment) {
     const AdmissionController& admission = server->admission();
     summary.escalations += admission.stats().escalations;
     summary.relaxations += admission.stats().relaxations;
+    summary.directives_applied += server->stats().directives_applied;
     // Lifetime tallies: transitions() is cleared when a pooled server is
     // re-adopted, so count from the stats and use the reset-proof
     // validity check rather than only the current timeline.

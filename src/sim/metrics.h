@@ -119,7 +119,7 @@ struct AdmissionSummary {
 
   // Coordinator-led global admission (src/control/global_admission.h):
   std::uint64_t directives_broadcast = 0;  ///< sent by the MC
-  std::uint64_t directives_applied = 0;    ///< applied at game servers
+  std::uint64_t directives_applied = 0;    ///< applied by active servers
   std::uint64_t global_escalations = 0;    ///< directive floor escalations
   std::uint64_t global_relaxations = 0;
   /// True when the MC's directive-floor timeline satisfies the same

@@ -369,7 +369,11 @@ TEST(FailsafeIntegrationTest, GameServersObeyTheirMatrixFallbackRescind) {
   // One failsafe machine per co-located pair, on the matrix server: its
   // FALLBACK rescinds the frozen directive, and the game obeys the rescind
   // instead of holding it behind a second, game-side copy of the machine.
-  Deployment deployment(failsafe_options());
+  // The rescind is one AdmissionUpdate: it restores the local token rate
+  // too, and no directive stream reaches the game's plane.
+  const DeploymentOptions options = failsafe_options();
+  const double local_rate = options.config.admission.token_rate_per_sec;
+  Deployment deployment(options);
   McOutageScenarioOptions scenario;
   scenario.load = modest_crowd();
   scenario.load.flash_bots = 240;  // past the pool: the MC raises a floor
@@ -379,10 +383,13 @@ TEST(FailsafeIntegrationTest, GameServersObeyTheirMatrixFallbackRescind) {
 
   deployment.run_until(scenario.kill_at);
   std::size_t games_under_directive = 0;
+  std::size_t games_on_a_share = 0;
   for (const GameServer* game : deployment.game_servers()) {
     if (game->directive_active()) ++games_under_directive;
+    if (game->join_token_rate() != local_rate) ++games_on_a_share;
   }
   ASSERT_GT(games_under_directive, 0u) << "no directive in force at the kill";
+  ASSERT_GT(games_on_a_share, 0u) << "no directive share in force at the kill";
 
   deployment.run_until(scenario.load.duration);
   const MatrixServer* root = deployment.matrix_servers().front();
@@ -393,7 +400,9 @@ TEST(FailsafeIntegrationTest, GameServersObeyTheirMatrixFallbackRescind) {
     EXPECT_TRUE(plane.transitions().empty());
     EXPECT_EQ(plane.state(), FailsafeState::kNormal);
     EXPECT_EQ(plane.stats().held_drops, 0u);
+    EXPECT_EQ(plane.last_seq(ControlKind::kDirective), 0u);
     EXPECT_FALSE(game->directive_active());
+    EXPECT_EQ(game->join_token_rate(), local_rate);
   }
 }
 

@@ -421,6 +421,81 @@ TEST_F(GameServerTest, UnansweredOwnerQueryBlocksLaterMigration) {
   EXPECT_EQ(game_.stats().clients_migrated, 0u);
 }
 
+TEST(GameServerAdmissionTest, OneUpdateAppliesStateRateAndDrain) {
+  // The Matrix server sends everything the game enforces in one seq-gated
+  // AdmissionUpdate: a reordered older one — stale state and stale rate —
+  // is dropped whole, and a newer one applies state, join-bucket rate and
+  // directive flag, then drains the waiting room, in one step.
+  Config config;
+  config.admission.enabled = true;
+  config.admission.priority.queue_enabled = true;
+  config.admission.token_burst = 1.0;  // one banked token: one admit
+  Network network(3);
+  GameServer game(ServerId(1), bzflag_like(), config);
+  CaptureNode matrix("fake-matrix");
+  CaptureNode first("fake-client");
+  CaptureNode second("fake-client-2");
+  network.attach(&game);
+  network.attach(&matrix);
+  network.attach(&first);
+  network.attach(&second);
+  game.wire(matrix.node_id());
+  const auto run = [&](SimTime dt) { network.run_until(network.now() + dt); };
+  MapRange range;
+  range.new_range = Rect(0, 0, 1000, 1000);
+  matrix.inject(game.node_id(), range);
+  run(50_ms);
+
+  const auto update = [&](std::uint64_t seq, AdmissionState state,
+                          double token_rate, bool directive_active) {
+    AdmissionUpdate u;
+    u.seq = seq;
+    u.state = static_cast<std::uint8_t>(state);
+    u.token_rate = token_rate;
+    u.directive_active = directive_active;
+    matrix.inject(game.node_id(), u);
+    run(10_ms);
+  };
+  const auto hello = [&](CaptureNode& client, ClientId id) {
+    ClientHello msg;
+    msg.client = id;
+    msg.position = {100, 100};
+    client.inject(game.node_id(), msg);
+    run(10_ms);
+  };
+
+  update(5, AdmissionState::kHard, config.admission.token_rate_per_sec,
+         false);
+  ASSERT_EQ(game.admission_state(), AdmissionState::kHard);
+  hello(first, ClientId(10));
+  hello(second, ClientId(11));
+  ASSERT_EQ(game.surge_queue().size(), 2u);
+
+  // Reordered: an older seq that would reopen the valve at a fat share.
+  update(4, AdmissionState::kNormal, 100.0, true);
+  EXPECT_EQ(game.admission_state(), AdmissionState::kHard);
+  EXPECT_FALSE(game.directive_active());
+  EXPECT_EQ(game.surge_queue().size(), 2u);
+  EXPECT_EQ(game.control_plane().stats().stale_seq_drops, 1u);
+
+  // Newer: SOFT at a 0.5 joins/s share.  The one banked token admits the
+  // first parked client at once; the second waits at the new rate.
+  update(6, AdmissionState::kSoft, 0.5, true);
+  EXPECT_EQ(game.admission_state(), AdmissionState::kSoft);
+  EXPECT_TRUE(game.directive_active());
+  EXPECT_EQ(first.count<Welcome>(), 1u);
+  EXPECT_EQ(second.count<Welcome>(), 0u);
+  EXPECT_EQ(game.surge_queue().size(), 1u);
+
+  // The next drain tick quotes the wait at the new rate: 1 / 0.5 = 2 s.
+  run(config.admission.priority.update_interval);
+  const QueueUpdate* position = second.last<QueueUpdate>();
+  ASSERT_NE(position, nullptr);
+  EXPECT_EQ(position->position, 1u);
+  EXPECT_EQ(position->eta, 2_sec);
+  EXPECT_EQ(second.count<Welcome>(), 0u);
+}
+
 TEST_F(GameServerTest, EntityRoundTrip) {
   Entity e;
   e.id = EntityId(55);

@@ -180,7 +180,7 @@ TEST(GlobalAdmissionTest, BroadcastCadenceIsBounded) {
 }
 
 // ---------------------------------------------------------------------------
-// Wire loop: LoadDigest → MC → AdmissionDirective → composed AdmissionUpdate
+// Wire loop: LoadDigest → MC → AdmissionDirective → one AdmissionUpdate
 // ---------------------------------------------------------------------------
 
 Config global_wire_config() {
@@ -238,18 +238,17 @@ TEST(GlobalAdmissionWireTest, DigestsFlowAndDirectiveComposes) {
     EXPECT_GT(harness.matrix_servers[s]->stats().digests_sent, 0u);
   }
 
-  // ...and the game side received both the directive (with a token share)
-  // and an AdmissionUpdate carrying the COMPOSED state.
-  const AdmissionDirective* directive =
-      harness.games[0]->last<AdmissionDirective>();
-  ASSERT_NE(directive, nullptr);
-  EXPECT_TRUE(directive->active);
-  EXPECT_EQ(directive->floor,
-            static_cast<std::uint8_t>(AdmissionState::kSoft));
-  EXPECT_GT(directive->token_rate, 0.0);
+  // ...and the game side heard all of it in one AdmissionUpdate: the
+  // COMPOSED state, the directive's token share and the active flag.  No
+  // directive travels matrix → game.
   const AdmissionUpdate* update = harness.games[0]->last<AdmissionUpdate>();
   ASSERT_NE(update, nullptr);
   EXPECT_EQ(update->state, static_cast<std::uint8_t>(AdmissionState::kSoft));
+  EXPECT_GT(update->token_rate, 0.0);
+  EXPECT_NE(update->token_rate,
+            global_wire_config().admission.token_rate_per_sec);
+  EXPECT_TRUE(update->directive_active);
+  EXPECT_EQ(harness.games[0]->last<AdmissionDirective>(), nullptr);
 }
 
 TEST(GlobalAdmissionWireTest, StaleDirectiveIsIgnored) {

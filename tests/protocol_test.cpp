@@ -350,7 +350,14 @@ Message random_message(std::size_t index, Rng& rng) {
     case 28: return McAnnounce{rnd_id<NodeId>(rng), rng.next_u64()};
     case 29: return JoinDeny{rnd_id<ClientId>(rng), rnd_time(rng)};
     case 30: return JoinDefer{rnd_id<ClientId>(rng), rnd_time(rng)};
-    case 31: return AdmissionUpdate{rnd_u8(rng), rng.next_u64()};
+    case 31: {
+      AdmissionUpdate m;
+      m.state = rnd_u8(rng);
+      m.seq = rng.next_u64();
+      m.token_rate = rng.next_double_in(0.0, 1000.0);
+      m.directive_active = rng.next_bool(0.5);
+      return m;
+    }
     case 32: return PoolStatus{rnd_u32(rng), rnd_u32(rng)};
     case 33: return PoolPressure{rnd_u32(rng), rnd_u32(rng)};
     case 34: {
@@ -376,8 +383,6 @@ Message random_message(std::size_t index, Rng& rng) {
       m.floor = rnd_u8(rng);
       m.active = rng.next_bool(0.5);
       m.token_rate = rng.next_double_in(0.0, 1000.0);
-      m.pressure = rng.next_double();
-      m.waiting_total = rnd_u32(rng);
       return m;
     }
     case 37: {
@@ -453,8 +458,6 @@ TEST(ProtocolTest, RecentFieldsSurviveDecoding) {
   directive.seq = 9;
   directive.active = true;
   directive.token_rate = 13.75;
-  directive.pressure = 0.8125;
-  directive.waiting_total = 412;
   const auto directive_out =
       decode_message(encode_message(Message{directive}));
   ASSERT_TRUE(directive_out.has_value());
@@ -462,8 +465,19 @@ TEST(ProtocolTest, RecentFieldsSurviveDecoding) {
   EXPECT_EQ(d.seq, 9u);
   EXPECT_TRUE(d.active);
   EXPECT_DOUBLE_EQ(d.token_rate, 13.75);
-  EXPECT_DOUBLE_EQ(d.pressure, 0.8125);
-  EXPECT_EQ(d.waiting_total, 412u);
+
+  AdmissionUpdate update;
+  update.state = 1;
+  update.seq = 17;
+  update.token_rate = 6.5;
+  update.directive_active = true;
+  const auto update_out = decode_message(encode_message(Message{update}));
+  ASSERT_TRUE(update_out.has_value());
+  const auto& u = std::get<AdmissionUpdate>(*update_out);
+  EXPECT_EQ(u.state, 1u);
+  EXPECT_EQ(u.seq, 17u);
+  EXPECT_DOUBLE_EQ(u.token_rate, 6.5);
+  EXPECT_TRUE(u.directive_active);
 
   McHeartbeat beat;
   beat.mc_node = NodeId(21);
